@@ -3,14 +3,15 @@
 // generated which is called after a check for the parameter actually being
 // 42. Otherwise, the original function should be executed."
 //
-// A generic power kernel is called through AutoSpecializer's entry: it
-// first observes the exponent across calls, then transparently installs
-// specialized variants for the hot exponents behind a guard check.
+// A generic polynomial kernel is called through a VariantDispatcher's
+// entry: its miss path first observes the model index across calls, then
+// transparently installs specialized variants for the hot models behind
+// the inline-cache key check.
 //
 //   $ ./autospec
 #include <cstdio>
 
-#include "core/autospec.hpp"
+#include "core/dispatch.hpp"
 #include "support/timer.hpp"
 
 using namespace brew;
@@ -57,24 +58,29 @@ double workload(pow_t fn, int calls) {
 }  // namespace
 
 int main() {
-  AutoSpecializer::Options options;
+  // No seeds: the dispatcher's own miss path samples the model index and
+  // specializes the hot ones once `sampleCalls` calls have been observed.
+  SpecManager& manager = SpecManager::process();
+  DispatchOptions options = manager.options().dispatch;
   options.sampleCalls = 200;
   options.maxVariants = 2;
-  options.minShare = 0.10;
-  AutoSpecializer spec(
-      reinterpret_cast<const void*>(&evalModel), /*paramIndex=*/0,
+  VariantDispatcher dispatcher(
+      manager, reinterpret_cast<const void*>(&evalModel), /*paramIndex=*/0,
       {ArgValue::fromInt(0), ArgValue::fromDouble(0.0)},
       Config{}.setReturnKind(ReturnKind::Float), options);
-  auto fn = spec.as<pow_t>();
+  auto fn = dispatcher.as<pow_t>();
 
   std::printf("sampling phase (first %zu calls)...\n", options.sampleCalls);
   workload(fn, 256);
-  std::printf("observed histogram:");
-  for (const auto& [value, count] : spec.histogram())
-    std::printf("  m=%llu:%llu", static_cast<unsigned long long>(value),
-                static_cast<unsigned long long>(count));
+  std::printf("live variants:");
+  for (const VariantInfo& v : dispatcher.variants())
+    std::printf("  m=%llu:%llu hits%s",
+                static_cast<unsigned long long>(v.key),
+                static_cast<unsigned long long>(v.hits),
+                v.inlineCached ? " (inline)" : "");
   std::printf("\nspecialized: %s (%zu variants)\n",
-              spec.specialized() ? "yes" : "no", spec.variantCount());
+              dispatcher.variantCount() > 0 ? "yes" : "no",
+              dispatcher.variantCount());
 
   // Correctness across hot and cold values.
   const double x = 1.5;
@@ -93,10 +99,9 @@ int main() {
   for (int i = 0; i < calls; ++i) s1 += evalModel(4, 1.0 + 1e-9 * (i & 7));
   const double generic = timer.seconds();
   timer.reset();
-  // Steady state: fetch the dispatcher directly (one indirection less).
-  auto fast = spec.current<pow_t>();
+  // Steady state: the hot model hits an inline-cache way of the stub.
   double s2 = 0;
-  for (int i = 0; i < calls; ++i) s2 += fast(4, 1.0 + 1e-9 * (i & 7));
+  for (int i = 0; i < calls; ++i) s2 += fn(4, 1.0 + 1e-9 * (i & 7));
   const double specialized = timer.seconds();
   std::printf("\n%d calls with hot model 4: generic %.1f ms, "
               "auto-specialized %.1f ms (%.2fx)%s\n",

@@ -1,53 +1,8 @@
 #!/bin/sh
-# Fails if in-repo code still calls the deprecated v1 void* C API
-# (brew_rewrite / brew_release / brew_getstats). The shim is compiled only
-# under -DBREW_ENABLE_V1_API=ON; the only allowed spellings are the shim's
-# own declaration/implementation (both #ifdef-gated) and the v1 test binary
-# that pins the shim's behavior when that option is on.
-# brew_rewrite2 / brew_release_h / brew_func_getstats do not match.
+# Polices the C API surface: the persistence symbols must be declared and
+# implemented, and BREW_CACHE_DIR must be parsed in exactly one place.
 set -eu
 cd "$(dirname "$0")/.."
-
-offenders=$(grep -rnE '(^|[^_[:alnum:]])brew_(rewrite|release)[[:space:]]*\(' \
-    src examples bench tests stencil 2>/dev/null \
-  | grep -v '^src/core/brew\.h:' \
-  | grep -v '^src/core/brew_c\.cpp:' \
-  | grep -v '^tests/core_capi_v1_test\.cpp:' \
-  || true)
-
-if [ -n "$offenders" ]; then
-  echo "deprecated v1 brew_rewrite/brew_release calls found:" >&2
-  echo "$offenders" >&2
-  echo "use brew_rewrite2 + brew_func_entry / brew_release_h instead" >&2
-  exit 1
-fi
-
-# Same rule for the conf-scoped stats getter: new code should read stats
-# from the handle (brew_func_getstats) or the process-wide telemetry
-# registry (brew_telemetry_snapshot), not the last-writer-wins conf slot.
-stats_offenders=$(grep -rnE '(^|[^_[:alnum:]])brew_getstats[[:space:]]*\(' \
-    src examples bench tests stencil 2>/dev/null \
-  | grep -v '^src/core/brew\.h:' \
-  | grep -v '^src/core/brew_c\.cpp:' \
-  | grep -v '^tests/core_capi_v1_test\.cpp:' \
-  || true)
-
-if [ -n "$stats_offenders" ]; then
-  echo "deprecated brew_getstats calls found:" >&2
-  echo "$stats_offenders" >&2
-  echo "use brew_func_getstats or brew_telemetry_snapshot instead" >&2
-  exit 1
-fi
-
-# The gated sections themselves must stay inside the #ifdef so a default
-# build exports no v1 symbols at all.
-for f in src/core/brew.h src/core/brew_c.cpp; do
-  if grep -qE '(^|[^_[:alnum:]])brew_rewrite[[:space:]]*\(' "$f" \
-      && ! grep -q 'BREW_ENABLE_V1_API' "$f"; then
-    echo "$f declares v1 symbols without a BREW_ENABLE_V1_API gate" >&2
-    exit 1
-  fi
-done
 
 # Persistence C API: the declared surface is exactly
 # brew_options_set_cache_dir + brew_persist_stats/brew_getpersiststats.
@@ -78,5 +33,5 @@ if [ -n "$cache_env_offenders" ]; then
   exit 1
 fi
 
-echo "no deprecated v1 API callers outside the gated shim"
 echo "persistence API surface intact (set_cache_dir/getpersiststats)"
+echo "BREW_CACHE_DIR parsed only in SpecManager::Options::fromEnv"

@@ -18,8 +18,9 @@
  * (see brew_getcachestats). Runtime knobs (worker count, cache budget,
  * shard count, variant limits) enter through ONE object — brew_options +
  * brew_configure — with environment variables as documented fallbacks.
- * The v1 void* surface (brew_rewrite / brew_release) is retired: it is
- * compiled only when the library is built with -DBREW_ENABLE_V1_API=ON.
+ * Every rewrite returns a refcounted brew_func handle (brew_func_entry
+ * yields the callable); the paper's figures' raw void* spelling
+ * (brew_rewrite / brew_release) is not provided.
  *
  * Parameter indices are 1-based like in the paper. Rewriting failure is not
  * catastrophic: brew_rewrite2 returns NULL and the caller keeps using the
@@ -66,7 +67,7 @@ brew_conf* brew_initConf(void);
 void brew_freeConf(brew_conf* conf);
 
 /* Total number of parameters of functions rewritten with this conf.
- * brew_rewrite reads exactly this many variadic arguments. */
+ * brew_rewrite2 reads exactly this many variadic arguments. */
 void brew_setnpar(brew_conf* conf, int count);
 
 /* Declare parameter `index` (1-based) known/unknown (BREW_KNOWN...). */
@@ -78,7 +79,7 @@ void brew_setpar(brew_conf* conf, int index, int state);
 void brew_setpar_ptr(brew_conf* conf, int index, size_t size);
 
 /* Declare parameter `index` an SSE-class (double) argument. Needed so the
- * variadic arguments of brew_rewrite are read with the right type and
+ * variadic arguments of brew_rewrite2 are read with the right type and
  * assigned to the right ABI register. */
 void brew_setpar_double(brew_conf* conf, int index, int state);
 
@@ -488,29 +489,6 @@ int brew_profile_write_json(const char* path);
  * each other); "" after a successful rewrite or when this thread never
  * failed. */
 const char* brew_lastError(const brew_conf* conf);
-
-/* ---- v1 compatibility shim (RETIRED) --------------------------------- */
-
-/* The v1 void* surface is compiled only when the library was built with
- * -DBREW_ENABLE_V1_API=ON; by default these symbols do not exist. In-tree
- * code must not call them (scripts/check_api_shims.sh enforces it). */
-#ifdef BREW_ENABLE_V1_API
-
-/* DEPRECATED: v1 spelling of brew_rewrite2. Returns the raw entry pointer
- * and tracks the handle internally so brew_release can find it. Prefer
- * brew_rewrite2 + brew_func_entry; this shim stays for source
- * compatibility with the paper's figures. */
-void* brew_rewrite(brew_conf* conf, const void* fn, ...);
-
-/* DEPRECATED: releases the handle behind a pointer returned by
- * brew_rewrite. Prefer brew_release_h. */
-void brew_release(void* rewritten);
-
-/* DEPRECATED: statistics of the most recent successful rewrite on this
- * conf (any thread; last writer wins). Prefer brew_func_getstats. */
-void brew_getstats(const brew_conf* conf, brew_stats* out);
-
-#endif /* BREW_ENABLE_V1_API */
 
 #ifdef __cplusplus
 } /* extern "C" */

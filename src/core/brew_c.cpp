@@ -1,7 +1,6 @@
-// C API implementation. v2 (brew_rewrite2) returns refcounted brew_func
+// C API implementation. brew_rewrite2 returns refcounted brew_func
 // handles backed by the process-wide specialization cache; runtime knobs
-// enter through brew_options/brew_configure; the v1 void* surface
-// (brew_rewrite / brew_release) compiles only under BREW_ENABLE_V1_API.
+// enter through brew_options/brew_configure.
 // brew_lastError is thread-local so concurrent rewriters sharing a conf
 // never see each other's failures.
 #include "core/brew.h"
@@ -10,7 +9,6 @@
 #include <cstdarg>
 #include <cstdio>
 #include <map>
-#include <mutex>
 #include <string>
 
 #include "core/dispatch.hpp"
@@ -52,8 +50,6 @@ struct brew_conf {
   // Identity for the thread-local error slots: keyed by id (not pointer) so
   // a conf allocated at a recycled address never inherits stale messages.
   uint64_t id = nextConfId();
-  mutable std::mutex statsMutex;
-  brew_stats stats{};
 };
 
 namespace {
@@ -67,21 +63,6 @@ void setLastError(const brew_conf* conf, std::string message) {
 }
 
 void clearLastError(const brew_conf* conf) { t_lastError.erase(conf->id); }
-
-#ifdef BREW_ENABLE_V1_API
-// v1 shim registry: entry pointer -> handle (+ how many times the same
-// entry was handed out, since cache hits return identical pointers).
-struct LegacyEntry {
-  brew_func* fn = nullptr;
-  size_t count = 0;
-};
-
-std::mutex g_registryMutex;
-std::map<void*, LegacyEntry>& registry() {
-  static auto* map = new std::map<void*, LegacyEntry>();
-  return *map;
-}
-#endif  // BREW_ENABLE_V1_API
 
 bool validIndex(int index) {
   return index >= 1 &&
@@ -113,7 +94,8 @@ brew_func* wrapHandle(brew::CodeHandle handle) {
   return out;
 }
 
-// Shared worker behind brew_rewrite and brew_rewrite2.
+// brew_rewrite2's worker: reads the variadic arguments and rewrites
+// through the process-wide specialization cache.
 brew_func* rewriteV(brew_conf* conf, const void* fn, va_list ap) {
   if (conf == nullptr || fn == nullptr) return nullptr;
   std::vector<brew::ArgValue> args = readArgsV(conf, ap);
@@ -125,13 +107,7 @@ brew_func* rewriteV(brew_conf* conf, const void* fn, va_list ap) {
     return nullptr;
   }
   clearLastError(conf);
-
-  brew_func* handle = wrapHandle(std::move(*result));
-  {
-    std::lock_guard<std::mutex> lock(conf->statsMutex);
-    conf->stats = handle->stats;
-  }
-  return handle;
+  return wrapHandle(std::move(*result));
 }
 
 }  // namespace
@@ -575,52 +551,5 @@ const char* brew_lastError(const brew_conf* conf) {
   auto it = t_lastError.find(conf->id);
   return it != t_lastError.end() ? it->second.c_str() : "";
 }
-
-/* ---- v1 shim (compiled only under BREW_ENABLE_V1_API) ----------------- */
-
-#ifdef BREW_ENABLE_V1_API
-
-void* brew_rewrite(brew_conf* conf, const void* fn, ...) {
-  va_list ap;
-  va_start(ap, fn);
-  brew_func* handle = rewriteV(conf, fn, ap);
-  va_end(ap);
-  if (handle == nullptr) return nullptr;
-  void* entry = brew_func_entry(handle);
-  std::lock_guard<std::mutex> lock(g_registryMutex);
-  LegacyEntry& slot = registry()[entry];
-  if (slot.fn == nullptr) {
-    slot.fn = handle;
-  } else {
-    // Cache hit: the same entry pointer was already handed out. One stored
-    // handle suffices; drop the duplicate and count the extra claim.
-    brew_release_h(handle);
-  }
-  ++slot.count;
-  return entry;
-}
-
-void brew_release(void* rewritten) {
-  if (rewritten == nullptr) return;
-  brew_func* toRelease = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(g_registryMutex);
-    auto it = registry().find(rewritten);
-    if (it == registry().end()) return;
-    if (--it->second.count == 0) {
-      toRelease = it->second.fn;
-      registry().erase(it);
-    }
-  }
-  brew_release_h(toRelease);
-}
-
-void brew_getstats(const brew_conf* conf, brew_stats* out) {
-  if (conf == nullptr || out == nullptr) return;
-  std::lock_guard<std::mutex> lock(conf->statsMutex);
-  *out = conf->stats;
-}
-
-#endif  // BREW_ENABLE_V1_API
 
 }  // extern "C"

@@ -123,10 +123,12 @@ class VariantDispatcher {
 
   const void* subject() const { return fn_; }
 
-  // Seeds the variant table from an externally collected profile (the
-  // AutoSpecializer histogram): promotes each key synchronously, in order,
-  // up to maxVariants, and fast-forwards the sampling gate so the
-  // dispatcher starts in steady state.
+  // Seeds the variant table with known-hot keys (a fixed guard set, or a
+  // profile collected up to a phase boundary): promotes each key
+  // synchronously, in order, up to maxVariants, and fast-forwards the
+  // sampling gate so the dispatcher starts in steady state. With
+  // promoteThreshold = UINT64_MAX no unseeded key is ever specialized, so
+  // the seeded set stays fixed.
   void seedHot(std::span<const uint64_t> hotKeys, uint64_t observedCalls);
 
   // Predicate-epoch change (e.g. PGAS redistribution): retires every live

@@ -60,6 +60,23 @@ ProcessConfig& processConfig() {
   return *config;
 }
 
+// "movabs r11, cell; mov r11, [r11]; jmp r11": SpecRequest's stable entry
+// point, whose target is republished with a single pointer store to *cell.
+Result<ExecMemory> buildEntrySlotStub(void* const* cell) {
+  using isa::makeInstr;
+  using isa::MemOperand;
+  using isa::Mnemonic;
+  using isa::Operand;
+  using isa::Reg;
+  jit::Assembler as;
+  as.movRegImm(Reg::r11,
+               static_cast<int64_t>(reinterpret_cast<uintptr_t>(cell)));
+  as.emit(makeInstr(Mnemonic::Mov, 8, Operand::makeReg(Reg::r11),
+                    Operand::makeMem(MemOperand{.base = Reg::r11})));
+  as.emit(makeInstr(Mnemonic::JmpInd, 8, Operand::makeReg(Reg::r11)));
+  return as.finalizeExecutable();
+}
+
 SpecManager::Options takeProcessOptions() {
   ProcessConfig& pc = processConfig();
   std::lock_guard<std::mutex> lock(pc.mu);
@@ -107,21 +124,6 @@ CacheKey makeCacheKey(const Config& config, const PassOptions& passes,
   key.configFp = fnvMix(config.fingerprint(), passes.fingerprint());
   key.argsHash = hashSpecArgs(config, args);
   return key;
-}
-
-Result<ExecMemory> buildEntrySlotStub(void* const* cell) {
-  using isa::makeInstr;
-  using isa::MemOperand;
-  using isa::Mnemonic;
-  using isa::Operand;
-  using isa::Reg;
-  jit::Assembler as;
-  as.movRegImm(Reg::r11,
-               static_cast<int64_t>(reinterpret_cast<uintptr_t>(cell)));
-  as.emit(makeInstr(Mnemonic::Mov, 8, Operand::makeReg(Reg::r11),
-                    Operand::makeMem(MemOperand{.base = Reg::r11})));
-  as.emit(makeInstr(Mnemonic::JmpInd, 8, Operand::makeReg(Reg::r11)));
-  return as.finalizeExecutable();
 }
 
 int RewriteBatch::next() {

@@ -41,11 +41,6 @@ uint64_t hashSpecArgs(const Config& config, std::span<const ArgValue> args);
 CacheKey makeCacheKey(const Config& config, const PassOptions& passes,
                       const void* fn, std::span<const ArgValue> args);
 
-// "movabs r11, cell; mov r11, [r11]; jmp r11": a stable entry point whose
-// target is republished with a single pointer store to *cell. Shared by
-// SpecRequest and AutoSpecializer (the paper's §III-D upgrade-in-place).
-Result<ExecMemory> buildEntrySlotStub(void* const* cell);
-
 // One asynchronous rewrite. entry() is callable the moment rewriteAsync
 // returns: it forwards to the original function until the worker finishes,
 // then atomically switches to the specialized code (a relaxed pointer load
@@ -192,9 +187,9 @@ class SpecManager {
   SpecManager(const SpecManager&) = delete;
   SpecManager& operator=(const SpecManager&) = delete;
 
-  // The process-wide instance used by the C API, AutoSpecializer and the
-  // PGAS runtime. First use constructs it from Options::fromEnv(), as
-  // overridden by configureProcess().
+  // The process-wide instance used by the C API, VariantDispatcher
+  // clients and the PGAS runtime. First use constructs it from
+  // Options::fromEnv(), as overridden by configureProcess().
   static SpecManager& process();
 
   // Replaces the options the process-wide instance will be built with.

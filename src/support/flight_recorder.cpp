@@ -44,7 +44,6 @@ constexpr const char* kEventNames[] = {
     "dispatch.demote",
     "dispatch.epoch_bump",
     "dispatch.variant_fail",
-    "guard.fail",
     "code.mutation",
     "profiler.start",
     "profiler.stop",

@@ -24,7 +24,6 @@ enum class Event : uint32_t {
   DispatchDemote,    // a=fn, b=key
   DispatchEpochBump, // a=fn, b=new epoch
   DispatchVariantFail,  // a=fn, b=key
-  GuardFail,         // a=fn
   CodeMutation,      // a=base, b=size
   ProfilerStart,     // a=hz
   ProfilerStop,      // a=total samples

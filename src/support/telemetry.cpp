@@ -75,9 +75,6 @@ constexpr const char* kCounterNames[] = {
     "decode.cache_hits",
     "decode.cache_misses",
     "decode.cache_flushes",
-    "guard.variants_built",
-    "guard.variant_failures",
-    "guard.dispatches_built",
     "dispatch.table_hits",
     "dispatch.misses",
     "dispatch.promotions",

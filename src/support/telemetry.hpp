@@ -74,9 +74,6 @@ enum class CounterId : int {
   DecodeCacheHits,        // decoded-instruction cache (isa/decode_cache)
   DecodeCacheMisses,
   DecodeCacheFlushes,     // thread-local flushes after a code-mutation epoch
-  GuardVariantsBuilt,
-  GuardVariantFailures,   // per-value rewrite failed; value takes original
-  GuardDispatchesBuilt,
   DispatchTableHits,      // variant-table hits on the IC-miss slow path
   DispatchMisses,         // resolver calls with no live variant for the key
   DispatchPromotions,     // hot value specialized into a live variant
