@@ -751,7 +751,10 @@ std::optional<ExecMemory> Store::fetchShared(uint64_t nameHash,
   setSocketTimeouts(sock);
   if (::connect(sock, reinterpret_cast<sockaddr*>(&addr), sizeof addr) !=
           0 ||
-      !writeAll(sock, &nameHash, sizeof nameHash)) {
+      // MSG_NOSIGNAL: a server that exits mid-handshake must fail the
+      // fetch, not kill this process with SIGPIPE.
+      ::send(sock, &nameHash, sizeof nameHash, MSG_NOSIGNAL) !=
+          static_cast<ssize_t>(sizeof nameHash)) {
     ::close(sock);
     return std::nullopt;
   }

@@ -88,7 +88,7 @@ struct SampleRing {
   uint64_t pc[kRingCapacity];
 };
 
-SampleRing* g_rings = nullptr;          // allocated once, leaked
+std::atomic<SampleRing*> g_rings{nullptr};  // allocated once, leaked
 std::atomic<uint32_t> g_ringCount{0};   // claimed slots
 thread_local SampleRing* t_ring = nullptr;
 std::atomic<uint64_t> g_dropped{0};
@@ -103,7 +103,7 @@ void pushSample(uint64_t pc) noexcept {
       g_dropped.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    ring = &g_rings[idx];
+    ring = &g_rings.load(std::memory_order_acquire)[idx];
     t_ring = ring;
   }
   const uint64_t head = ring->head.load(std::memory_order_relaxed);
@@ -155,7 +155,8 @@ void drainPass() {
   std::lock_guard<std::mutex> drainLock(g_drainMu);
   const uint32_t rings =
       std::min(g_ringCount.load(std::memory_order_acquire), kMaxRings);
-  if (rings == 0 || g_rings == nullptr) return;
+  SampleRing* const allRings = g_rings.load(std::memory_order_acquire);
+  if (rings == 0 || allRings == nullptr) return;
   // Per-pass, per-region fresh counts feed the hotness sink after the
   // aggregation locks are released.
   std::unordered_map<uint64_t, uint64_t> freshByBase;
@@ -163,7 +164,7 @@ void drainPass() {
     std::lock_guard<std::mutex> aggLock(g_aggMu);
     auto& byName = samplesByName();
     for (uint32_t i = 0; i < rings; ++i) {
-      SampleRing& ring = g_rings[i];
+      SampleRing& ring = allRings[i];
       const uint64_t head = ring.head.load(std::memory_order_acquire);
       uint64_t tail = ring.tail.load(std::memory_order_relaxed);
       for (; tail != head; ++tail) {
@@ -197,7 +198,8 @@ void drainLoop() {
 }
 
 void ensureRings() {
-  if (g_rings == nullptr) g_rings = new SampleRing[kMaxRings];
+  if (g_rings.load(std::memory_order_relaxed) == nullptr)
+    g_rings.store(new SampleRing[kMaxRings], std::memory_order_release);
 }
 
 // ---------------------------------------------------------------------------
