@@ -162,23 +162,24 @@ CodeHandle CodeCache::fastLookup(const CacheKey& key, size_t hash) {
   } while (!block->refs.compare_exchange_weak(refs, refs + 1,
                                               std::memory_order_acq_rel,
                                               std::memory_order_relaxed));
+  CodeHandle handle = CodeHandle::adopt(block);
 
   // Revalidate after the retain: an unchanged sequence proves the slot —
   // and therefore the cache entry, which unpublishes before erasing —
-  // still held this block when we took our reference.
-  if (slot.seq.load(std::memory_order_acquire) != s1) {
-    if (block->refs.fetch_sub(1, std::memory_order_acq_rel) == 1)
-      detail::destroyCodeBlock(block);
-    return CodeHandle{};
-  }
+  // still held this block when we took our reference. Then the exact
+  // check: a key whose hashes collide with the slot's falls through to
+  // its shard, where the map compares the full bytes too.
+  if (slot.seq.load(std::memory_order_acquire) != s1 ||
+      block->keyBytes != key.bytes)
+    return CodeHandle{};  // `handle` drops the reference
 
   fastpathHits_.fetch_add(1, std::memory_order_relaxed);
   mirror(telemetry::CounterId::CacheHits).add();
   mirror(telemetry::CounterId::CacheFastpathHits).add();
-  return CodeHandle::adopt(block);
+  return handle;
 }
 
-void CodeCache::publishLocked(size_t hash, const CacheKey& key,
+void CodeCache::publishLocked(size_t hash, const KeyRef& key,
                               const CodeHandle& handle) {
   if (hitSlots_ == nullptr || !handle) return;
   HitSlot& slot = hitSlots_[slotIndex(hash)];
@@ -231,7 +232,7 @@ void CodeCache::touchLocked(Shard& shard, Entry& entry) {
   entry.stamp = lruClock_.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
-void CodeCache::insertLocked(Shard& shard, size_t hash, const CacheKey& key,
+void CodeCache::insertLocked(Shard& shard, size_t hash, const KeyRef& key,
                              const CodeHandle& handle,
                              std::vector<CodeHandle>& dropped) {
   auto it = shard.entries.find(key);
@@ -256,7 +257,7 @@ void CodeCache::insertLocked(Shard& shard, size_t hash, const CacheKey& key,
 
 void CodeCache::eraseLocked(
     Shard& shard, size_t hash,
-    std::unordered_map<CacheKey, Entry, CacheKeyHash>::iterator it,
+    EntryMap::iterator it,
     std::vector<CodeHandle>& dropped) {
   // Unpublish before dropping the cache's reference: fastLookup treats an
   // unchanged slot as proof the entry is still live.
@@ -274,7 +275,7 @@ void CodeCache::eraseLocked(
   entryCount_.fetch_sub(1, std::memory_order_relaxed);
 }
 
-void CodeCache::enforceBudget(const CacheKey* protect,
+void CodeCache::enforceBudget(const KeyRef* protect,
                               std::vector<CodeHandle>& dropped) {
   // Runs with NO shard lock held; takes one shard lock at a time. The
   // budget is global, so the victim search spans shards: pick the entry
@@ -314,7 +315,7 @@ void CodeCache::enforceBudget(const CacheKey* protect,
         if (protect != nullptr && *keyIt == *protect) continue;
         auto it = shard.entries.find(*keyIt);
         if (it == shard.entries.end()) break;
-        const size_t victimHash = CacheKeyHash{}(*keyIt);
+        const size_t victimHash = KeyRefHash{}(*keyIt);
         eraseLocked(shard, victimHash, it, dropped);
         ++shard.evictions;
         mirror(telemetry::CounterId::CacheEvictions).add();
@@ -337,20 +338,23 @@ Result<CodeHandle> CodeCache::getOrBuild(
   if (CodeHandle fast = fastLookup(key, hash)) return fast;
 
   Shard& shard = *shards_[shardIndex(hash)];
+  const KeyRef ref(key);
   std::shared_ptr<InFlight> flight;
   bool builder = false;
   {
     std::unique_lock<std::mutex> lock = lockShard(shard);
-    auto it = shard.entries.find(key);
+    auto it = shard.entries.find(ref);
     if (it != shard.entries.end()) {
       ++shard.hits;
       mirror(telemetry::CounterId::CacheHits).add();
       touchLocked(shard, it->second);
       // Re-publish: the slot may have been claimed by a colliding key.
-      publishLocked(hash, key, it->second.handle);
+      publishLocked(hash, it->first, it->second.handle);
       return it->second.handle;
     }
-    auto fit = shard.inFlight.find(key);
+    // The in-flight record points at `key`, which outlives it: the
+    // builder erases the record before this call returns.
+    auto fit = shard.inFlight.find(ref);
     if (fit != shard.inFlight.end()) {
       flight = fit->second;
       ++shard.hits;
@@ -359,7 +363,7 @@ Result<CodeHandle> CodeCache::getOrBuild(
       mirror(telemetry::CounterId::CacheInFlightWaits).add();
     } else {
       flight = std::make_shared<InFlight>();
-      shard.inFlight.emplace(key, flight);
+      shard.inFlight.emplace(ref, flight);
       builder = true;
       ++shard.misses;
       mirror(telemetry::CounterId::CacheMisses).add();
@@ -374,13 +378,20 @@ Result<CodeHandle> CodeCache::getOrBuild(
   }
 
   Result<CodeHandle> built = build();
+  // Each block enters the cache under exactly this one key, so it carries
+  // the key's bytes: the entry's map key points at them, and the lock-free
+  // path compares them. The block is still private to this thread.
+  const bool cacheable = built.ok() && *built;
+  if (cacheable) const_cast<CodeBlock*>(built->get())->keyBytes = key.bytes;
   std::vector<CodeHandle> dropped;
   {
     std::unique_lock<std::mutex> lock = lockShard(shard);
-    shard.inFlight.erase(key);
-    if (built.ok()) insertLocked(shard, hash, key, *built, dropped);
+    shard.inFlight.erase(ref);
+    if (cacheable)
+      insertLocked(shard, hash, KeyRef(key, (*built)->keyBytes), *built,
+                   dropped);
   }
-  if (built.ok()) enforceBudget(&key, dropped);
+  if (cacheable) enforceBudget(&ref, dropped);
   {
     std::lock_guard<std::mutex> lock(flight->mu);
     flight->done = true;
@@ -402,7 +413,7 @@ CodeHandle CodeCache::lookup(const CacheKey& key) {
 
   Shard& shard = *shards_[shardIndex(hash)];
   std::unique_lock<std::mutex> lock = lockShard(shard);
-  auto it = shard.entries.find(key);
+  auto it = shard.entries.find(KeyRef(key));
   if (it == shard.entries.end()) {
     ++shard.misses;
     mirror(telemetry::CounterId::CacheMisses).add();
@@ -411,21 +422,8 @@ CodeHandle CodeCache::lookup(const CacheKey& key) {
   ++shard.hits;
   mirror(telemetry::CounterId::CacheHits).add();
   touchLocked(shard, it->second);
-  publishLocked(hash, key, it->second.handle);
+  publishLocked(hash, it->first, it->second.handle);
   return it->second.handle;
-}
-
-void CodeCache::insert(const CacheKey& key, const CodeHandle& handle) {
-  // `dropped` is declared before the locks so replaced/evicted handles are
-  // released only after every lock is gone.
-  std::vector<CodeHandle> dropped;
-  const size_t hash = CacheKeyHash{}(key);
-  Shard& shard = *shards_[shardIndex(hash)];
-  {
-    std::unique_lock<std::mutex> lock = lockShard(shard);
-    insertLocked(shard, hash, key, handle, dropped);
-  }
-  enforceBudget(&key, dropped);
 }
 
 void CodeCache::collectInvalidated(const void* base, size_t size,
@@ -439,7 +437,7 @@ void CodeCache::collectInvalidated(const void* base, size_t size,
       if (it->first.fn >= start && it->first.fn < end) {
         auto victim = it++;
         const uint64_t victimFn = victim->first.fn;
-        eraseLocked(shard, CacheKeyHash{}(victim->first), victim, out);
+        eraseLocked(shard, KeyRefHash{}(victim->first), victim, out);
         ++shard.invalidations;
         mirror(telemetry::CounterId::CacheInvalidations).add();
         flight::record(flight::Event::CacheInvalidate, victimFn);
@@ -501,7 +499,7 @@ void CodeCache::clear() {
     size_t shardBytes = 0;
     size_t shardBlocks = 0;
     for (auto& [key, entry] : shard.entries) {
-      unpublishLocked(CacheKeyHash{}(key), entry.handle.get());
+      unpublishLocked(KeyRefHash{}(key), entry.handle.get());
       shardBytes += entry.handle ? entry.handle->codeBytes() : 0;
       shardBlocks += entry.handle ? entry.handle->blockUnits() : 0;
       dropped.push_back(std::move(entry.handle));

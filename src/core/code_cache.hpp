@@ -10,13 +10,18 @@
 //    handle held by an executing caller keeps the code mapped even after
 //    the cache evicts the entry.
 //  - CodeCache: a thread-scalable map from (function address, config
-//    fingerprint, known-argument hash) to CodeHandle. Keys are hashed into
-//    N independently-locked shards (default 16; see SpecManager::Options) with
-//    per-key single-flight deduplication, an approximate-LRU eviction
-//    policy under one *global* atomic byte budget debited per shard, and a
-//    lock-free seqlock hit table in front of the shards so a repeat lookup
-//    (the 870 ns cached-hit path) neither takes a mutex nor waits on a
-//    builder.
+//    fingerprint, known-argument key bytes) to CodeHandle. Keys are hashed
+//    into N independently-locked shards (default 16; see
+//    SpecManager::Options) with per-key single-flight deduplication, an
+//    approximate-LRU eviction policy under one *global* atomic byte budget
+//    debited per shard, and a lock-free seqlock hit table in front of the
+//    shards so a repeat lookup (the cached-hit path, a few hundred ns with
+//    the key build) neither takes a mutex nor waits on a builder.
+//
+// Identity is exact: the hashes only pick a shard and a hit slot. Every
+// block carries the bytes of the one key it was built for; shard maps
+// compare them and so does the lock-free path before serving the block. A
+// hash collision costs a shard lookup, never wrong code.
 //
 // The lock-free hit path publishes raw CodeBlock pointers; readers turn
 // them into owning handles with an inc-if-nonzero retain and revalidate
@@ -69,6 +74,11 @@ struct CodeBlock {
   // True when the code pages are a shared mapping of another process's
   // sealed memfd (see support/persist_cache.hpp).
   bool sharedMapping = false;
+  // CacheKey::bytes of the one key this block is cached under. Set by
+  // CodeCache::getOrBuild before the block is published; the shard map's
+  // key points at it, and fastLookup compares it so a hit slot never
+  // serves a colliding key's block.
+  std::vector<uint8_t> keyBytes;
 
   size_t codeBytes() const noexcept { return memory.size(); }
   // Specialized basic blocks this unit carries (docs/BLOCKS.md): the cache
@@ -154,22 +164,30 @@ class CodeHandle {
 };
 
 // Cache key: subject function address, Config/PassOptions fingerprint, and
-// a hash of everything the generated code was specialized against (known
-// argument values, known-pointer pointee bytes, known-region contents).
+// the canonical bytes of everything the generated code was specialized
+// against (known argument values and classes, known-pointer pointee bytes,
+// known-region starts and contents; see makeCacheKey). `argsHash` is a
+// hash of `bytes` that picks the shard and hit slot; equality compares the
+// bytes themselves, so keys whose hashes collide never share an entry.
 struct CacheKey {
   uint64_t fn = 0;
   uint64_t configFp = 0;
   uint64_t argsHash = 0;
+  std::vector<uint8_t> bytes;
 
   bool operator==(const CacheKey&) const = default;
 };
 
 struct CacheKeyHash {
-  size_t operator()(const CacheKey& key) const noexcept {
-    uint64_t h = key.fn;
-    h ^= key.configFp + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    h ^= key.argsHash + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+  static size_t mix(uint64_t fn, uint64_t configFp,
+                    uint64_t argsHash) noexcept {
+    uint64_t h = fn;
+    h ^= configFp + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+    h ^= argsHash + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
     return static_cast<size_t>(h);
+  }
+  size_t operator()(const CacheKey& key) const noexcept {
+    return mix(key.fn, key.configFp, key.argsHash);
   }
 };
 
@@ -232,9 +250,6 @@ class CodeCache {
   // Non-building probe; counts a hit or a miss. Null handle on miss.
   CodeHandle lookup(const CacheKey& key);
 
-  // Direct insert (replaces an existing entry for the key).
-  void insert(const CacheKey& key, const CodeHandle& handle);
-
   // Drops every entry whose key.fn lies in [base, base+size). Called by
   // the ExecMemory free hook; safe to call directly.
   void invalidateTarget(const void* base, size_t size);
@@ -259,11 +274,37 @@ class CodeCache {
   void recordPersistWrite();
 
  private:
+  // Shard-map key: the hash words of a CacheKey and a pointer to its
+  // bytes. A cached entry's bytes are its block's keyBytes (kept alive by
+  // the entry's handle); an in-flight build's are the builder's CacheKey,
+  // which outlives the in-flight record. A cached key is thus stored once.
+  struct KeyRef {
+    KeyRef(const CacheKey& key, const std::vector<uint8_t>& keyBytes)
+        : fn(key.fn),
+          configFp(key.configFp),
+          argsHash(key.argsHash),
+          bytes(&keyBytes) {}
+    explicit KeyRef(const CacheKey& key) : KeyRef(key, key.bytes) {}
+    bool operator==(const KeyRef& other) const {
+      return fn == other.fn && configFp == other.configFp &&
+             argsHash == other.argsHash && *bytes == *other.bytes;
+    }
+    uint64_t fn;
+    uint64_t configFp;
+    uint64_t argsHash;
+    const std::vector<uint8_t>* bytes;
+  };
+  struct KeyRefHash {
+    size_t operator()(const KeyRef& key) const noexcept {
+      return CacheKeyHash::mix(key.fn, key.configFp, key.argsHash);
+    }
+  };
   struct Entry {
     CodeHandle handle;
-    std::list<CacheKey>::iterator lruPos;
+    std::list<KeyRef>::iterator lruPos;
     uint64_t stamp = 0;  // global recency stamp for cross-shard eviction
   };
+  using EntryMap = std::unordered_map<KeyRef, Entry, KeyRefHash>;
   struct InFlight {
     std::mutex mu;
     std::condition_variable cv;
@@ -276,7 +317,8 @@ class CodeCache {
   // the slot is stable and odd while a writer owns it; all payload fields
   // are relaxed atomics so seqlock readers never perform a racing plain
   // load. The block pointer is non-owning — the shard entry's handle keeps
-  // it alive while published.
+  // it alive while published. The key words are only a filter: the block's
+  // keyBytes decide a hit.
   struct HitSlot {
     std::atomic<uint64_t> seq{0};
     std::atomic<uint64_t> fn{0};
@@ -286,10 +328,10 @@ class CodeCache {
   };
   struct Shard {
     mutable std::mutex mu;
-    std::unordered_map<CacheKey, Entry, CacheKeyHash> entries;
-    std::unordered_map<CacheKey, std::shared_ptr<InFlight>, CacheKeyHash>
+    EntryMap entries;
+    std::unordered_map<KeyRef, std::shared_ptr<InFlight>, KeyRefHash>
         inFlight;
-    std::list<CacheKey> lru;  // front = most recently used
+    std::list<KeyRef> lru;  // front = most recently used
     // Per-shard slices of the counters; stats() sums them.
     uint64_t hits = 0;
     uint64_t misses = 0;
@@ -307,22 +349,22 @@ class CodeCache {
   std::unique_lock<std::mutex> lockShard(Shard& shard);
 
   CodeHandle fastLookup(const CacheKey& key, size_t hash);
-  void publishLocked(size_t hash, const CacheKey& key,
+  void publishLocked(size_t hash, const KeyRef& key,
                      const CodeHandle& handle);
   void unpublishLocked(size_t hash, const CodeBlock* block);
 
   void touchLocked(Shard& shard, Entry& entry);
-  void insertLocked(Shard& shard, size_t hash, const CacheKey& key,
+  void insertLocked(Shard& shard, size_t hash, const KeyRef& key,
                     const CodeHandle& handle, std::vector<CodeHandle>& dropped);
   // Removes `it` from `shard`, unpublishing and debiting the global byte
   // count; the handle lands in `dropped` for release outside all locks.
   void eraseLocked(Shard& shard, size_t hash,
-                   std::unordered_map<CacheKey, Entry, CacheKeyHash>::iterator it,
+                   EntryMap::iterator it,
                    std::vector<CodeHandle>& dropped);
   // Evicts globally-oldest LRU tails (one shard locked at a time, no shard
   // lock held on entry) until the byte budget is met. `protect`, when
   // non-null, is never evicted — the caller just received its handle.
-  void enforceBudget(const CacheKey* protect, std::vector<CodeHandle>& dropped);
+  void enforceBudget(const KeyRef* protect, std::vector<CodeHandle>& dropped);
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<HitSlot[]> hitSlots_;  // null in single-shard control mode

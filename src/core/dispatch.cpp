@@ -545,7 +545,7 @@ void VariantDispatcher::bumpEpoch() {
   pending_.clear();  // stale-epoch singles are dropped at poll time anyway
   if (hot.empty()) return;
   // Respecialize the previously hot keys for the new epoch as one batch on
-  // the worker pool; hashSpecArgs picks up the new pointee/region bytes,
+  // the worker pool; makeCacheKey picks up the new pointee/region bytes,
   // so unchanged inputs simply hit the cache.
   PendingBatch pb;
   pb.keys = hot;

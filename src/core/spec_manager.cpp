@@ -15,24 +15,115 @@ namespace brew {
 
 namespace {
 
-constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
+// Key hash constants. Fixed, so a key hashes the same in every process:
+// argsHash and configFp name persistent-cache entry files.
+constexpr uint64_t kHashSeed = 0x2d358dccaa6c78a5ULL;
+constexpr uint64_t kHashK0 = 0xa0761d6478bd642fULL;
+constexpr uint64_t kHashK1 = 0xe7037ed1a0b428dbULL;
 
-uint64_t fnvMix(uint64_t h, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xff;
-    h *= kFnvPrime;
-  }
-  return h;
+// 64x64->128 multiply, folded back to 64 bits: one multiply mixes a whole
+// word into the state.
+uint64_t foldMul(uint64_t a, uint64_t b) {
+  const unsigned __int128 product = static_cast<unsigned __int128>(a) * b;
+  return static_cast<uint64_t>(product) ^
+         static_cast<uint64_t>(product >> 64);
 }
 
-uint64_t fnvBytes(uint64_t h, const void* data, size_t size) {
-  const auto* p = static_cast<const uint8_t*>(data);
-  for (size_t i = 0; i < size; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
+uint64_t loadWord(const uint8_t* p) {
+  uint64_t v = 0;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+// Word-at-a-time hash of canonical key bytes: 16 bytes per multiply, the
+// length mixed in last so zero padding cannot alias a shorter key.
+uint64_t hashKeyBytes(std::span<const uint8_t> bytes) {
+  const uint8_t* p = bytes.data();
+  size_t n = bytes.size();
+  uint64_t h = kHashSeed;
+  for (; n >= 16; p += 16, n -= 16)
+    h = foldMul(loadWord(p) ^ kHashK0, loadWord(p + 8) ^ h);
+  uint64_t tail[2] = {0, 0};
+  if (n != 0) std::memcpy(tail, p, n);
+  h = foldMul(tail[0] ^ kHashK0, tail[1] ^ h);
+  return foldMul(h ^ kHashK1, bytes.size() ^ kHashK0);
+}
+
+uint64_t configFingerprint(const Config& config, const PassOptions& passes) {
+  return foldMul(config.fingerprint() ^ kHashK0,
+                 passes.fingerprint() ^ kHashK1);
+}
+
+const ParamSpec& paramSpec(const Config& config, size_t index) {
+  static const ParamSpec kUnknown{};
+  return index < Config::kMaxParams ? config.param(index) : kUnknown;
+}
+
+// Bytes the generated code folded through a known pointer: its pointee,
+// unless the pointer is null.
+size_t pointeeBytes(const ParamSpec& spec, const ArgValue& arg) {
+  return spec.kind == ParamKind::KnownPtr && arg.bits != 0 ? spec.pointeeSize
+                                                           : 0;
+}
+
+size_t wordBytes(size_t n) { return (n + 7) & ~size_t{7}; }
+
+// Canonical key bytes: everything the generated code was specialized
+// against, as 8-byte words, variable-length contents zero-padded to a word.
+//   argument count
+//   per argument: tag 0 (unknown), or (pointee length << 8 | class) with
+//                 class 1 = integer, 2 = float, then the value, then the
+//                 pointee bytes of a non-null KnownPtr
+//   region count
+//   per known region: start, length, contents
+// Every length is explicit, so equal bytes mean equal inputs.
+std::vector<uint8_t> specKeyBytes(const Config& config,
+                                  std::span<const ArgValue> args) {
+  // Sizing pass first, so the key is one allocation and one write pass.
+  const std::vector<MemRegion>& regions = config.knownRegions();
+  size_t size = 8 * (2 + args.size());  // both counts, one tag per argument
+  for (size_t i = 0; i < args.size(); ++i) {
+    const ParamSpec& spec = paramSpec(config, i);
+    if (spec.kind != ParamKind::Unknown)
+      size += 8 + wordBytes(pointeeBytes(spec, args[i]));
   }
-  return h;
+  for (const MemRegion& region : regions)
+    size += 16 + wordBytes(static_cast<size_t>(region.end - region.start));
+
+  std::vector<uint8_t> out(size);  // zero-filled: padding stays zero
+  uint8_t* p = out.data();
+  auto putWord = [&p](uint64_t v) {
+    std::memcpy(p, &v, sizeof v);
+    p += sizeof v;
+  };
+  auto putMemory = [&p](uint64_t address, size_t n) {
+    if (n != 0) std::memcpy(p, reinterpret_cast<const void*>(address), n);
+    p += wordBytes(n);
+  };
+  putWord(args.size());
+  for (size_t i = 0; i < args.size(); ++i) {
+    const ParamSpec& spec = paramSpec(config, i);
+    if (spec.kind == ParamKind::Unknown) {
+      // Call-time value never reaches the generated code.
+      putWord(0);
+      continue;
+    }
+    // The generated code folds loads through a known pointer, so its
+    // current pointee bytes are part of the specialization identity
+    // (domain-map redistribution must re-specialize, not hit).
+    const size_t pointee = pointeeBytes(spec, args[i]);
+    putWord((uint64_t{pointee} << 8) | (args[i].isFloat ? 2 : 1));
+    putWord(args[i].bits);
+    putMemory(args[i].bits, pointee);
+  }
+  putWord(regions.size());
+  for (const MemRegion& region : regions) {
+    const size_t n = static_cast<size_t>(region.end - region.start);
+    putWord(region.start);
+    putWord(n);
+    putMemory(region.start, n);
+  }
+  return out;
 }
 
 // env helper for Options::fromEnv: positive integer or fallthrough.
@@ -87,42 +178,16 @@ SpecManager::Options takeProcessOptions() {
 }  // namespace
 
 uint64_t hashSpecArgs(const Config& config, std::span<const ArgValue> args) {
-  uint64_t h = kFnvOffset;
-  h = fnvMix(h, args.size());
-  for (size_t i = 0; i < args.size(); ++i) {
-    const ParamSpec& spec = i < Config::kMaxParams
-                                ? config.param(i)
-                                : ParamSpec{};
-    if (spec.kind == ParamKind::Unknown) {
-      // Call-time value never reaches the generated code.
-      h = fnvMix(h, 0x55);
-      continue;
-    }
-    h = fnvMix(h, args[i].bits);
-    h = fnvMix(h, args[i].isFloat ? 2 : 1);
-    if (spec.kind == ParamKind::KnownPtr && spec.pointeeSize > 0 &&
-        args[i].bits != 0) {
-      // The generated code folds loads through this pointer, so its
-      // current pointee bytes are part of the specialization identity
-      // (domain-map redistribution must re-specialize, not hit).
-      h = fnvBytes(h, reinterpret_cast<const void*>(args[i].bits),
-                   spec.pointeeSize);
-    }
-  }
-  for (const MemRegion& region : config.knownRegions()) {
-    h = fnvMix(h, region.start);
-    h = fnvBytes(h, reinterpret_cast<const void*>(region.start),
-                 static_cast<size_t>(region.end - region.start));
-  }
-  return h;
+  return hashKeyBytes(specKeyBytes(config, args));
 }
 
 CacheKey makeCacheKey(const Config& config, const PassOptions& passes,
                       const void* fn, std::span<const ArgValue> args) {
   CacheKey key;
   key.fn = reinterpret_cast<uint64_t>(fn);
-  key.configFp = fnvMix(config.fingerprint(), passes.fingerprint());
-  key.argsHash = hashSpecArgs(config, args);
+  key.configFp = configFingerprint(config, passes);
+  key.bytes = specKeyBytes(config, args);
+  key.argsHash = hashKeyBytes(key.bytes);
   return key;
 }
 
@@ -252,13 +317,30 @@ Result<CodeHandle> SpecManager::rewrite(const Config& config,
                                         std::span<const ArgValue> args) {
   if (fn == nullptr)
     return Error{ErrorCode::InvalidArgument, 0, "null function pointer"};
+  // The key build is timed on 1 call in 64 (cache.key_ns), so a slow hit
+  // can be split into key and lookup without two clock reads per call.
+  thread_local uint32_t keySample = 0;
+  const bool sampled = ((++keySample) & 63) == 0;
+  const uint64_t keyStart = sampled ? telemetry::fastTicks() : 0;
   const CacheKey key = makeCacheKey(config, passes, fn, args);
+  if (sampled)
+    telemetry::histogram(telemetry::HistogramId::CacheKeyNs)
+        .record(telemetry::ticksToNs(telemetry::fastTicks() - keyStart));
   return cache_.getOrBuild(key, [&]() -> Result<CodeHandle> {
     // Probe the persistent store first: a hit materializes finalized code
     // with zero trace/emulate/emit phases (docs/CACHE.md "Persistence").
     if (persist_ != nullptr) {
       persist::ProbeResult probe =
           persist_->probe(fn, key.configFp, key.argsHash);
+      if (probe.entry.has_value() && probe.entry->keyBytes != key.bytes) {
+        // The file name and header hold hashes only; an entry stored under
+        // other key bytes is refused like any invalid entry. The store has
+        // already counted the load in cache.persist_hits.
+        probe.entry.reset();
+        probe.rejected = true;
+        telemetry::counter(telemetry::CounterId::PersistRejects).add();
+        telemetry::counter(telemetry::CounterId::PersistMisses).add();
+      }
       cache_.recordPersistProbe(probe.entry.has_value(), probe.rejected);
       if (probe.entry.has_value()) {
         auto* block = new CodeBlock();
@@ -286,6 +368,7 @@ Result<CodeHandle> SpecManager::rewrite(const Config& config,
       req.fn = fn;
       req.configFp = key.configFp;
       req.argsHash = key.argsHash;
+      req.keyBytes = key.bytes;
       req.bytes = block->memory.data();
       req.size = block->memory.size();
       req.codeBytes = static_cast<uint32_t>(block->emitStats.codeBytes);
@@ -345,7 +428,7 @@ std::shared_ptr<SpecRequest> SpecManager::rewriteAsync(
   if (stub.ok()) {
     request->stub_ = std::move(*stub);
     registerGeneratedCode(request->stub_.data(), request->stub_.size(), fn,
-                          fnvMix(config.fingerprint(), passes.fingerprint()),
+                          configFingerprint(config, passes),
                           "stub");
   } else {
     BREW_LOG_INFO("async entry stub failed: %s (entry() tracks the slot)",

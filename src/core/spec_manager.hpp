@@ -36,8 +36,13 @@ class Store;
 // KnownPtr parameters, and the contents of declared-known regions. Unknown
 // parameters do not contribute — their call-time value never reaches the
 // generated code, so rewrites differing only there share one entry.
+// Equal to makeCacheKey(...).argsHash: a word-at-a-time hash of the key's
+// canonical bytes, the same in every process.
 uint64_t hashSpecArgs(const Config& config, std::span<const ArgValue> args);
 
+// The exact cache key of a rewrite request: its canonical key bytes (the
+// inputs hashSpecArgs covers, with every length explicit) plus the hashes
+// that pick a shard, a hit slot and a persist file name.
 CacheKey makeCacheKey(const Config& config, const PassOptions& passes,
                       const void* fn, std::span<const ArgValue> args);
 

@@ -156,8 +156,8 @@ std::optional<ModuleInfo> moduleById(uint64_t id) {
 }
 
 // ---------------------------------------------------------------------------
-// On-disk layout: EntryHeader | payload | DiskReloc[] | DiskModule[].
-// Everything little-endian, naturally aligned.
+// On-disk layout: EntryHeader | key bytes | payload | DiskReloc[] |
+// DiskModule[]. Everything little-endian.
 // ---------------------------------------------------------------------------
 
 struct EntryHeader {
@@ -167,7 +167,7 @@ struct EntryHeader {
   uint64_t fnOffset = 0;   // subject function, module-relative
   uint64_t configFp = 0;
   uint64_t argsHash = 0;
-  uint64_t payloadChecksum = 0;  // fnv over payload + reloc + module tables
+  uint64_t payloadChecksum = 0;  // fnv over key + payload + reloc + modules
   uint64_t headerChecksum = 0;   // fnv over this header with the field zeroed
   uint32_t version = kFormatVersion;
   uint32_t flags = 0;
@@ -178,7 +178,7 @@ struct EntryHeader {
   uint32_t blockUnits = 0;
   uint32_t relocCount = 0;
   uint32_t moduleCount = 0;
-  uint32_t reserved = 0;
+  uint32_t keyBytes = 0;  // exact CacheKey::bytes length
 };
 static_assert(sizeof(EntryHeader) == 104, "entry header layout drifted");
 
@@ -250,6 +250,7 @@ bool writeAll(int fd, const void* src, size_t n) {
 
 struct ParsedEntry {
   EntryHeader hdr;
+  std::vector<uint8_t> key;
   std::vector<uint8_t> payload;
   std::vector<DiskReloc> relocs;
   std::vector<DiskModule> modules;
@@ -275,21 +276,25 @@ std::optional<ParsedEntry> readEntry(const std::string& path) {
   }
   const EntryHeader& h = e.hdr;
   // Bound the section sizes before trusting any of them.
-  const uint64_t want = sizeof(EntryHeader) + uint64_t{h.payloadBytes} +
+  const uint64_t want = sizeof(EntryHeader) + uint64_t{h.keyBytes} +
+                        uint64_t{h.payloadBytes} +
                         uint64_t{h.relocCount} * sizeof(DiskReloc) +
                         uint64_t{h.moduleCount} * sizeof(DiskModule);
   if (h.magic != kEntryMagic || h.version != kFormatVersion ||
       h.relocCount > (1u << 20) || h.moduleCount > (1u << 16) ||
+      h.keyBytes > (64u << 20) ||
       h.payloadBytes == 0 || h.payloadBytes > (64u << 20) ||
       static_cast<uint64_t>(st.st_size) != want ||
       headerChecksum(h) != h.headerChecksum) {
     ::close(fd);
     return std::nullopt;
   }
+  e.key.resize(h.keyBytes);
   e.payload.resize(h.payloadBytes);
   e.relocs.resize(h.relocCount);
   e.modules.resize(h.moduleCount);
-  if (!readAll(fd, e.payload.data(), e.payload.size()) ||
+  if (!readAll(fd, e.key.data(), e.key.size()) ||
+      !readAll(fd, e.payload.data(), e.payload.size()) ||
       (!e.relocs.empty() &&
        !readAll(fd, e.relocs.data(), e.relocs.size() * sizeof(DiskReloc))) ||
       (!e.modules.empty() &&
@@ -299,7 +304,8 @@ std::optional<ParsedEntry> readEntry(const std::string& path) {
     return std::nullopt;
   }
   ::close(fd);
-  uint64_t sum = fnvBytes(e.payload.data(), e.payload.size());
+  uint64_t sum = fnvBytes(e.key.data(), e.key.size());
+  sum = fnvBytes(e.payload.data(), e.payload.size(), sum);
   sum = fnvBytes(e.relocs.data(), e.relocs.size() * sizeof(DiskReloc), sum);
   sum = fnvBytes(e.modules.data(), e.modules.size() * sizeof(DiskModule),
                  sum);
@@ -472,6 +478,7 @@ ProbeResult Store::probe(const void* fn, uint64_t configFp,
   }
 
   LoadedEntry entry;
+  entry.keyBytes = std::move(parsed->key);
   entry.codeBytes = h.codeBytes;
   entry.poolBytes = h.poolBytes;
   entry.instructions = h.instructions;
@@ -514,7 +521,8 @@ ProbeResult Store::probe(const void* fn, uint64_t configFp,
 
 bool Store::write(const WriteRequest& req) {
   if (!req.portable || req.fn == nullptr || req.bytes == nullptr ||
-      req.size == 0 || req.size > (64u << 20))
+      req.size == 0 || req.size > (64u << 20) ||
+      req.keyBytes.size() > (64u << 20))
     return false;
   const auto mod = moduleFor(reinterpret_cast<uint64_t>(req.fn));
   if (!mod) return false;
@@ -530,6 +538,7 @@ bool Store::write(const WriteRequest& req) {
   hdr.poolBytes = req.poolBytes;
   hdr.instructions = req.instructions;
   hdr.blockUnits = req.blockUnits;
+  hdr.keyBytes = static_cast<uint32_t>(req.keyBytes.size());
 
   // Convert absolute relocation targets to (module, offset) pairs. A
   // target outside every loaded module (e.g. into generated code) makes
@@ -553,7 +562,8 @@ bool Store::write(const WriteRequest& req) {
   hdr.relocCount = static_cast<uint32_t>(relocs.size());
   hdr.moduleCount = static_cast<uint32_t>(modules.size());
 
-  uint64_t sum = fnvBytes(req.bytes, req.size);
+  uint64_t sum = fnvBytes(req.keyBytes.data(), req.keyBytes.size());
+  sum = fnvBytes(req.bytes, req.size, sum);
   sum = fnvBytes(relocs.data(), relocs.size() * sizeof(DiskReloc), sum);
   sum = fnvBytes(modules.data(), modules.size() * sizeof(DiskModule), sum);
   hdr.payloadChecksum = sum;
@@ -575,7 +585,9 @@ bool Store::write(const WriteRequest& req) {
                         O_CREAT | O_EXCL | O_WRONLY | O_CLOEXEC, 0644);
   if (fd < 0) return false;
   const bool ok =
-      writeAll(fd, &hdr, sizeof hdr) && writeAll(fd, req.bytes, req.size) &&
+      writeAll(fd, &hdr, sizeof hdr) &&
+      writeAll(fd, req.keyBytes.data(), req.keyBytes.size()) &&
+      writeAll(fd, req.bytes, req.size) &&
       (relocs.empty() ||
        writeAll(fd, relocs.data(), relocs.size() * sizeof(DiskReloc))) &&
       (modules.empty() ||

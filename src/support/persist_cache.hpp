@@ -11,20 +11,24 @@
 //
 // so a restarted process (same binary, any ASLR layout) recomputes the same
 // name and warm-starts with zero trace phases, while a rebuilt binary or a
-// different specialization silently misses. Function addresses are stored
-// module-relative; the handful of absolute addresses inside a unit (kept
-// call / injected-handler movabs immediates and side-exit pool slots — see
-// ir::CodeReloc) are kept as (module, offset) relocation records and
-// re-based at load time.
+// different specialization silently misses. The name and header hold only
+// hashes, so each entry also stores the exact key bytes it was built for
+// (CacheKey::bytes, returned as LoadedEntry::keyBytes); SpecManager adopts
+// an entry only when they equal the requesting key's bytes, which makes a
+// hash collision a reject, never foreign code. Function addresses are
+// stored module-relative; the handful of absolute addresses inside a unit
+// (kept call / injected-handler movabs immediates and side-exit pool
+// slots — see ir::CodeReloc) are kept as (module, offset) relocation
+// records and re-based at load time.
 //
 // Crash safety: entries are written to an O_EXCL temp file and rename()d
 // into place, so readers only ever see complete files; every entry carries
-// a format version and two FNV-1a checksums (header and payload) and any
-// mismatch — truncation, bit flips, stale format, foreign build — is a
-// graceful reject that falls back to a cold rewrite and bumps
-// cache.persist_rejects. An append-only MANIFEST is maintained under
-// flock() for diagnostics and fleet bookkeeping. Temp files orphaned by a
-// killed writer are swept on open().
+// a format version and two FNV-1a checksums (header; key bytes + payload +
+// relocation tables) and any mismatch — truncation, bit flips, stale
+// format, foreign build — is a graceful reject that falls back to a cold
+// rewrite and bumps cache.persist_rejects. An append-only MANIFEST is
+// maintained under flock() for diagnostics and fleet bookkeeping. Temp
+// files orphaned by a killed writer are swept on open().
 //
 // Cross-process sharing: the first Store to open a directory binds a unix
 // socket next to the entries and serves sealed memfds of position-
@@ -50,7 +54,7 @@ namespace brew::persist {
 
 // On-disk format version; bumped on any incompatible layout change.
 // Entries with a different version are rejected (cold-rewrite fallback).
-constexpr uint32_t kFormatVersion = 1;
+constexpr uint32_t kFormatVersion = 2;  // 2: exact key bytes after header
 constexpr uint64_t kEntryMagic = 0x3176'4350'5745'5242ULL;  // "BREWPCv1" LE
 
 // One absolute-address site to re-base at load: the 8 bytes at `offset`
@@ -64,6 +68,7 @@ struct WriteRequest {
   const void* fn = nullptr;
   uint64_t configFp = 0;
   uint64_t argsHash = 0;
+  std::span<const uint8_t> keyBytes;  // CacheKey::bytes, stored verbatim
   const uint8_t* bytes = nullptr;  // full unit: code + literal pool
   size_t size = 0;
   uint32_t codeBytes = 0;
@@ -78,6 +83,9 @@ struct WriteRequest {
 
 struct LoadedEntry {
   ExecMemory memory;
+  // The key bytes the entry was written with; the caller compares them
+  // with its own key before using `memory`.
+  std::vector<uint8_t> keyBytes;
   uint32_t codeBytes = 0;
   uint32_t poolBytes = 0;
   uint32_t instructions = 0;

@@ -122,6 +122,7 @@ constexpr const char* kHistogramNames[] = {
     "async.queue_latency_ns",
     "async.install_latency_ns",
     "dispatch.resolve_ns",
+    "cache.key_ns",
 };
 static_assert(sizeof kHistogramNames / sizeof kHistogramNames[0] ==
                   static_cast<size_t>(HistogramId::kCount),

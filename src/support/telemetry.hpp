@@ -117,6 +117,7 @@ enum class HistogramId : int {
   AsyncQueueLatencyNs,    // enqueue -> worker pickup
   AsyncInstallLatencyNs,  // enqueue -> specialized code published
   DispatchResolveNs,      // inline-cache miss resolver, per call
+  CacheKeyNs,             // SpecManager::rewrite key build, 1 call in 64
   kCount
 };
 

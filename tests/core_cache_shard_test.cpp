@@ -1,6 +1,7 @@
 // Sharded-cache concurrency battery: multi-thread hammer over rewrite /
-// hit / release / invalidate across shard boundaries, plus deterministic
-// checks of the lock-free fast path and the single-shard control mode.
+// hit / release / invalidate across shard boundaries, colliding keys racing
+// through one hit slot, plus deterministic checks of the lock-free fast
+// path and the single-shard control mode.
 // Tagged with the `concurrency` ctest label and run under ThreadSanitizer
 // by scripts/check_telemetry.sh.
 #include <gtest/gtest.h>
@@ -196,6 +197,72 @@ TEST(CacheShardTest, GlobalBudgetEnforcedAcrossShards) {
   for (const auto& mine : retained)
     for (const auto& [k, handle] : mine)
       EXPECT_EQ(reinterpret_cast<const_t>(handle.entry())(), kBase + k);
+}
+
+TEST(CacheShardTest, CollidingKeysRaceThroughOneHitSlot) {
+  // Keys that agree on fn, configFp and argsHash but not on their bytes:
+  // a forced hash collision. They share one shard and one hit slot, and
+  // every shard-path hit republishes the slot, so lock-free readers keep
+  // finding the other keys' blocks there. No thread may ever be served
+  // one.
+  constexpr int kThreads = 8;
+  constexpr int kKeys = 4;
+  constexpr int kIters = 2000;
+
+  std::vector<CacheKey> keys(kKeys);
+  for (int k = 0; k < kKeys; ++k) {
+    keys[k].fn = 0x4000;
+    keys[k].configFp = 0x55;
+    keys[k].argsHash = 0x77;
+    keys[k].bytes.assign(24, 0xab);
+    keys[k].bytes[16] = static_cast<uint8_t>(k);
+  }
+  CodeCache cache;
+  std::atomic<const CodeBlock*> built[kKeys] = {};
+  std::atomic<int> builds[kKeys] = {};
+  std::atomic<int> wrong{0};
+  std::atomic<int> ready{0};
+  std::atomic<bool> go{false};
+
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (!go.load()) std::this_thread::yield();
+      for (int i = 0; i < kIters; ++i) {
+        const int k = (t * 3 + i) % kKeys;
+        CodeHandle handle;
+        if (i % 2 == 0) {
+          auto result = cache.getOrBuild(keys[k], [&]() -> Result<CodeHandle> {
+            builds[k].fetch_add(1);
+            auto* block = new CodeBlock();
+            built[k].store(block, std::memory_order_release);
+            return CodeHandle::adopt(block);
+          });
+          ASSERT_TRUE(result.ok());
+          handle = *result;
+        } else {
+          handle = cache.lookup(keys[k]);  // null only before the first build
+          if (!handle) continue;
+        }
+        if (handle.get() != built[k].load(std::memory_order_acquire))
+          wrong.fetch_add(1);
+      }
+    });
+  }
+  while (ready.load() != kThreads) std::this_thread::yield();
+  go.store(true);
+  for (std::thread& thread : threads) thread.join();
+
+  EXPECT_EQ(wrong.load(), 0);
+  for (int k = 0; k < kKeys; ++k) EXPECT_EQ(builds[k].load(), 1) << k;
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.entries, static_cast<uint64_t>(kKeys));
+  EXPECT_GT(stats.fastpathHits, 0u);
+  cache.clear();
+  epoch::drain();
+  EXPECT_EQ(epoch::pendingRetired(), 0u);
 }
 
 TEST(CacheShardTest, InvalidateRacesFastpathReaders) {

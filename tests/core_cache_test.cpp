@@ -1,12 +1,14 @@
 // Specialization cache tests: single-flight deduplication across threads,
 // LRU eviction under a byte budget (with outstanding handles surviving),
-// content-sensitive keying, and asynchronous install through SpecManager.
+// content-sensitive and exact (collision-proof) keying, and asynchronous
+// install through SpecManager.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstring>
 #include <thread>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/brew.h"
@@ -80,6 +82,54 @@ TEST(CacheKeying, UnknownArgumentsShareOneEntry) {
 
   Config known = knownFirstParam();
   EXPECT_NE(hashSpecArgs(known, a), hashSpecArgs(known, b));
+}
+
+TEST(CacheKeying, CollidingKeysKeepTheirOwnBlocks) {
+  // Two keys whose hashes all agree but whose bytes differ: a forced
+  // argsHash collision. Identity must follow the bytes, on both paths.
+  CacheKey a;
+  a.fn = 0x1000;
+  a.configFp = 7;
+  a.argsHash = 42;
+  a.bytes = {1, 2, 3, 4, 5, 6, 7, 8};
+  CacheKey b = a;
+  b.bytes[0] = 9;
+  ASSERT_EQ(CacheKeyHash{}(a), CacheKeyHash{}(b));
+
+  CodeCache cache;  // default shards: the lock-free hit table is in front
+  int builds = 0;
+  auto build = [&]() -> Result<CodeHandle> {
+    ++builds;
+    return CodeHandle::adopt(new CodeBlock());
+  };
+  auto builtA = cache.getOrBuild(a, build);
+  auto builtB = cache.getOrBuild(b, build);
+  ASSERT_TRUE(builtA.ok());
+  ASSERT_TRUE(builtB.ok());
+  EXPECT_EQ(builds, 2);
+  const CodeBlock* blockA = builtA->get();
+  const CodeBlock* blockB = builtB->get();
+  EXPECT_NE(blockA, blockB);
+  EXPECT_EQ(cache.getOrBuild(a, build)->get(), blockA);
+  EXPECT_EQ(cache.getOrBuild(b, build)->get(), blockB);
+  EXPECT_EQ(builds, 2);
+
+  // Both keys share one hit slot, and each shard hit republishes its own
+  // block there. So each key's first lookup finds the other key's block in
+  // the slot and must fall through to its shard. The second lookup is a
+  // fast-path hit.
+  const std::pair<const CacheKey*, const CodeBlock*> expected[] = {
+      {&a, blockA}, {&b, blockB}};
+  for (const auto& [key, block] : expected) {
+    const uint64_t fast0 = cache.stats().fastpathHits;
+    EXPECT_EQ(cache.lookup(*key).get(), block);
+    EXPECT_EQ(cache.stats().fastpathHits, fast0);  // shard path
+    EXPECT_EQ(cache.lookup(*key).get(), block);
+    EXPECT_EQ(cache.stats().fastpathHits, fast0 + 1);  // lock-free path
+  }
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.entries, 2u);
 }
 
 TEST(CodeCacheTest, EightThreadsSameKeyTraceOnce) {
@@ -276,6 +326,25 @@ TEST(TelemetryMirror, RegistryCountersTrackCacheBehavior) {
   // Cache destruction returns the byte gauge to its starting level.
   EXPECT_EQ(telemetry::gauge(telemetry::GaugeId::CacheBytesLive).value(),
             bytes0);
+}
+
+TEST(TelemetryMirror, KeyBuildSampledOneCallIn64) {
+  // cache.key_ns times makeCacheKey on 1 rewrite() call in 64 per thread:
+  // any 64 consecutive calls on one thread record exactly one sample.
+  telemetry::Histogram& keyNs =
+      telemetry::histogram(telemetry::HistogramId::CacheKeyNs);
+  const uint64_t before = keyNs.count();
+  SpecManager manager;
+  const std::vector<ArgValue> args = {ArgValue::fromInt(3),
+                                      ArgValue::fromInt(0)};
+  for (int i = 0; i < 64; ++i)
+    ASSERT_TRUE(manager
+                    .rewrite(knownFirstParam(), PassOptions{},
+                             reinterpret_cast<const void*>(&addmul), args)
+                    .ok());
+  EXPECT_EQ(keyNs.count() - before, 1u);
+  EXPECT_STREQ(telemetry::histogramName(telemetry::HistogramId::CacheKeyNs),
+               "cache.key_ns");
 }
 
 TEST(TelemetryMirror, CapiSnapshotAgreesWithCacheStats) {

@@ -1,10 +1,11 @@
 // Persistent-cache battery (docs/CACHE.md "Persistence"): warm-start
 // round trips through a fresh SpecManager, the corruption battery
-// (truncation, bit flips, stale format version, foreign build id, a
-// kill-during-write torture loop — every case must fall back to a cold
-// rewrite, never crash, and bump cache.persist_rejects), plus the
-// in-process page-sharing path (server Store + client Store over the
-// sealed-memfd socket) hammered from 8 threads for the TSan sweep.
+// (truncation, bit flips, stale format version, foreign build id, foreign
+// key bytes under a colliding name, a kill-during-write torture loop —
+// every case must fall back to a cold rewrite, never crash, and bump
+// cache.persist_rejects), plus the in-process page-sharing path (server
+// Store + client Store over the sealed-memfd socket) hammered from 8
+// threads for the TSan sweep.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -289,6 +290,64 @@ TEST(PersistCorruption, ForeignBuildIdRejects) {
   fixHeaderChecksum(bytes);  // consistent entry from a "rebuilt binary"
   writeFile(entry, bytes);
   expectColdFallback(dir.path, 5);
+}
+
+TEST(PersistCorruption, ForeignKeyBytesUnderCollidingNameRejects) {
+  // A valid entry filed under the request's (fn, configFp, argsHash) but
+  // written for other key bytes: the on-disk face of an argsHash
+  // collision. Its payload is the code for a = 6, so adopting it would
+  // return wrong results for a = 5.
+  TempDir dir;
+  const Config config = knownFirstParam();
+  const auto* fn = reinterpret_cast<const void*>(&addmul);
+  const CacheKey key = makeCacheKey(config, {}, fn, argsFor(5));
+  auto reference = compileSpecialization(config, {}, fn, argsFor(5));
+  auto foreign = compileSpecialization(config, {}, fn, argsFor(6));
+  ASSERT_TRUE(reference.ok());
+  ASSERT_TRUE(foreign.ok());
+  {
+    auto store = persist::Store::open(dir.path);
+    ASSERT_NE(store, nullptr);
+    const CodeBlock* block = foreign->get();
+    const CacheKey foreignKey = makeCacheKey(config, {}, fn, argsFor(6));
+    persist::WriteRequest req;
+    req.fn = fn;
+    req.configFp = key.configFp;
+    req.argsHash = key.argsHash;
+    req.keyBytes = foreignKey.bytes;
+    req.bytes = block->memory.data();
+    req.size = block->memory.size();
+    req.codeBytes = static_cast<uint32_t>(block->emitStats.codeBytes);
+    req.blockUnits = static_cast<uint32_t>(block->blockUnits());
+    ASSERT_TRUE(store->write(req));
+  }
+
+  const uint64_t rejectsBefore = counterValue(
+      telemetry::CounterId::PersistRejects);
+  {
+    SpecManager manager{persistOptions(dir.path)};
+    auto result = manager.rewrite(config, {}, fn, argsFor(5));
+    ASSERT_TRUE(result.ok()) << result.error().message();
+    const CacheStats stats = manager.cache().stats();
+    EXPECT_EQ(stats.persistHits, 0u);
+    EXPECT_EQ(stats.persistRejects, 1u);
+    EXPECT_EQ(stats.persistWrites, 1u);  // the cold build replaced it
+    EXPECT_EQ(counterValue(telemetry::CounterId::PersistRejects),
+              rejectsBefore + 1);
+    // Compiled cold: bit-exact against the genuine specialization.
+    const ExecMemory& got = (*result)->memory;
+    const ExecMemory& want = (*reference)->memory;
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size()), 0);
+    EXPECT_EQ(reinterpret_cast<addmul_t>(result->entry())(5, 9), 44);
+  }
+
+  // The replacement carries the right key bytes: a restart now hits.
+  SpecManager restarted{persistOptions(dir.path)};
+  auto warm = restarted.rewrite(config, {}, fn, argsFor(5));
+  ASSERT_TRUE(warm.ok());
+  EXPECT_EQ(restarted.cache().stats().persistHits, 1u);
+  EXPECT_EQ(reinterpret_cast<addmul_t>(warm->entry())(5, 9), 44);
 }
 
 TEST(PersistCorruption, KillDuringWriteTortureLoop) {
