@@ -198,7 +198,7 @@ void VariantDispatcher::buildStub() {
                         reinterpret_cast<const void*>(&brewDispatchMiss));
   as.emit(makeInstr(Mnemonic::JmpInd, 8, Operand::makeReg(Reg::r11)));
 
-  auto mem = as.finalizeExecutable();
+  auto mem = as.finalizeExecutable(reinterpret_cast<uint64_t>(fn_));
   if (!mem.ok()) {
     BREW_LOG_INFO("dispatch stub for %p failed: %s", fn_,
                   mem.error().message().c_str());

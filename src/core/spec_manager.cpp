@@ -153,7 +153,8 @@ ProcessConfig& processConfig() {
 
 // "movabs r11, cell; mov r11, [r11]; jmp r11": SpecRequest's stable entry
 // point, whose target is republished with a single pointer store to *cell.
-Result<ExecMemory> buildEntrySlotStub(void* const* cell) {
+// Mapped next to `fn`, whose callers now call the stub.
+Result<ExecMemory> buildEntrySlotStub(void* const* cell, const void* fn) {
   using isa::makeInstr;
   using isa::MemOperand;
   using isa::Mnemonic;
@@ -165,7 +166,7 @@ Result<ExecMemory> buildEntrySlotStub(void* const* cell) {
   as.emit(makeInstr(Mnemonic::Mov, 8, Operand::makeReg(Reg::r11),
                     Operand::makeMem(MemOperand{.base = Reg::r11})));
   as.emit(makeInstr(Mnemonic::JmpInd, 8, Operand::makeReg(Reg::r11)));
-  return as.finalizeExecutable();
+  return as.finalizeExecutable(reinterpret_cast<uint64_t>(fn));
 }
 
 SpecManager::Options takeProcessOptions() {
@@ -424,7 +425,7 @@ std::shared_ptr<SpecRequest> SpecManager::rewriteAsync(
   request->original_ = fn;
   request->slot_.store(const_cast<void*>(fn), std::memory_order_release);
   auto stub = buildEntrySlotStub(
-      reinterpret_cast<void* const*>(&request->slot_));
+      reinterpret_cast<void* const*>(&request->slot_), fn);
   if (stub.ok()) {
     request->stub_ = std::move(*stub);
     registerGeneratedCode(request->stub_.data(), request->stub_.size(), fn,

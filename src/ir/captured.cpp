@@ -351,7 +351,10 @@ Result<ExecMemory> emit(const CapturedFunction& fn, size_t maxCodeBytes,
   }
   chainTicks += telemetry::fastTicks() - tReloc0;
 
-  auto mem = ExecMemory::allocate(code.size());
+  // Map next to the function this code stands in for (its callers' window).
+  auto mem = ExecMemory::allocate(
+      code.size(),
+      reinterpret_cast<const void*>(fn.block(fn.entry()).guestAddress));
   if (!mem) return mem.error();
   std::memcpy(mem->writeView(), code.data(), code.size());
   if (Status s = mem->finalize(); !s) return s.error();

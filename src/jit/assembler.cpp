@@ -54,7 +54,7 @@ void Assembler::jmp(Label target) {
     return;
   }
   fixups_.push_back({start + static_cast<uint32_t>(info.rel32Offset),
-                     target.id_, 0});
+                     target.id_});
 }
 
 void Assembler::jcc(Cond cond, Label target) {
@@ -68,7 +68,7 @@ void Assembler::jcc(Cond cond, Label target) {
     return;
   }
   fixups_.push_back({start + static_cast<uint32_t>(info.rel32Offset),
-                     target.id_, 0});
+                     target.id_});
 }
 
 void Assembler::call(Label target) {
@@ -81,14 +81,14 @@ void Assembler::call(Label target) {
     return;
   }
   fixups_.push_back({start + static_cast<uint32_t>(info.rel32Offset),
-                     target.id_, 0});
+                     target.id_});
 }
 
-// Absolute control transfers use `movabs r11, target; jmp/call r11`.
-// rel32 forms cannot reach arbitrary addresses from an mmap'ed code buffer
-// under ASLR, and r11 is a caller-saved scratch register that carries no
-// value across call or function boundaries per the System V ABI, so
-// clobbering it at these points is always safe.
+// Absolute control transfers use `movabs r11, target; jmp/call r11`, so
+// the bytes stay position independent wherever the buffer is mapped. r11
+// is a caller-saved scratch register that carries no value across call or
+// function boundaries per the System V ABI, so clobbering it at these
+// points is always safe.
 void Assembler::jmpAbs(uint64_t target) {
   movRegImm(Reg::r11, static_cast<int64_t>(target), 8);
   emit(makeInstr(Mnemonic::JmpInd, 8, Operand::makeReg(Reg::r11)));
@@ -134,36 +134,16 @@ Result<std::vector<uint8_t>> Assembler::finalizeBytes() {
     const auto rel32 = static_cast<int32_t>(rel);
     std::memcpy(bytes_.data() + fixup.fieldOffset, &rel32, 4);
   }
-  if (!absFixups_.empty())
-    return Error{ErrorCode::InvalidArgument, 0,
-                 "absolute fixups require finalizeExecutable"};
   return bytes_;
 }
 
 Result<ExecMemory> Assembler::finalizeExecutable(uint64_t hint) {
-  // Label fixups are position independent, absolute ones are applied after
-  // the base address is known.
-  auto absFixups = std::move(absFixups_);
-  absFixups_.clear();
   auto bytes = finalizeBytes();
   if (!bytes) return bytes.error();
-  if (hint == 0 && !absFixups.empty()) hint = absFixups.front().absTarget;
-  auto mem = ExecMemory::allocate(bytes->size());
-  (void)hint;  // mmap hint reserved for future near-allocation support
+  auto mem = ExecMemory::allocate(bytes->size(),
+                                  reinterpret_cast<const void*>(hint));
   if (!mem) return mem.error();
   std::memcpy(mem->writeView(), bytes->data(), bytes->size());
-  // Relocate against the execution view: rel32 displacements must be
-  // relative to where the code runs, not to the writable alias.
-  const auto base = reinterpret_cast<int64_t>(mem->data());
-  for (const Fixup& fixup : absFixups) {
-    const int64_t rel = static_cast<int64_t>(fixup.absTarget) -
-                        (base + fixup.fieldOffset + 4);
-    if (rel < INT32_MIN || rel > INT32_MAX)
-      return Error{ErrorCode::UnencodableInstruction, fixup.absTarget,
-                   "call/jmp target out of rel32 range"};
-    const auto rel32 = static_cast<int32_t>(rel);
-    std::memcpy(mem->writeView() + fixup.fieldOffset, &rel32, 4);
-  }
   if (Status s = mem->finalize(); !s) return s.error();
   telemetry::counter(telemetry::CounterId::JitStubsFinalized).add();
   telemetry::counter(telemetry::CounterId::JitStubBytes).add(bytes->size());

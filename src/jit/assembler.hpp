@@ -48,9 +48,8 @@ class Assembler {
   void jcc(isa::Cond cond, Label target);
   void call(Label target);
 
-  // Branch/call to an absolute address outside this buffer. The final
-  // displacement is computed against the buffer's mapped address; failure
-  // (out of rel32 range) surfaces in finalize().
+  // Branch/call to an absolute address outside this buffer, through
+  // `movabs r11, target` (position independent; clobbers r11).
   void jmpAbs(uint64_t target);
   void callAbs(uint64_t target);
 
@@ -69,20 +68,19 @@ class Assembler {
   size_t size() const { return bytes_.size(); }
   uint32_t currentOffset() const { return static_cast<uint32_t>(bytes_.size()); }
 
-  // Patches all label fixups and returns the finished byte vector
-  // (position-independent except for *Abs branches, which require the final
-  // base; use finalizeExecutable for those).
+  // Patches all label fixups and returns the finished, position-
+  // independent byte vector.
   Result<std::vector<uint8_t>> finalizeBytes();
 
-  // Maps the code into executable memory (near `hint` if nonzero, so that
-  // rel32 references to existing code/data stay in range) and finalizes it.
+  // Maps the code into executable memory placed near `hint` when it is
+  // nonzero (ExecMemory::allocate's anchor: the function the code stands
+  // in for) and finalizes it.
   Result<ExecMemory> finalizeExecutable(uint64_t hint = 0);
 
  private:
   struct Fixup {
     uint32_t fieldOffset;  // offset of the rel32 field in bytes_
-    uint32_t labelId;      // UINT32_MAX when absolute
-    uint64_t absTarget;    // used when labelId == UINT32_MAX
+    uint32_t labelId;
   };
 
   void fail(Error e) {
@@ -92,7 +90,6 @@ class Assembler {
   std::vector<uint8_t> bytes_;
   std::vector<int64_t> labelOffsets_;  // -1 while unbound
   std::vector<Fixup> fixups_;
-  std::vector<Fixup> absFixups_;
   Status status_;
 };
 

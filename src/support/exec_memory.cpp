@@ -1,8 +1,10 @@
 #include "support/exec_memory.hpp"
 
+#include <dlfcn.h>
 #include <sys/mman.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdlib>
@@ -14,11 +16,20 @@
 #include "support/profiler.hpp"
 #include "support/telemetry.hpp"
 
+#ifndef MAP_FIXED_NOREPLACE
+#define MAP_FIXED_NOREPLACE 0x100000
+#endif
+
 namespace brew {
 
 namespace {
+size_t pageSize() noexcept {
+  static const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  return page;
+}
+
 size_t roundUpToPage(size_t size) {
-  const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  const size_t page = pageSize();
   return (size + page - 1) / page * page;
 }
 
@@ -72,7 +83,8 @@ void notifyFree(const void* base, size_t size) noexcept {
 
 // Region pool: mmap/munmap dominate the install cost of a small rewrite
 // (TLB shootdowns plus first-touch faults), so released mappings are
-// parked read+write and handed back to the next same-size allocation.
+// parked read+write and handed back to the next same-size allocation
+// whose anchor's window holds them (any, for an unanchored request).
 // Pooled regions are "freed" in every observable sense — notifyFree has
 // fired (specialization-cache invalidation, telemetry, decode-cache epoch)
 // before a region is parked, exactly as if it had been unmapped, and
@@ -92,10 +104,33 @@ PooledRegion g_pool[kMaxPooledRegions];
 size_t g_poolCount = 0;
 size_t g_poolBytes = 0;
 
-bool poolTake(size_t size, PooledRegion& out) noexcept {
+// Placement (see the class comment in exec_memory.hpp): a region may
+// serve an anchor when all of it lies in the anchor's 4 GiB-aligned window
+// and within rel32 reach of it.
+constexpr int kWindowShift = 32;
+constexpr uintptr_t kReach = uintptr_t{1} << 31;
+// Headroom left above the program break when searching above a module, so
+// the heap keeps growing by brk rather than being pushed onto mmap.
+constexpr uintptr_t kBrkRoom = uintptr_t{1} << 30;
+// Probes per search direction; each failed probe doubles the step.
+constexpr int kMaxProbes = 16;
+
+bool inWindow(uintptr_t anchor, uintptr_t addr, size_t bytes) noexcept {
+  const uintptr_t end = addr + bytes;
+  const uintptr_t window = anchor >> kWindowShift;
+  if (addr == 0 || end <= addr || (addr >> kWindowShift) != window ||
+      ((end - 1) >> kWindowShift) != window)
+    return false;
+  return std::max(end, anchor) - std::min(addr, anchor) < kReach;
+}
+
+bool poolTake(size_t size, uintptr_t anchor, PooledRegion& out) noexcept {
   std::lock_guard<std::mutex> lock(g_poolMutex);
   for (size_t i = 0; i < g_poolCount; ++i) {
     if (g_pool[i].size != size) continue;
+    if (anchor != 0 &&
+        !inWindow(anchor, reinterpret_cast<uintptr_t>(g_pool[i].base), size))
+      continue;
     out = g_pool[i];
     g_poolBytes -= g_pool[i].size;
     g_pool[i] = g_pool[--g_poolCount];
@@ -134,10 +169,121 @@ void releaseMapping(void* base, void* wbase, size_t size,
   if (!poolPark(base, wbase, size)) unmapRegion(base, wbase, size);
 }
 
-// Maps `bytes` of a fresh memfd twice: read+write and read+exec. Returns
-// false (and cleans up) when any step fails, e.g. no memfd_create or a
-// filesystem-level noexec policy on the memfd mount.
-bool mapDual(size_t bytes, PooledRegion& out) noexcept {
+// Search cursors, one per 4 GiB window: the lowest address placed below
+// and the highest end placed above, so consecutive allocations pack next
+// to each other in one probe instead of re-walking what is already there.
+// Zero means "start from the module". A handful of windows suffices (one
+// per module cluster that holds subject functions).
+struct WindowCursor {
+  uintptr_t window = UINTPTR_MAX;  // no window: the slot is free
+  uintptr_t below = 0;
+  uintptr_t above = 0;
+};
+constexpr size_t kCursorSlots = 8;
+std::mutex g_cursorMutex;
+WindowCursor g_cursors[kCursorSlots];
+size_t g_cursorVictim = 0;
+
+// Returns the cursor for `window`, recycling the oldest slot on a miss.
+// Caller holds g_cursorMutex.
+WindowCursor& cursorFor(uintptr_t window) noexcept {
+  for (WindowCursor& c : g_cursors)
+    if (c.window == window) return c;
+  WindowCursor& c = g_cursors[g_cursorVictim++ % kCursorSlots];
+  c = WindowCursor{window, 0, 0};
+  return c;
+}
+
+// One MAP_FIXED_NOREPLACE probe. On kernels without the flag the address
+// is only a hint, so a mapping that lands elsewhere is undone. Sets
+// `stop` on errors other than "occupied" (out of address space, exec
+// refused, map count exhausted): further probes would fail the same way.
+void* probeAt(uintptr_t addr, size_t bytes, int prot, int flags, int fd,
+              bool& stop) noexcept {
+  void* p = ::mmap(reinterpret_cast<void*>(addr), bytes, prot,
+                   flags | MAP_FIXED_NOREPLACE, fd, 0);
+  if (p == MAP_FAILED) {
+    stop = errno != EEXIST;
+    return nullptr;
+  }
+  if (reinterpret_cast<uintptr_t>(p) == addr) return p;
+  ::munmap(p, bytes);
+  return nullptr;
+}
+
+// Maps `bytes` inside `anchor`'s window, or returns nullptr. Searches
+// downward from the anchor's module (its lowest mapping, via dladdr; the
+// anchor's own page for anonymous code) first, then upward from above
+// the anchor and the program break's headroom, each with a bounded number
+// of doubling steps. Never maps over an existing mapping.
+void* mapNear(uintptr_t anchor, size_t bytes, int prot, int flags,
+              int fd) noexcept {
+  const uintptr_t page = pageSize();
+  const uintptr_t window = anchor >> kWindowShift;
+  uintptr_t moduleLo = anchor & ~(page - 1);
+  Dl_info info{};
+  if (::dladdr(reinterpret_cast<void*>(anchor), &info) != 0 &&
+      info.dli_fbase != nullptr)
+    moduleLo = reinterpret_cast<uintptr_t>(info.dli_fbase);
+  uintptr_t aboveLo = (anchor + page) & ~(page - 1);
+  const auto brk = reinterpret_cast<uintptr_t>(::sbrk(0));
+  if (brk != static_cast<uintptr_t>(-1) && brk >= anchor &&
+      (brk >> kWindowShift) == window)
+    aboveLo = std::max(aboveLo, (brk + kBrkRoom) & ~(page - 1));
+
+  uintptr_t below, above;
+  {
+    std::lock_guard<std::mutex> lock(g_cursorMutex);
+    const WindowCursor& c = cursorFor(window);
+    below = c.below != 0 ? std::min(c.below, moduleLo) : moduleLo;
+    above = std::max(c.above, aboveLo);
+  }
+
+  for (const bool down : {true, false}) {
+    uintptr_t addr = down ? below - bytes : above;
+    uintptr_t step = bytes;
+    bool stop = false;
+    for (int i = 0; i < kMaxProbes && !stop && inWindow(anchor, addr, bytes);
+         ++i) {
+      if (void* p = probeAt(addr, bytes, prot, flags, fd, stop)) {
+        std::lock_guard<std::mutex> lock(g_cursorMutex);
+        WindowCursor& c = cursorFor(window);
+        if (down)
+          c.below = c.below != 0 ? std::min(c.below, addr) : addr;
+        else
+          c.above = std::max(c.above, addr + bytes);
+        return p;
+      }
+      addr = down ? addr - step : addr + step;
+      step *= 2;
+    }
+    // Exhausted: the next search restarts from the module, where freed
+    // regions may have left room.
+    std::lock_guard<std::mutex> lock(g_cursorMutex);
+    WindowCursor& c = cursorFor(window);
+    (down ? c.below : c.above) = 0;
+  }
+  return nullptr;
+}
+
+// The one placement rule for executable views: in `anchor`'s window when
+// it has one and room there, otherwise wherever mmap puts it (counted in
+// exec.far_maps when an anchor was given). Returns MAP_FAILED on failure.
+void* mapPlaced(uintptr_t anchor, size_t bytes, int prot, int flags,
+                int fd) noexcept {
+  if (anchor != 0)
+    if (void* p = mapNear(anchor, bytes, prot, flags, fd)) return p;
+  void* p = ::mmap(nullptr, bytes, prot, flags, fd, 0);
+  if (anchor != 0 && p != MAP_FAILED)
+    telemetry::counter(telemetry::CounterId::ExecFarMaps).add();
+  return p;
+}
+
+// Maps `bytes` of a fresh memfd twice: read+exec (placed near `anchor`)
+// and read+write (anywhere). Returns false (and cleans up) when any step
+// fails, e.g. no memfd_create or a filesystem-level noexec policy on the
+// memfd mount.
+bool mapDual(size_t bytes, uintptr_t anchor, PooledRegion& out) noexcept {
 #ifdef MFD_CLOEXEC
   const int fd = ::memfd_create("brew-code", MFD_CLOEXEC);
   if (fd < 0) return false;
@@ -145,20 +291,20 @@ bool mapDual(size_t bytes, PooledRegion& out) noexcept {
     ::close(fd);
     return false;
   }
-  void* w = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
-  void* x = w != MAP_FAILED
-                ? ::mmap(nullptr, bytes, PROT_READ | PROT_EXEC, MAP_SHARED,
-                         fd, 0)
-                : MAP_FAILED;
+  void* x = mapPlaced(anchor, bytes, PROT_READ | PROT_EXEC, MAP_SHARED, fd);
+  void* w = x != MAP_FAILED ? ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                                     MAP_SHARED, fd, 0)
+                            : MAP_FAILED;
   ::close(fd);  // both mappings keep the inode alive
-  if (x == MAP_FAILED) {
-    if (w != MAP_FAILED) ::munmap(w, bytes);
+  if (w == MAP_FAILED) {
+    if (x != MAP_FAILED) ::munmap(x, bytes);
     return false;
   }
   out = PooledRegion{x, w, bytes};
   return true;
 #else
   (void)bytes;
+  (void)anchor;
   (void)out;
   return false;
 #endif
@@ -207,18 +353,19 @@ ExecMemory& ExecMemory::operator=(ExecMemory&& other) noexcept {
   return *this;
 }
 
-Result<ExecMemory> ExecMemory::allocate(size_t size) {
+Result<ExecMemory> ExecMemory::allocate(size_t size, const void* near) {
   if (size == 0)
     return Error{ErrorCode::InvalidArgument, 0, "zero-size code region"};
   const size_t bytes = roundUpToPage(size);
+  const auto anchor = reinterpret_cast<uintptr_t>(near);
   PooledRegion region;
-  if (poolTake(bytes, region)) {
+  if (poolTake(bytes, anchor, region)) {
     // match fresh-mmap zeroed contents
     std::memset(region.wbase != nullptr ? region.wbase : region.base, 0,
                 bytes);
-  } else if (!dualMappingRequested() || !mapDual(bytes, region)) {
-    void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  } else if (!dualMappingRequested() || !mapDual(bytes, anchor, region)) {
+    void* p = mapPlaced(anchor, bytes, PROT_READ | PROT_WRITE,
+                        MAP_PRIVATE | MAP_ANONYMOUS, -1);
     if (p == MAP_FAILED)
       return Error{ErrorCode::CodeBufferFull, 0,
                    std::string("mmap: ") + std::strerror(errno)};
@@ -234,11 +381,13 @@ Result<ExecMemory> ExecMemory::allocate(size_t size) {
   return mem;
 }
 
-Result<ExecMemory> ExecMemory::adoptShared(int fd, size_t size) {
+Result<ExecMemory> ExecMemory::adoptShared(int fd, size_t size,
+                                           const void* near) {
   if (fd < 0 || size == 0)
     return Error{ErrorCode::InvalidArgument, 0, "bad shared code fd"};
   const size_t bytes = roundUpToPage(size);
-  void* x = ::mmap(nullptr, bytes, PROT_READ | PROT_EXEC, MAP_SHARED, fd, 0);
+  void* x = mapPlaced(reinterpret_cast<uintptr_t>(near), bytes,
+                      PROT_READ | PROT_EXEC, MAP_SHARED, fd);
   if (x == MAP_FAILED)
     return Error{ErrorCode::CodeBufferFull, 0,
                  std::string("mmap shared code: ") + std::strerror(errno)};

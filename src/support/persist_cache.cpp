@@ -489,7 +489,7 @@ ProbeResult Store::probe(const void* fn, uint64_t configFp,
   // pages with the process serving this directory.
   if (h.relocCount == 0 && listenFd_ < 0) {
     size_t mappedSize = 0;
-    if (auto shared = fetchShared(nameHash, &mappedSize);
+    if (auto shared = fetchShared(nameHash, fn, &mappedSize);
         shared && shared->size() >= h.payloadBytes) {
       // Trust but verify: shared bytes must equal the validated file's.
       if (std::memcmp(shared->data(), parsed->payload.data(),
@@ -504,7 +504,9 @@ ProbeResult Store::probe(const void* fn, uint64_t configFp,
     }
   }
 
-  auto mem = ExecMemory::allocate(h.payloadBytes);
+  // Placed next to the function the entry stands in for (not the module
+  // base, which is 0 for a non-PIE executable).
+  auto mem = ExecMemory::allocate(h.payloadBytes, fn);
   if (!mem) return reject(/*unlinkFile=*/false);
   std::memcpy(mem->writeView(), parsed->payload.data(), h.payloadBytes);
   for (size_t i = 0; i < parsed->relocs.size(); ++i) {
@@ -753,6 +755,7 @@ int Store::sealedFdFor(uint64_t nameHash, uint64_t* sizeOut) {
 }
 
 std::optional<ExecMemory> Store::fetchShared(uint64_t nameHash,
+                                             const void* near,
                                              size_t* sizeOut) {
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
@@ -777,7 +780,7 @@ std::optional<ExecMemory> Store::fetchShared(uint64_t nameHash,
     if (fd >= 0) ::close(fd);
     return std::nullopt;
   }
-  auto mem = ExecMemory::adoptShared(fd, static_cast<size_t>(size));
+  auto mem = ExecMemory::adoptShared(fd, static_cast<size_t>(size), near);
   ::close(fd);  // the mapping pins the pages
   if (!mem) return std::nullopt;
   *sizeOut = static_cast<size_t>(size);

@@ -153,7 +153,9 @@ class Store {
   bool tryBindPageServer();
   void serveLoop();
   int sealedFdFor(uint64_t nameHash, uint64_t* sizeOut);
-  std::optional<ExecMemory> fetchShared(uint64_t nameHash, size_t* sizeOut);
+  // Maps a sibling's sealed pages for `nameHash`, placed near `near`.
+  std::optional<ExecMemory> fetchShared(uint64_t nameHash, const void* near,
+                                        size_t* sizeOut);
 
   std::string dir_;          // per-build-id subdirectory
   std::string socketPath_;

@@ -88,6 +88,7 @@ constexpr const char* kCounterNames[] = {
     "jit.stub_bytes",
     "exec.allocations",
     "exec.frees",
+    "exec.far_maps",
     "cache.persist_hits",
     "cache.persist_misses",
     "cache.persist_writes",

@@ -87,6 +87,7 @@ enum class CounterId : int {
   JitStubBytes,
   ExecAllocations,
   ExecFrees,
+  ExecFarMaps,            // anchored allocations placed outside the window
   PersistHits,            // on-disk cache entries loaded (trace skipped)
   PersistMisses,          // probes that found no usable entry
   PersistWrites,          // entries written (tmp + rename) to the store

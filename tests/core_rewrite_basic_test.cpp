@@ -2,9 +2,16 @@
 // the tracer is exercised independently of compiler output.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "core/dispatch.hpp"
 #include "core/rewriter.hpp"
+#include "core/spec_manager.hpp"
 #include "isa/printer.hpp"
 #include "jit/assembler.hpp"
+#include "pgas/pgas.h"
+#include "pgas/runtime.hpp"
+#include "stencil/stencil.hpp"
 
 namespace brew {
 namespace {
@@ -317,6 +324,176 @@ TEST(Rewrite, DropInSignatureKeepsUnknownArgsWorking) {
   ASSERT_TRUE(rewritten.ok()) << rewritten.error().message();
   auto f = rewritten->as<int64_t (*)(int64_t, int64_t)>();
   for (int64_t x : {-5, 0, 3, 1000}) EXPECT_EQ(f(x, 0), x * 2 + 100);
+}
+
+// --- Placement: generated code lands in its subject's 4 GiB window -----
+//
+// Every producer of code that stands in for a function maps it next to
+// that function (docs/INTERNALS.md "Executable memory"). These guard each
+// producer the benchmarks call through: a new allocation site that forgets
+// its anchor fails here.
+
+bool inSubjectWindow(const void* subject, const void* code, size_t size) {
+  const auto a = reinterpret_cast<uintptr_t>(subject);
+  const auto lo = reinterpret_cast<uintptr_t>(code);
+  const uintptr_t hi = lo + size;
+  return (lo >> 32) == (a >> 32) && ((hi - 1) >> 32) == (a >> 32) &&
+         std::max(hi, a) - std::min(lo, a) < (uintptr_t{1} << 31);
+}
+
+bool sameBits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+Config stencilCellConfig() {
+  Config config;
+  config.setParamKnown(1);
+  config.setParamKnownPtr(2, sizeof(brew_stencil));
+  config.setReturnKind(ReturnKind::Float);
+  return config;
+}
+
+pgas::Runtime::Options placementPgasOptions() {
+  pgas::Runtime::Options options;
+  options.ranks = 4;
+  options.myRank = 0;
+  options.elementsPerRank = 256;
+  return options;
+}
+
+TEST(Placement, StencilSpecializationLandsInSubjectWindow) {
+  constexpr int kXs = 32, kYs = 24;
+  const brew_stencil s = stencil::fivePoint();
+  const void* subject = reinterpret_cast<const void*>(&brew_stencil_apply);
+  Rewriter rewriter{stencilCellConfig()};
+  auto rewritten = rewriter.rewrite(subject, nullptr, kXs, &s);
+  ASSERT_TRUE(rewritten.ok()) << rewritten.error().message();
+  EXPECT_TRUE(inSubjectWindow(subject, rewritten->entry(),
+                              rewritten->codeSize()))
+      << rewritten->entry() << " for " << subject;
+  auto spec = rewritten->as<brew_stencil_fn>();
+  stencil::Matrix m(kXs, kYs);
+  m.fillDeterministic();
+  for (int y = 1; y < kYs - 1; ++y)
+    for (int x = 1; x < kXs - 1; ++x) {
+      const double* cell = m.data() + y * kXs + x;
+      ASSERT_TRUE(sameBits(spec(cell, kXs, &s),
+                           brew_stencil_apply(cell, kXs, &s)))
+          << x << "," << y;
+    }
+}
+
+TEST(Placement, PgasAccessorSpecializationsLandInSubjectWindow) {
+  pgas::Runtime rt(placementPgasOptions());
+  for (int r = 0; r < rt.ranks(); ++r)
+    for (long i = 0; i < 256; ++i)
+      rt.segment(r)[i] = r + 1.0 / static_cast<double>(1 + i);
+  brew_pgas_view v = rt.view(0);
+
+  Config readConfig;
+  readConfig.setParamKnownPtr(0, sizeof(brew_pgas_view));
+  readConfig.setReturnKind(ReturnKind::Float);
+  readConfig.setFunctionOptions(
+      reinterpret_cast<const void*>(&brew_pgas_remote_read),
+      FunctionOptions{.inlineCalls = false, .pure = true});
+  Config writeConfig;
+  writeConfig.setParamKnownPtr(0, sizeof(brew_pgas_view));
+  writeConfig.setParamFloat(2);
+  writeConfig.setReturnKind(ReturnKind::Void);
+  writeConfig.setFunctionOptions(
+      reinterpret_cast<const void*>(&brew_pgas_remote_write),
+      FunctionOptions{.inlineCalls = false});
+
+  const void* readFn = reinterpret_cast<const void*>(&brew_pgas_read);
+  const void* writeFn = reinterpret_cast<const void*>(&brew_pgas_write);
+  Rewriter reader{readConfig};
+  auto read = reader.rewrite(readFn, &v, 0L);
+  ASSERT_TRUE(read.ok()) << read.error().message();
+  const ArgValue writeArgs[] = {ArgValue::fromPtr(&v), ArgValue::fromInt(0),
+                                ArgValue::fromDouble(0.0)};
+  Rewriter writer{writeConfig};
+  auto write = writer.rewrite(writeFn, writeArgs);
+  ASSERT_TRUE(write.ok()) << write.error().message();
+  EXPECT_TRUE(inSubjectWindow(readFn, read->entry(), read->codeSize()))
+      << read->entry() << " for " << readFn;
+  EXPECT_TRUE(inSubjectWindow(writeFn, write->entry(), write->codeSize()))
+      << write->entry() << " for " << writeFn;
+
+  auto specRead = read->as<brew_pgas_read_fn>();
+  auto specWrite = write->as<brew_pgas_write_fn>();
+  for (long i = 0; i < rt.globalLength(); i += 3) {
+    ASSERT_TRUE(sameBits(specRead(&v, i), brew_pgas_read(&v, i))) << i;
+    const double x = 0.25 * static_cast<double>(i) - 7.0;
+    specWrite(&v, i, x);
+    ASSERT_TRUE(sameBits(brew_pgas_read(&v, i), x)) << i;
+    brew_pgas_write(&v, i, -x);
+    ASSERT_TRUE(sameBits(specRead(&v, i), -x)) << i;
+  }
+}
+
+TEST(Placement, AsyncEntryStubLandsInSubjectWindow) {
+  constexpr int kXs = 16;
+  const brew_stencil s = stencil::fivePoint();
+  const void* subject = reinterpret_cast<const void*>(&brew_stencil_apply);
+  SpecManager manager{SpecManager::Options{.workers = 1}};
+  auto request = manager.rewriteAsync(
+      stencilCellConfig(), {}, subject,
+      {ArgValue::fromPtr(nullptr), ArgValue::fromInt(kXs),
+       ArgValue::fromPtr(&s)});
+  EXPECT_TRUE(inSubjectWindow(subject, request->entry(), 1))
+      << request->entry() << " for " << subject;
+  request->wait();
+  ASSERT_TRUE(request->ok()) << request->error().message();
+  const CodeHandle handle = request->handle();
+  EXPECT_TRUE(inSubjectWindow(subject, handle.entry(), handle.codeSize()));
+  stencil::Matrix m(kXs, kXs);
+  m.fillDeterministic();
+  auto spec = request->as<brew_stencil_fn>();
+  for (int i = kXs + 1; i < kXs * (kXs - 1) - 1; ++i)
+    ASSERT_TRUE(sameBits(spec(m.data() + i, kXs, &s),
+                         brew_stencil_apply(m.data() + i, kXs, &s)))
+        << i;
+}
+
+TEST(Placement, DispatcherStubAndVariantsLandInSubjectWindow) {
+  constexpr int kXs = 24, kYs = 12;
+  const brew_stencil s = stencil::fivePoint();
+  const void* subject = reinterpret_cast<const void*>(&brew_stencil_sweep);
+  Config config;
+  config.setParamKnown(4);
+  config.setParamKnownPtr(5, sizeof s);
+  config.setReturnKind(ReturnKind::Void);
+  config.setFunctionOptions(
+      subject,
+      FunctionOptions{.inlineCalls = true, .forceUnknownResults = true});
+  const std::vector<ArgValue> proto = {
+      ArgValue::fromPtr(nullptr), ArgValue::fromPtr(nullptr),
+      ArgValue::fromInt(0), ArgValue::fromInt(0),
+      ArgValue::fromPtr(reinterpret_cast<const void*>(&brew_stencil_apply)),
+      ArgValue::fromPtr(&s)};
+  DispatchOptions options;
+  options.sampleCalls = 4;
+  options.promoteThreshold = 2;
+  SpecManager manager{SpecManager::Options{.workers = 1}};
+  VariantDispatcher d(manager, subject, 2, proto, config, options);
+  ASSERT_TRUE(d.valid());
+  EXPECT_TRUE(inSubjectWindow(subject, d.entry(), 1))
+      << d.entry() << " for " << subject;
+
+  stencil::Matrix src(kXs, kYs), want(kXs, kYs), got(kXs, kYs);
+  src.fillDeterministic();
+  brew_stencil_sweep(want.data(), src.data(), kXs, kYs, &brew_stencil_apply,
+                     &s);
+  const size_t bytes = sizeof(double) * kXs * kYs;
+  auto sweep = d.as<decltype(&brew_stencil_sweep)>();
+  for (int call = 0; call < 32; ++call) {
+    std::memset(got.data(), 0, bytes);
+    sweep(got.data(), src.data(), kXs, kYs, &brew_stencil_apply, &s);
+    ASSERT_EQ(std::memcmp(got.data(), want.data(), bytes), 0) << call;
+  }
+  const std::vector<VariantInfo> variants = d.variants();
+  ASSERT_FALSE(variants.empty());
+  for (const VariantInfo& v : variants)
+    EXPECT_TRUE(inSubjectWindow(subject, v.entry, v.codeBytes))
+        << v.entry << " for " << subject;
 }
 
 }  // namespace

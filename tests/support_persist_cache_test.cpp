@@ -83,6 +83,13 @@ uint64_t counterValue(telemetry::CounterId id) {
   return telemetry::counter(id).value();
 }
 
+// Loaded code is mapped in the 4 GiB window of the function it stands in
+// for (docs/INTERNALS.md "Executable memory").
+bool inFunctionWindow(const void* fn, const void* code) {
+  return reinterpret_cast<uintptr_t>(fn) >> 32 ==
+         reinterpret_cast<uintptr_t>(code) >> 32;
+}
+
 // On-disk EntryHeader byte offsets the corruption tests patch. Kept in
 // sync with persist_cache.cpp by the layout static_asserts there; a drift
 // shows up as "stale version" entries failing differently, which the
@@ -205,6 +212,8 @@ TEST(PersistRoundTrip, WarmStartHitsWithZeroTracePhases) {
                                 reinterpret_cast<void*>(&addmul),
                                 argsFor(5));
   ASSERT_TRUE(result.ok());
+  EXPECT_TRUE(inFunctionWindow(reinterpret_cast<void*>(&addmul),
+                               result->entry()));
   EXPECT_EQ(reinterpret_cast<addmul_t>(result->entry())(5, 9), 44);
   EXPECT_EQ(reinterpret_cast<addmul_t>(result->entry())(5, -3), 32);
   EXPECT_EQ(counterValue(telemetry::CounterId::RewriteAttempts),
@@ -451,6 +460,8 @@ TEST(PersistConcurrency, SharedPagesServedBetweenStores) {
       client->probe(reinterpret_cast<void*>(&addmul), 7, 9);
   ASSERT_TRUE(probe.entry.has_value());
   EXPECT_TRUE(probe.entry->shared);
+  EXPECT_TRUE(inFunctionWindow(reinterpret_cast<void*>(&addmul),
+                               probe.entry->memory.data()));
   EXPECT_EQ(std::memcmp(probe.entry->memory.data(), payload.data(),
                         payload.size()),
             0);

@@ -1,17 +1,23 @@
 // Support-layer tests: errors, hexdump, memory map, printer output, PRNG
-// determinism.
+// determinism, executable-memory placement.
 #include <gtest/gtest.h>
 
 #include "isa/decoder.hpp"
 #include "isa/printer.hpp"
 #include "support/error.hpp"
+#include "support/exec_memory.hpp"
 #include "support/hexdump.hpp"
 #include "support/memory_map.hpp"
 #include "support/perf_map.hpp"
 #include "support/prng.hpp"
+#include "support/telemetry.hpp"
 
+#include <sys/mman.h>
 #include <unistd.h>
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 
 namespace brew {
 namespace {
@@ -142,6 +148,117 @@ TEST(PerfMapTest, WritesEntriesWhenEnabled) {
   std::fclose(f);
   EXPECT_NE(content.find("123400 40 brew_test_symbol"), std::string::npos);
   EXPECT_EQ(content.find("not_written"), std::string::npos);
+}
+
+// --- ExecMemory placement ---------------------------------------------
+//
+// ctest also runs this group with BREW_STRICT_WX=1
+// (support_placement_strict_wx), which the library reads once per process,
+// so both the dual and the single-mapping scheme are covered.
+
+bool strictWx() {
+  const char* v = std::getenv("BREW_STRICT_WX");
+  return v != nullptr && v[0] != '\0' && v[0] != '0';
+}
+
+// An anchor in this binary's text, as a specialization's subject would be.
+int placementAnchor(int x) { return x + 1; }
+const void* testAnchor() {
+  return reinterpret_cast<const void*>(&placementAnchor);
+}
+
+// All of [code, code+size) shares the anchor's 4 GiB window and lies within
+// rel32 reach of it.
+bool inAnchorWindow(const void* anchor, const void* code, size_t size) {
+  const auto a = reinterpret_cast<uintptr_t>(anchor);
+  const auto lo = reinterpret_cast<uintptr_t>(code);
+  const uintptr_t hi = lo + size;
+  return (lo >> 32) == (a >> 32) && ((hi - 1) >> 32) == (a >> 32) &&
+         std::max(hi, a) - std::min(lo, a) < (uintptr_t{1} << 31);
+}
+
+// `mov eax, 42; ret` into the region, finalized and called.
+int runReturns42(ExecMemory& mem) {
+  static const uint8_t kCode[] = {0xB8, 42, 0, 0, 0, 0xC3};
+  std::memcpy(mem.writeView(), kCode, sizeof kCode);
+  EXPECT_TRUE(mem.finalize().ok());
+  return mem.entry<int (*)()>()();
+}
+
+uint64_t farMaps() {
+  return telemetry::counter(telemetry::CounterId::ExecFarMaps).value();
+}
+
+TEST(ExecPlacement, AnchoredAllocationLandsInAnchorWindow) {
+  const uint64_t far0 = farMaps();
+  std::vector<ExecMemory> live;
+  for (const size_t size : {size_t{64}, size_t{5000}, size_t{1} << 20}) {
+    auto mem = ExecMemory::allocate(size, testAnchor());
+    ASSERT_TRUE(mem.ok()) << mem.error().message();
+    EXPECT_TRUE(inAnchorWindow(testAnchor(), mem->data(), mem->size()))
+        << static_cast<const void*>(mem->data()) << " for anchor "
+        << testAnchor();
+    // The scheme is unchanged: only the executable view is placed.
+    EXPECT_EQ(mem->writeView() == mem->data(), strictWx());
+    EXPECT_EQ(runReturns42(*mem), 42);
+    live.push_back(std::move(*mem));
+  }
+  EXPECT_EQ(farMaps(), far0);
+  EXPECT_EQ(placementAnchor(1), 2);
+}
+
+TEST(ExecPlacement, SharedAdoptLandsInAnchorWindow) {
+  const int fd = ::memfd_create("brew-placement-test", MFD_CLOEXEC);
+  ASSERT_GE(fd, 0);
+  static const uint8_t kCode[] = {0xB8, 42, 0, 0, 0, 0xC3};
+  ASSERT_EQ(::ftruncate(fd, 4096), 0);
+  ASSERT_EQ(::pwrite(fd, kCode, sizeof kCode, 0),
+            static_cast<ssize_t>(sizeof kCode));
+  auto mem = ExecMemory::adoptShared(fd, 4096, testAnchor());
+  ::close(fd);
+  ASSERT_TRUE(mem.ok()) << mem.error().message();
+  EXPECT_TRUE(inAnchorWindow(testAnchor(), mem->data(), mem->size()));
+  EXPECT_EQ(mem->entry<int (*)()>()(), 42);
+}
+
+TEST(ExecPlacement, PooledRegionFromAnotherWindowIsNotHandedToNearRequest) {
+  // A size no other test here uses, so the pool's only candidate is ours.
+  constexpr size_t kSize = 7 * 4096 + 100;
+  const uint8_t* farBase = nullptr;
+  {
+    auto far = ExecMemory::allocate(kSize);
+    ASSERT_TRUE(far.ok());
+    if (inAnchorWindow(testAnchor(), far->data(), far->size()))
+      GTEST_SKIP() << "mmap placed unanchored code in the test's window";
+    farBase = far->data();
+  }  // parked in the region pool
+  auto near = ExecMemory::allocate(kSize, testAnchor());
+  ASSERT_TRUE(near.ok());
+  EXPECT_NE(near->data(), farBase);
+  EXPECT_TRUE(inAnchorWindow(testAnchor(), near->data(), near->size()));
+  // The far region is still parked: an unanchored request takes it.
+  auto any = ExecMemory::allocate(kSize);
+  ASSERT_TRUE(any.ok());
+  EXPECT_EQ(any->data(), farBase);
+  EXPECT_EQ(runReturns42(*near), 42);
+  EXPECT_EQ(runReturns42(*any), 42);
+}
+
+TEST(ExecPlacement, FallbackIsCountedAndStillRuns) {
+  // An anchor in the kernel half of the address space: no user mapping
+  // can go in its window, so the region must fall back.
+  const auto* anchor =
+      reinterpret_cast<const void*>(uintptr_t{0xffff900000001000});
+  const uint64_t far0 = farMaps();
+  auto mem = ExecMemory::allocate(100, anchor);
+  ASSERT_TRUE(mem.ok()) << mem.error().message();
+  EXPECT_EQ(farMaps(), far0 + 1);
+  EXPECT_FALSE(inAnchorWindow(anchor, mem->data(), mem->size()));
+  EXPECT_EQ(runReturns42(*mem), 42);
+  // No anchor is no fallback.
+  auto plain = ExecMemory::allocate(100);
+  ASSERT_TRUE(plain.ok());
+  EXPECT_EQ(farMaps(), far0 + 1);
 }
 
 }  // namespace
