@@ -101,8 +101,8 @@ void brew_setret(brew_conf* conf, int kind);
 void brew_setfn(brew_conf* conf, const void* fn, int flags);
 
 /* Block-chained translation tier knobs (docs/BLOCKS.md). All default on;
- * each takes 0 (off) / nonzero (on) and participates in the conf
- * fingerprint, so flipping one never aliases a cached rewrite. */
+ * each takes 0 (off) / nonzero (on) and is part of the cache key, so
+ * flipping one never aliases a cached rewrite. */
 /* Continue resolved forward edges inline in the current output block
  * instead of round-tripping the fork queue. */
 void brew_set_chain_blocks(brew_conf* conf, int enabled);

@@ -126,7 +126,10 @@ void brew_setnpar(brew_conf* conf, int count) {
 
 void brew_setpar(brew_conf* conf, int index, int state) {
   if (conf == nullptr || !validIndex(index)) return;
-  if (state == BREW_KNOWN) conf->config.setParamKnown(index - 1);
+  if (state == BREW_KNOWN)
+    conf->config.setParamKnown(index - 1);
+  else
+    conf->config.setParamUnknown(index - 1);
   if (index > conf->paramCount) conf->paramCount = index;
 }
 

@@ -9,9 +9,9 @@
 //  - CodeHandle: the smart pointer over CodeBlock. Copy = retain, so a
 //    handle held by an executing caller keeps the code mapped even after
 //    the cache evicts the entry.
-//  - CodeCache: a thread-scalable map from (function address, config
-//    fingerprint, known-argument key bytes) to CodeHandle. Keys are hashed
-//    into N independently-locked shards (default 16; see
+//  - CodeCache: a thread-scalable map from (function address, canonical
+//    configuration and known-argument key bytes) to CodeHandle. Keys are
+//    hashed into N independently-locked shards (default 16; see
 //    SpecManager::Options) with per-key single-flight deduplication, an
 //    approximate-LRU eviction policy under one *global* atomic byte budget
 //    debited per shard, and a lock-free seqlock hit table in front of the
@@ -163,12 +163,12 @@ class CodeHandle {
   CodeBlock* block_ = nullptr;
 };
 
-// Cache key: subject function address, Config/PassOptions fingerprint, and
-// the canonical bytes of everything the generated code was specialized
-// against (known argument values and classes, known-pointer pointee bytes,
-// known-region starts and contents; see makeCacheKey). `argsHash` is a
-// hash of `bytes` that picks the shard and hit slot; equality compares the
-// bytes themselves, so keys whose hashes collide never share an entry.
+// Cache key: subject function address and the canonical bytes of
+// everything the generated code was specialized against (code-shaping
+// Config and PassOptions fields, known arguments and pointees, known
+// regions; see makeCacheKey). `configFp` and `argsHash` hash sections of
+// `bytes` to pick the shard and hit slot; equality compares the bytes
+// themselves, so keys whose hashes collide never share an entry.
 struct CacheKey {
   uint64_t fn = 0;
   uint64_t configFp = 0;

@@ -12,28 +12,9 @@ ArgValue ArgValue::fromDouble(double d) {
   return v;
 }
 
-Config& Config::setParamKnown(size_t index, bool isFloat) {
+Config& Config::setParam(size_t index, ParamSpec spec) {
   if (index < kMaxParams) {
-    params_[index].kind = ParamKind::Known;
-    params_[index].isFloat = isFloat;
-    declaredParams_ = std::max(declaredParams_, index + 1);
-  }
-  return *this;
-}
-
-Config& Config::setParamKnownPtr(size_t index, size_t pointeeSize) {
-  if (index < kMaxParams) {
-    params_[index].kind = ParamKind::KnownPtr;
-    params_[index].isFloat = false;
-    params_[index].pointeeSize = pointeeSize;
-    declaredParams_ = std::max(declaredParams_, index + 1);
-  }
-  return *this;
-}
-
-Config& Config::setParamFloat(size_t index) {
-  if (index < kMaxParams) {
-    params_[index].isFloat = true;
+    params_[index] = spec;
     declaredParams_ = std::max(declaredParams_, index + 1);
   }
   return *this;
@@ -62,11 +43,6 @@ FunctionOptions Config::functionOptions(uint64_t fn) const {
 
 namespace {
 
-uint64_t mix(uint64_t h, uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  return h;
-}
-
 uint64_t functionOptionBits(const FunctionOptions& options) {
   return static_cast<uint64_t>(options.inlineCalls) |
          static_cast<uint64_t>(options.forceUnknownResults) << 1 |
@@ -75,41 +51,42 @@ uint64_t functionOptionBits(const FunctionOptions& options) {
 
 }  // namespace
 
-uint64_t Config::fingerprint() const {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  h = mix(h, declaredParams_);
-  for (const ParamSpec& spec : params_) {
-    h = mix(h, static_cast<uint64_t>(spec.kind) << 1 |
-                   static_cast<uint64_t>(spec.isFloat));
-    h = mix(h, spec.pointeeSize);
-  }
-  for (const MemRegion& region : knownRegions_) {
-    h = mix(h, region.start);
-    h = mix(h, region.end);
-  }
-  // perFunction_ is an ordered map, so iteration (and the digest) is
-  // deterministic for a given option set.
+uint8_t* Config::writeKeySection(uint8_t* out, uint64_t passBits) const {
+  auto putWord = [&out](uint64_t v) {
+    std::memcpy(out, &v, sizeof v);
+    out += sizeof v;
+  };
+  putWord(declaredParams_);
+  // A pointee is below 2^47 bytes (user address space), so 48 bits hold
+  // every size.
+  for (size_t i = 0; i < declaredParams_; ++i)
+    putWord(static_cast<uint64_t>(params_[i].kind) |
+            static_cast<uint64_t>(params_[i].isFloat) << 8 |
+            uint64_t{params_[i].pointeeSize} << 16);
+  // perFunction_ is an ordered map, so the entries come out in one order
+  // for a given option set.
+  putWord(perFunction_.size());
   for (const auto& [address, options] : perFunction_) {
-    h = mix(h, address);
-    h = mix(h, functionOptionBits(options));
+    putWord(address);
+    putWord(functionOptionBits(options));
   }
-  h = mix(h, functionOptionBits(defaults_));
-  h = mix(h, static_cast<uint64_t>(returnKind_) << 4 |
-                 static_cast<uint64_t>(foldZeroAccumulator_) |
-                 static_cast<uint64_t>(chainBlocks_) << 1 |
-                 static_cast<uint64_t>(reconvergeJoins_) << 2 |
-                 static_cast<uint64_t>(sideExitFallback_) << 3);
-  h = mix(h, limits_.maxTraceSteps);
-  h = mix(h, limits_.maxCodeBytes);
-  h = mix(h, limits_.maxBlocks);
-  h = mix(h, static_cast<uint64_t>(limits_.maxVariantsPerAddress));
-  h = mix(h, static_cast<uint64_t>(limits_.maxInlineDepth));
-  h = mix(h, static_cast<uint64_t>(limits_.maxForkDepth));
-  h = mix(h, reinterpret_cast<uint64_t>(injection_.onEntry));
-  h = mix(h, reinterpret_cast<uint64_t>(injection_.onExit));
-  h = mix(h, reinterpret_cast<uint64_t>(injection_.onLoad));
-  h = mix(h, reinterpret_cast<uint64_t>(injection_.onStore));
-  return h;
+  putWord(functionOptionBits(defaults_) |
+          static_cast<uint64_t>(returnKind_) << 8 |
+          static_cast<uint64_t>(foldZeroAccumulator_) << 16 |
+          static_cast<uint64_t>(chainBlocks_) << 17 |
+          static_cast<uint64_t>(reconvergeJoins_) << 18 |
+          static_cast<uint64_t>(sideExitFallback_) << 19 | passBits << 24);
+  putWord(limits_.maxTraceSteps);
+  putWord(limits_.maxCodeBytes);
+  putWord(limits_.maxBlocks);
+  putWord(static_cast<uint64_t>(limits_.maxVariantsPerAddress));
+  putWord(static_cast<uint64_t>(limits_.maxInlineDepth));
+  putWord(static_cast<uint64_t>(limits_.maxForkDepth));
+  putWord(reinterpret_cast<uint64_t>(injection_.onEntry));
+  putWord(reinterpret_cast<uint64_t>(injection_.onExit));
+  putWord(reinterpret_cast<uint64_t>(injection_.onLoad));
+  putWord(reinterpret_cast<uint64_t>(injection_.onStore));
+  return out;
 }
 
 }  // namespace brew

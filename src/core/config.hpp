@@ -83,9 +83,19 @@ class Config {
   Config() = default;
 
   // --- parameters (positions are 0-based signature order) ---
-  Config& setParamKnown(size_t index, bool isFloat = false);
-  Config& setParamKnownPtr(size_t index, size_t pointeeSize);
-  Config& setParamFloat(size_t index);  // unknown, but SSE class
+  // Each setter leaves exactly the ParamSpec it names.
+  Config& setParamKnown(size_t index, bool isFloat = false) {
+    return setParam(index, {ParamKind::Known, isFloat, 0});
+  }
+  Config& setParamKnownPtr(size_t index, size_t pointeeSize) {
+    return setParam(index, {ParamKind::KnownPtr, false, pointeeSize});
+  }
+  Config& setParamUnknown(size_t index, bool isFloat = false) {
+    return setParam(index, {ParamKind::Unknown, isFloat, 0});
+  }
+  Config& setParamFloat(size_t index) {  // unknown, but SSE class
+    return setParamUnknown(index, /*isFloat=*/true);
+  }
   const ParamSpec& param(size_t index) const { return params_[index]; }
   size_t declaredParams() const { return declaredParams_; }
 
@@ -149,18 +159,21 @@ class Config {
   Injection& injection() { return injection_; }
   const Injection& injection() const { return injection_; }
 
-  // Stable digest of everything in this Config that shapes generated code:
-  // parameter specs, known-region bounds, per-function options, return
-  // kind, limits and injection handlers. Used (combined with the known
-  // argument values and known-memory *contents*) as the specialization
-  // cache key. Two Configs with equal fingerprints request byte-identical
-  // rewrites of a given function.
-  uint64_t fingerprint() const;
+  // The canonical key section (the front of CacheKey::bytes, see
+  // makeCacheKey): every field that shapes generated code, as 8-byte
+  // words, with counts framing the variable-length parts, so equal words
+  // mean equal configurations. Known regions belong to the argument
+  // section. `passBits` (the PassOptions switches) joins the flags word.
+  size_t keySectionBytes() const {
+    return 8 * (kFixedKeyWords + declaredParams_ + 2 * perFunction_.size());
+  }
+  // Writes keySectionBytes() bytes at `out`; returns the end.
+  uint8_t* writeKeySection(uint8_t* out, uint64_t passBits) const;
 
   // True when nothing in this Config embeds an absolute address: no known
   // regions (bounds are addresses), no per-function options (keyed by
   // address) and no injection handlers (function pointers). Such configs
-  // produce ASLR-stable fingerprints, so a restarted process with a
+  // contribute no address to the cache key, so a restarted process with a
   // different memory layout recomputes the same persistent-cache key
   // (support/persist_cache.hpp) and warm-starts. Address-bearing configs
   // still persist correctly — they just miss across layout changes and
@@ -172,6 +185,12 @@ class Config {
   }
 
  private:
+  // The words of writeKeySection that every Config has: the two counts,
+  // the flags word, six limits and four handlers.
+  static constexpr size_t kFixedKeyWords = 13;
+
+  Config& setParam(size_t index, ParamSpec spec);
+
   ParamSpec params_[kMaxParams];
   size_t declaredParams_ = 0;
   std::vector<MemRegion> knownRegions_;

@@ -60,19 +60,6 @@ void publishStats(const TraceStats& ts, const ir::EmitStats& es) {
 }
 }  // namespace
 
-uint64_t PassOptions::fingerprint() const {
-  uint64_t bits = 0;
-  bits |= static_cast<uint64_t>(peephole) << 0;
-  bits |= static_cast<uint64_t>(deadFlagWriters) << 1;
-  bits |= static_cast<uint64_t>(redundantLoads) << 2;
-  bits |= static_cast<uint64_t>(foldZeroAdd) << 3;
-  bits |= static_cast<uint64_t>(mergeBlocks) << 4;
-  bits |= static_cast<uint64_t>(slpVectorize) << 5;
-  bits |= static_cast<uint64_t>(crossIterLoads) << 6;
-  // Spread the low bits so the composite key mixes well.
-  return (bits + 1) * 0x9e3779b97f4a7c15ULL;
-}
-
 const TraceStats& RewrittenFunction::traceStats() const {
   return handle_ ? handle_->traceStats : kEmptyTraceStats;
 }
@@ -109,7 +96,7 @@ Result<CodeHandle> compileSpecialization(const Config& config,
 
   counter(CounterId::RewriteAttempts).add();
   const bool tracing = telemetry::tracingEnabled();
-  const uint64_t configFp = config.fingerprint() ^ passes.fingerprint();
+  const uint64_t configFp = configKeyHash(config, passes);
   // Phase stamps use the raw TSC unless span tracing is on (spans need
   // wall-clock-aligned timestamps); deltas are converted once per phase.
   const auto stamp = [tracing]() {

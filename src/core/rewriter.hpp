@@ -52,10 +52,6 @@ struct PassOptions {
   // every unrolled iteration are hoisted into scratch registers, and
   // re-loads of lanes a previous load still holds become register reuse.
   bool crossIterLoads = true;
-
-  // Stable digest of the option set; folded into the specialization cache
-  // key (an ablation build must not alias the default-pass variant).
-  uint64_t fingerprint() const;
 };
 
 // A native value convertible to an ArgValue for rewrite(fn, args...).

@@ -49,9 +49,15 @@ uint64_t hashKeyBytes(std::span<const uint8_t> bytes) {
   return foldMul(h ^ kHashK1, bytes.size() ^ kHashK0);
 }
 
-uint64_t configFingerprint(const Config& config, const PassOptions& passes) {
-  return foldMul(config.fingerprint() ^ kHashK0,
-                 passes.fingerprint() ^ kHashK1);
+// The PassOptions switches, for the flags word of Config::writeKeySection.
+uint64_t passBits(const PassOptions& passes) {
+  return static_cast<uint64_t>(passes.peephole) |
+         static_cast<uint64_t>(passes.deadFlagWriters) << 1 |
+         static_cast<uint64_t>(passes.redundantLoads) << 2 |
+         static_cast<uint64_t>(passes.foldZeroAdd) << 3 |
+         static_cast<uint64_t>(passes.mergeBlocks) << 4 |
+         static_cast<uint64_t>(passes.slpVectorize) << 5 |
+         static_cast<uint64_t>(passes.crossIterLoads) << 6;
 }
 
 const ParamSpec& paramSpec(const Config& config, size_t index) {
@@ -70,18 +76,21 @@ size_t wordBytes(size_t n) { return (n + 7) & ~size_t{7}; }
 
 // Canonical key bytes: everything the generated code was specialized
 // against, as 8-byte words, variable-length contents zero-padded to a word.
+//   configuration section: Config::writeKeySection
 //   argument count
-//   per argument: tag 0 (unknown), or (pointee length << 8 | class) with
-//                 class 1 = integer, 2 = float, then the value, then the
+//   per argument: class (1 = integer, 2 = float); a known one adds 4 and
+//                 its pointee length << 8, then the value, then the
 //                 pointee bytes of a non-null KnownPtr
 //   region count
 //   per known region: start, length, contents
 // Every length is explicit, so equal bytes mean equal inputs.
 std::vector<uint8_t> specKeyBytes(const Config& config,
+                                  const PassOptions& passes,
                                   std::span<const ArgValue> args) {
   // Sizing pass first, so the key is one allocation and one write pass.
   const std::vector<MemRegion>& regions = config.knownRegions();
-  size_t size = 8 * (2 + args.size());  // both counts, one tag per argument
+  // Both counts, one tag per argument.
+  size_t size = config.keySectionBytes() + 8 * (2 + args.size());
   for (size_t i = 0; i < args.size(); ++i) {
     const ParamSpec& spec = paramSpec(config, i);
     if (spec.kind != ParamKind::Unknown)
@@ -91,7 +100,7 @@ std::vector<uint8_t> specKeyBytes(const Config& config,
     size += 16 + wordBytes(static_cast<size_t>(region.end - region.start));
 
   std::vector<uint8_t> out(size);  // zero-filled: padding stays zero
-  uint8_t* p = out.data();
+  uint8_t* p = config.writeKeySection(out.data(), passBits(passes));
   auto putWord = [&p](uint64_t v) {
     std::memcpy(p, &v, sizeof v);
     p += sizeof v;
@@ -103,16 +112,18 @@ std::vector<uint8_t> specKeyBytes(const Config& config,
   putWord(args.size());
   for (size_t i = 0; i < args.size(); ++i) {
     const ParamSpec& spec = paramSpec(config, i);
+    // An unknown value never reaches the generated code, but its class
+    // decides the ABI registers of the arguments after it.
+    const uint64_t argClass = args[i].isFloat ? 2 : 1;
     if (spec.kind == ParamKind::Unknown) {
-      // Call-time value never reaches the generated code.
-      putWord(0);
+      putWord(argClass);
       continue;
     }
     // The generated code folds loads through a known pointer, so its
     // current pointee bytes are part of the specialization identity
     // (domain-map redistribution must re-specialize, not hit).
     const size_t pointee = pointeeBytes(spec, args[i]);
-    putWord((uint64_t{pointee} << 8) | (args[i].isFloat ? 2 : 1));
+    putWord((uint64_t{pointee} << 8) | 4 | argClass);
     putWord(args[i].bits);
     putMemory(args[i].bits, pointee);
   }
@@ -178,18 +189,21 @@ SpecManager::Options takeProcessOptions() {
 
 }  // namespace
 
-uint64_t hashSpecArgs(const Config& config, std::span<const ArgValue> args) {
-  return hashKeyBytes(specKeyBytes(config, args));
-}
-
 CacheKey makeCacheKey(const Config& config, const PassOptions& passes,
                       const void* fn, std::span<const ArgValue> args) {
   CacheKey key;
   key.fn = reinterpret_cast<uint64_t>(fn);
-  key.configFp = configFingerprint(config, passes);
-  key.bytes = specKeyBytes(config, args);
-  key.argsHash = hashKeyBytes(key.bytes);
+  key.bytes = specKeyBytes(config, passes, args);
+  const size_t configBytes = config.keySectionBytes();
+  key.configFp = hashKeyBytes({key.bytes.data(), configBytes});
+  key.argsHash = hashKeyBytes(std::span(key.bytes).subspan(configBytes));
   return key;
+}
+
+uint64_t configKeyHash(const Config& config, const PassOptions& passes) {
+  std::vector<uint8_t> bytes(config.keySectionBytes());
+  config.writeKeySection(bytes.data(), passBits(passes));
+  return hashKeyBytes(bytes);
 }
 
 int RewriteBatch::next() {
@@ -429,8 +443,7 @@ std::shared_ptr<SpecRequest> SpecManager::rewriteAsync(
   if (stub.ok()) {
     request->stub_ = std::move(*stub);
     registerGeneratedCode(request->stub_.data(), request->stub_.size(), fn,
-                          configFingerprint(config, passes),
-                          "stub");
+                          configKeyHash(config, passes), "stub");
   } else {
     BREW_LOG_INFO("async entry stub failed: %s (entry() tracks the slot)",
                   stub.error().message().c_str());

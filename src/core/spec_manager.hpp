@@ -31,20 +31,19 @@ namespace persist {
 class Store;
 }
 
-// Hash of everything the generated code depends on besides the target
-// address and the config *shape*: known argument values, the bytes behind
-// KnownPtr parameters, and the contents of declared-known regions. Unknown
-// parameters do not contribute — their call-time value never reaches the
+// The exact cache key of a rewrite request: canonical bytes in two
+// sections, the configuration (Config::writeKeySection, with the
+// PassOptions switches) and the arguments (argument classes, known values,
+// the bytes behind KnownPtr parameters, known-region bounds and contents).
+// configFp and argsHash hash one section each and pick a shard, a hit slot
+// and a persist file name. Unknown argument values never reach the
 // generated code, so rewrites differing only there share one entry.
-// Equal to makeCacheKey(...).argsHash: a word-at-a-time hash of the key's
-// canonical bytes, the same in every process.
-uint64_t hashSpecArgs(const Config& config, std::span<const ArgValue> args);
-
-// The exact cache key of a rewrite request: its canonical key bytes (the
-// inputs hashSpecArgs covers, with every length explicit) plus the hashes
-// that pick a shard, a hit slot and a persist file name.
 CacheKey makeCacheKey(const Config& config, const PassOptions& passes,
                       const void* fn, std::span<const ArgValue> args);
+
+// makeCacheKey(config, passes, ...).configFp alone: tags uncached code in
+// perf maps and crash reports.
+uint64_t configKeyHash(const Config& config, const PassOptions& passes);
 
 // One asynchronous rewrite. entry() is callable the moment rewriteAsync
 // returns: it forwards to the original function until the worker finishes,

@@ -7,7 +7,7 @@
 //
 //   subdir            = hex(build-id hash of the main executable)
 //   entry file name   = hex(fnv(exe build-id, module id, fn module-offset,
-//                               Config/PassOptions fingerprint, args hash))
+//                               configFp, argsHash))
 //
 // so a restarted process (same binary, any ASLR layout) recomputes the same
 // name and warm-starts with zero trace phases, while a rebuilt binary or a

@@ -53,35 +53,161 @@ Config knownFirstParam() {
   return config;
 }
 
+void noteGuest(uint64_t) {}
+
 TEST(ConfigFingerprint, DeterministicAndShapeSensitive) {
-  Config a = knownFirstParam();
-  Config b = knownFirstParam();
-  EXPECT_EQ(a.fingerprint(), b.fingerprint());
-
-  Config c = knownFirstParam();
-  c.setParamKnown(1);
-  EXPECT_NE(a.fingerprint(), c.fingerprint());
-
-  Config d = knownFirstParam();
-  d.setReturnKind(ReturnKind::Float);
-  EXPECT_NE(a.fingerprint(), d.fingerprint());
-
-  PassOptions defaults;
-  PassOptions ablation;
-  ablation.peephole = false;
-  EXPECT_NE(defaults.fingerprint(), ablation.fingerprint());
+  // One code-shaping field changed per row, against knownFirstParam() with
+  // default passes. The argument list is one known integer, so every row
+  // except the region row differs from the base in the configuration
+  // section of the key alone.
+  using Edit = void (*)(Config&, PassOptions&);
+  static const int64_t data[2] = {11, 22};
+  const struct {
+    const char* name;
+    Edit edit;
+  } rows[] = {
+      {"base", [](Config&, PassOptions&) {}},
+      {"param known", [](Config& c, PassOptions&) { c.setParamKnown(1); }},
+      {"param known float",
+       [](Config& c, PassOptions&) { c.setParamKnown(1, true); }},
+      {"param known ptr, size 0",
+       [](Config& c, PassOptions&) { c.setParamKnownPtr(1, 0); }},
+      {"param known ptr, size 16",
+       [](Config& c, PassOptions&) { c.setParamKnownPtr(1, 16); }},
+      {"param unknown", [](Config& c, PassOptions&) { c.setParamUnknown(1); }},
+      {"param float", [](Config& c, PassOptions&) { c.setParamFloat(1); }},
+      {"first param taken back",
+       [](Config& c, PassOptions&) { c.setParamUnknown(0); }},
+      {"known region",
+       [](Config& c, PassOptions&) { c.addKnownRegion(data, sizeof data); }},
+      {"function options",
+       [](Config& c, PassOptions&) {
+         c.setFunctionOptions(reinterpret_cast<void*>(&addmul), {});
+       }},
+      {"function options, other function",
+       [](Config& c, PassOptions&) {
+         c.setFunctionOptions(reinterpret_cast<void*>(&triple), {});
+       }},
+      {"function options, no inlining",
+       [](Config& c, PassOptions&) {
+         c.setFunctionOptions(reinterpret_cast<void*>(&addmul),
+                              {.inlineCalls = false});
+       }},
+      {"default no inlining",
+       [](Config& c, PassOptions&) {
+         c.setDefaultFunctionOptions({.inlineCalls = false});
+       }},
+      {"default force unknown",
+       [](Config& c, PassOptions&) {
+         c.setDefaultFunctionOptions({.forceUnknownResults = true});
+       }},
+      {"default pure",
+       [](Config& c, PassOptions&) {
+         c.setDefaultFunctionOptions({.pure = true});
+       }},
+      {"fold zero accumulator off",
+       [](Config& c, PassOptions&) { c.setFoldZeroAccumulator(false); }},
+      {"return float",
+       [](Config& c, PassOptions&) { c.setReturnKind(ReturnKind::Float); }},
+      {"chain blocks off",
+       [](Config& c, PassOptions&) { c.setChainBlocks(false); }},
+      {"reconverge joins off",
+       [](Config& c, PassOptions&) { c.setReconvergeJoins(false); }},
+      {"side exit fallback off",
+       [](Config& c, PassOptions&) { c.setSideExitFallback(false); }},
+      {"maxTraceSteps",
+       [](Config& c, PassOptions&) { ++c.limits().maxTraceSteps; }},
+      {"maxCodeBytes",
+       [](Config& c, PassOptions&) { ++c.limits().maxCodeBytes; }},
+      {"maxBlocks", [](Config& c, PassOptions&) { ++c.limits().maxBlocks; }},
+      {"maxVariantsPerAddress",
+       [](Config& c, PassOptions&) { ++c.limits().maxVariantsPerAddress; }},
+      {"maxInlineDepth",
+       [](Config& c, PassOptions&) { ++c.limits().maxInlineDepth; }},
+      {"maxForkDepth",
+       [](Config& c, PassOptions&) { ++c.limits().maxForkDepth; }},
+      {"onEntry",
+       [](Config& c, PassOptions&) { c.injection().onEntry = &noteGuest; }},
+      {"onExit",
+       [](Config& c, PassOptions&) { c.injection().onExit = &noteGuest; }},
+      {"onLoad",
+       [](Config& c, PassOptions&) { c.injection().onLoad = &noteGuest; }},
+      {"onStore",
+       [](Config& c, PassOptions&) { c.injection().onStore = &noteGuest; }},
+      {"peephole off", [](Config&, PassOptions& p) { p.peephole = false; }},
+      {"deadFlagWriters off",
+       [](Config&, PassOptions& p) { p.deadFlagWriters = false; }},
+      {"redundantLoads off",
+       [](Config&, PassOptions& p) { p.redundantLoads = false; }},
+      {"foldZeroAdd on", [](Config&, PassOptions& p) { p.foldZeroAdd = true; }},
+      {"mergeBlocks off",
+       [](Config&, PassOptions& p) { p.mergeBlocks = false; }},
+      {"slpVectorize off",
+       [](Config&, PassOptions& p) { p.slpVectorize = false; }},
+      {"crossIterLoads off",
+       [](Config&, PassOptions& p) { p.crossIterLoads = false; }},
+      // The counts frame the variable-length parts. Without the declared
+      // parameter count, these two would write the same words: parameter
+      // words 1 (Known) and 0x10002 (KnownPtr of 1 byte) against an
+      // option count of 1 and one entry at address 0x10002.
+      {"framing: three declared parameters",
+       [](Config& c, PassOptions&) {
+         c.setParamKnown(1);
+         c.setParamKnownPtr(2, 1);
+       }},
+      {"framing: one per-function entry",
+       [](Config& c, PassOptions&) {
+         c.setFunctionOptions(reinterpret_cast<void*>(0x10002),
+                              {.inlineCalls = false});
+       }},
+  };
+  const ArgValue args[] = {ArgValue::fromInt(3)};
+  auto keyOf = [&](Edit edit) {
+    Config config = knownFirstParam();
+    PassOptions passes;
+    edit(config, passes);
+    // The writer fills exactly the size the key build reserves (one spare
+    // word, so a word added without resizing fails here, not past the end).
+    std::vector<uint8_t> section(config.keySectionBytes() + 8);
+    EXPECT_EQ(config.writeKeySection(section.data(), 0) - section.data(),
+              static_cast<ptrdiff_t>(config.keySectionBytes()));
+    const CacheKey key =
+        makeCacheKey(config, passes, reinterpret_cast<void*>(&addmul), args);
+    EXPECT_EQ(key.configFp, configKeyHash(config, passes));
+    return key;
+  };
+  std::vector<CacheKey> keys;
+  for (const auto& row : rows) {
+    keys.push_back(keyOf(row.edit));
+    EXPECT_EQ(keyOf(row.edit), keys.back()) << row.name;  // deterministic
+  }
+  for (size_t i = 0; i < keys.size(); ++i)
+    for (size_t j = 0; j < i; ++j)
+      EXPECT_NE(keys[i].bytes, keys[j].bytes)
+          << rows[i].name << " aliases " << rows[j].name;
 }
 
 TEST(CacheKeying, UnknownArgumentsShareOneEntry) {
   // Only known values reach the generated code, so rewrites differing in
   // unknown arguments must alias.
+  const auto* fn = reinterpret_cast<void*>(&addmul);
   Config config;
   const ArgValue a[] = {ArgValue::fromInt(1), ArgValue::fromInt(2)};
   const ArgValue b[] = {ArgValue::fromInt(30), ArgValue::fromInt(40)};
-  EXPECT_EQ(hashSpecArgs(config, a), hashSpecArgs(config, b));
+  EXPECT_EQ(makeCacheKey(config, {}, fn, a), makeCacheKey(config, {}, fn, b));
 
   Config known = knownFirstParam();
-  EXPECT_NE(hashSpecArgs(known, a), hashSpecArgs(known, b));
+  EXPECT_NE(makeCacheKey(known, {}, fn, a).bytes,
+            makeCacheKey(known, {}, fn, b).bytes);
+
+  // An unknown argument's class still moves the known one after it to
+  // another ABI register, so it stays in the key.
+  Config second;
+  second.setParamKnown(1);
+  const ArgValue floatFirst[] = {ArgValue::fromDouble(1.0),
+                                 ArgValue::fromInt(2)};
+  EXPECT_NE(makeCacheKey(second, {}, fn, a).bytes,
+            makeCacheKey(second, {}, fn, floatFirst).bytes);
 }
 
 TEST(CacheKeying, CollidingKeysKeepTheirOwnBlocks) {

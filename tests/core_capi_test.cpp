@@ -99,9 +99,9 @@ TEST(CApi, Figure5StencilSpecialization) {
   brew_freeConf(conf);
 }
 
-// The block-chained tier knobs (docs/BLOCKS.md) flow through the conf
-// fingerprint: flipping one must produce a distinct cached specialization,
-// and both settings must compute the same results.
+// The block-chained tier knobs (docs/BLOCKS.md) are words of the cache
+// key: flipping one must produce a distinct cached specialization, and
+// both settings must compute the same results.
 TEST(CApi, BlockTierKnobs) {
   brew_conf* chained = brew_initConf();
   brew_setnpar(chained, 2);
@@ -125,6 +125,61 @@ TEST(CApi, BlockTierKnobs) {
   brew_release_h(b);
   brew_freeConf(chained);
   brew_freeConf(generic);
+}
+
+// Each parameter setter leaves exactly the state it names: a parameter
+// taken back with BREW_UNKNOWN is a call-time input again, so rewrites
+// differing only in it share one specialization, and a pointer-to-known
+// declaration overridden by BREW_KNOWN keys like plain BREW_KNOWN.
+TEST(CApi, SetparUnknownTakesBackKnown) {
+  brew_conf* conf = brew_initConf();
+  brew_setnpar(conf, 2);
+  brew_setret(conf, BREW_RET_INT);
+  brew_setpar(conf, 1, BREW_KNOWN);
+  brew_setpar(conf, 1, BREW_UNKNOWN);
+  brew_func* a = brew_rewrite2(conf, (void*)xorshift, 3, 4);
+  brew_func* b = brew_rewrite2(conf, (void*)xorshift, 5, 6);
+  ASSERT_NE(a, nullptr) << brew_lastError(conf);
+  ASSERT_NE(b, nullptr) << brew_lastError(conf);
+  EXPECT_EQ(brew_func_entry(a), brew_func_entry(b));
+  EXPECT_EQ(((addmul_t)brew_func_entry(a))(7, 2), xorshift(7, 2));
+  EXPECT_EQ(((addmul_t)brew_func_entry(b))(9, 1), xorshift(9, 1));
+  brew_release_h(a);
+  brew_release_h(b);
+
+  brew_setpar_double(conf, 1, BREW_KNOWN);
+  brew_setpar_double(conf, 1, BREW_UNKNOWN);
+  brew_setpar_double(conf, 2, BREW_KNOWN);
+  brew_setpar_double(conf, 2, BREW_UNKNOWN);
+  brew_setret(conf, BREW_RET_DOUBLE);
+  brew_func* c = brew_rewrite2(conf, (void*)scale, 1.5, 2.0);
+  brew_func* d = brew_rewrite2(conf, (void*)scale, 2.5, 4.0);
+  ASSERT_NE(c, nullptr) << brew_lastError(conf);
+  ASSERT_NE(d, nullptr) << brew_lastError(conf);
+  EXPECT_EQ(brew_func_entry(c), brew_func_entry(d));
+  EXPECT_DOUBLE_EQ(((scale_t)brew_func_entry(c))(3.0, 0.5), 1.5);
+  EXPECT_DOUBLE_EQ(((scale_t)brew_func_entry(d))(8.0, 0.25), 2.0);
+  brew_release_h(c);
+  brew_release_h(d);
+  brew_freeConf(conf);
+
+  brew_conf* known = brew_initConf();
+  brew_setnpar(known, 2);
+  brew_setpar(known, 1, BREW_KNOWN);
+  brew_conf* wasPtr = brew_initConf();
+  brew_setnpar(wasPtr, 2);
+  brew_setpar_ptr(wasPtr, 1, 16);
+  brew_setpar(wasPtr, 1, BREW_KNOWN);
+  brew_func* e = brew_rewrite2(known, (void*)mulsub, 3, 4);
+  brew_func* f = brew_rewrite2(wasPtr, (void*)mulsub, 3, 4);
+  ASSERT_NE(e, nullptr) << brew_lastError(known);
+  ASSERT_NE(f, nullptr) << brew_lastError(wasPtr);
+  EXPECT_EQ(brew_func_entry(e), brew_func_entry(f));
+  EXPECT_EQ(((addmul_t)brew_func_entry(f))(0, 5), mulsub(3, 5));
+  brew_release_h(e);
+  brew_release_h(f);
+  brew_freeConf(known);
+  brew_freeConf(wasPtr);
 }
 
 TEST(CApi, SetmemDeclaresConstantData) {

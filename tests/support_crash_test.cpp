@@ -148,7 +148,7 @@ TEST(CrashAttribution, ReportIncludesDisassemblyWhenRegistered) {
   // rewriter.cpp static-registers the disassembler callback; referencing a
   // symbol it defines forces its object (and that initializer) into this
   // binary, so child reports carry a disassembly section, not just hex.
-  const volatile uint64_t forceLink = PassOptions{}.fingerprint();
+  auto* volatile forceLink = &compileSpecialization;
   (void)forceLink;
   const std::string path = crashFilePath("disasm");
   ASSERT_EQ(runCrashChild(SIGILL, "disasmcase", path), SIGILL);

@@ -303,60 +303,77 @@ TEST(PersistCorruption, ForeignBuildIdRejects) {
 
 TEST(PersistCorruption, ForeignKeyBytesUnderCollidingNameRejects) {
   // A valid entry filed under the request's (fn, configFp, argsHash) but
-  // written for other key bytes: the on-disk face of an argsHash
-  // collision. Its payload is the code for a = 6, so adopting it would
-  // return wrong results for a = 5.
-  TempDir dir;
-  const Config config = knownFirstParam();
+  // written for other key bytes: the on-disk face of a hash collision.
+  // Two inputs: the code for a = 6 under the name of a = 5, and the code
+  // for knownFirstParam() under the name of a config that differs from it
+  // in the return kind alone. Adopting either would serve foreign code.
   const auto* fn = reinterpret_cast<const void*>(&addmul);
-  const CacheKey key = makeCacheKey(config, {}, fn, argsFor(5));
-  auto reference = compileSpecialization(config, {}, fn, argsFor(5));
-  auto foreign = compileSpecialization(config, {}, fn, argsFor(6));
-  ASSERT_TRUE(reference.ok());
-  ASSERT_TRUE(foreign.ok());
-  {
-    auto store = persist::Store::open(dir.path);
-    ASSERT_NE(store, nullptr);
-    const CodeBlock* block = foreign->get();
-    const CacheKey foreignKey = makeCacheKey(config, {}, fn, argsFor(6));
-    persist::WriteRequest req;
-    req.fn = fn;
-    req.configFp = key.configFp;
-    req.argsHash = key.argsHash;
-    req.keyBytes = foreignKey.bytes;
-    req.bytes = block->memory.data();
-    req.size = block->memory.size();
-    req.codeBytes = static_cast<uint32_t>(block->emitStats.codeBytes);
-    req.blockUnits = static_cast<uint32_t>(block->blockUnits());
-    ASSERT_TRUE(store->write(req));
-  }
+  Config otherReturn = knownFirstParam();
+  otherReturn.setReturnKind(ReturnKind::Unknown);
+  const struct {
+    const char* name;
+    Config config;         // the request
+    Config foreignConfig;  // what the entry was built for
+    int foreignKnown;
+  } inputs[] = {
+      {"other argument", knownFirstParam(), knownFirstParam(), 6},
+      {"other config", otherReturn, knownFirstParam(), 5},
+  };
+  for (const auto& input : inputs) {
+    SCOPED_TRACE(input.name);
+    TempDir dir;
+    const Config& config = input.config;
+    const CacheKey key = makeCacheKey(config, {}, fn, argsFor(5));
+    auto reference = compileSpecialization(config, {}, fn, argsFor(5));
+    auto foreign = compileSpecialization(input.foreignConfig, {}, fn,
+                                         argsFor(input.foreignKnown));
+    ASSERT_TRUE(reference.ok());
+    ASSERT_TRUE(foreign.ok());
+    {
+      auto store = persist::Store::open(dir.path);
+      ASSERT_NE(store, nullptr);
+      const CodeBlock* block = foreign->get();
+      const CacheKey foreignKey = makeCacheKey(
+          input.foreignConfig, {}, fn, argsFor(input.foreignKnown));
+      persist::WriteRequest req;
+      req.fn = fn;
+      req.configFp = key.configFp;
+      req.argsHash = key.argsHash;
+      req.keyBytes = foreignKey.bytes;
+      req.bytes = block->memory.data();
+      req.size = block->memory.size();
+      req.codeBytes = static_cast<uint32_t>(block->emitStats.codeBytes);
+      req.blockUnits = static_cast<uint32_t>(block->blockUnits());
+      ASSERT_TRUE(store->write(req));
+    }
 
-  const uint64_t rejectsBefore = counterValue(
-      telemetry::CounterId::PersistRejects);
-  {
-    SpecManager manager{persistOptions(dir.path)};
-    auto result = manager.rewrite(config, {}, fn, argsFor(5));
-    ASSERT_TRUE(result.ok()) << result.error().message();
-    const CacheStats stats = manager.cache().stats();
-    EXPECT_EQ(stats.persistHits, 0u);
-    EXPECT_EQ(stats.persistRejects, 1u);
-    EXPECT_EQ(stats.persistWrites, 1u);  // the cold build replaced it
-    EXPECT_EQ(counterValue(telemetry::CounterId::PersistRejects),
-              rejectsBefore + 1);
-    // Compiled cold: bit-exact against the genuine specialization.
-    const ExecMemory& got = (*result)->memory;
-    const ExecMemory& want = (*reference)->memory;
-    ASSERT_EQ(got.size(), want.size());
-    EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size()), 0);
-    EXPECT_EQ(reinterpret_cast<addmul_t>(result->entry())(5, 9), 44);
-  }
+    const uint64_t rejectsBefore = counterValue(
+        telemetry::CounterId::PersistRejects);
+    {
+      SpecManager manager{persistOptions(dir.path)};
+      auto result = manager.rewrite(config, {}, fn, argsFor(5));
+      ASSERT_TRUE(result.ok()) << result.error().message();
+      const CacheStats stats = manager.cache().stats();
+      EXPECT_EQ(stats.persistHits, 0u);
+      EXPECT_EQ(stats.persistRejects, 1u);
+      EXPECT_EQ(stats.persistWrites, 1u);  // the cold build replaced it
+      EXPECT_EQ(counterValue(telemetry::CounterId::PersistRejects),
+                rejectsBefore + 1);
+      // Compiled cold: bit-exact against the genuine specialization.
+      const ExecMemory& got = (*result)->memory;
+      const ExecMemory& want = (*reference)->memory;
+      ASSERT_EQ(got.size(), want.size());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size()), 0);
+      EXPECT_EQ(reinterpret_cast<addmul_t>(result->entry())(5, 9), 44);
+    }
 
-  // The replacement carries the right key bytes: a restart now hits.
-  SpecManager restarted{persistOptions(dir.path)};
-  auto warm = restarted.rewrite(config, {}, fn, argsFor(5));
-  ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(restarted.cache().stats().persistHits, 1u);
-  EXPECT_EQ(reinterpret_cast<addmul_t>(warm->entry())(5, 9), 44);
+    // The replacement carries the right key bytes: a restart now hits.
+    SpecManager restarted{persistOptions(dir.path)};
+    auto warm = restarted.rewrite(config, {}, fn, argsFor(5));
+    ASSERT_TRUE(warm.ok());
+    EXPECT_EQ(restarted.cache().stats().persistHits, 1u);
+    EXPECT_EQ(reinterpret_cast<addmul_t>(warm->entry())(5, 9), 44);
+  }
 }
 
 TEST(PersistCorruption, KillDuringWriteTortureLoop) {
