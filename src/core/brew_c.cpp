@@ -5,10 +5,12 @@
 // never see each other's failures.
 #include "core/brew.h"
 
+#include <array>
 #include <atomic>
 #include <cstdarg>
 #include <cstdio>
 #include <map>
+#include <span>
 #include <string>
 
 #include "core/dispatch.hpp"
@@ -69,23 +71,49 @@ bool validIndex(int index) {
          index <= static_cast<int>(brew::Config::kMaxParams);
 }
 
-// Reads one variadic argument per declared parameter, typed by the conf.
-std::vector<brew::ArgValue> readArgsV(const brew_conf* conf, va_list ap) {
-  std::vector<brew::ArgValue> args;
+// Storage for one argument per parameter a conf can declare.
+using ArgArray = std::array<brew::ArgValue, brew::Config::kMaxParams>;
+
+// Reads one variadic argument per declared parameter, typed by the conf,
+// into `out`; returns the ones read.
+std::span<const brew::ArgValue> readArgsV(const brew_conf* conf, va_list ap,
+                                          ArgArray& out) {
   for (int i = 0; i < conf->paramCount; ++i) {
     const brew::ParamSpec& spec =
         conf->config.param(static_cast<size_t>(i));
     if (spec.isFloat)
-      args.push_back(brew::ArgValue::fromDouble(va_arg(ap, double)));
+      out[i] = brew::ArgValue::fromDouble(va_arg(ap, double));
     else
-      args.push_back(brew::ArgValue::fromInt(va_arg(ap, uint64_t)));
+      out[i] = brew::ArgValue::fromInt(va_arg(ap, uint64_t));
   }
-  return args;
+  return std::span(out).first(static_cast<size_t>(conf->paramCount));
 }
 
-// Wraps a cache handle in a fresh brew_func with its stats filled in.
+std::vector<brew::ArgValue> readArgVectorV(const brew_conf* conf,
+                                           va_list ap) {
+  ArgArray storage;
+  const std::span<const brew::ArgValue> args = readArgsV(conf, ap, storage);
+  return {args.begin(), args.end()};
+}
+
+// Released brew_func shells, kept per thread for the next wrapHandle, so a
+// cached brew_rewrite2 hit that its caller releases allocates nothing.
+struct FuncShelf {
+  static constexpr size_t kCapacity = 8;
+  brew_func* shells[kCapacity] = {};
+  size_t count = 0;
+  ~FuncShelf() {
+    while (count != 0) delete shells[--count];
+  }
+};
+thread_local FuncShelf t_funcShelf;
+
+// Wraps a cache handle in a brew_func with its stats filled in.
 brew_func* wrapHandle(brew::CodeHandle handle) {
-  auto* out = new brew_func();
+  FuncShelf& shelf = t_funcShelf;
+  brew_func* out =
+      shelf.count != 0 ? shelf.shells[--shelf.count] : new brew_func();
+  out->refs.store(1, std::memory_order_relaxed);
   const brew::TraceStats& ts = handle->traceStats;
   out->stats = brew_stats{ts.tracedInstructions, ts.capturedInstructions,
                           ts.elidedInstructions, ts.blocks,
@@ -98,7 +126,8 @@ brew_func* wrapHandle(brew::CodeHandle handle) {
 // through the process-wide specialization cache.
 brew_func* rewriteV(brew_conf* conf, const void* fn, va_list ap) {
   if (conf == nullptr || fn == nullptr) return nullptr;
-  std::vector<brew::ArgValue> args = readArgsV(conf, ap);
+  ArgArray storage;
+  const std::span<const brew::ArgValue> args = readArgsV(conf, ap, storage);
 
   auto result = brew::SpecManager::process().rewrite(
       conf->config, brew::PassOptions{}, fn, args);
@@ -294,8 +323,13 @@ brew_func* brew_retain(brew_func* fn) {
 }
 
 void brew_release_h(brew_func* fn) {
-  if (fn != nullptr &&
-      fn->refs.fetch_sub(1, std::memory_order_acq_rel) == 1)
+  if (fn == nullptr || fn->refs.fetch_sub(1, std::memory_order_acq_rel) != 1)
+    return;
+  fn->handle.reset();  // the code goes now, not when the shell is reused
+  FuncShelf& shelf = t_funcShelf;
+  if (shelf.count < FuncShelf::kCapacity)
+    shelf.shells[shelf.count++] = fn;
+  else
     delete fn;
 }
 
@@ -310,7 +344,7 @@ brew_batch* brew_rewrite_batch(brew_conf* conf, const void* const* fns,
   if (conf == nullptr || (fns == nullptr && count > 0)) return nullptr;
   va_list ap;
   va_start(ap, count);
-  std::vector<brew::ArgValue> args = readArgsV(conf, ap);
+  std::vector<brew::ArgValue> args = readArgVectorV(conf, ap);
   va_end(ap);
 
   auto* batch = new brew_batch();
@@ -419,7 +453,7 @@ brew_dispatch* brew_dispatch_create(brew_conf* conf, const void* fn,
   }
   va_list ap;
   va_start(ap, param_index);
-  std::vector<brew::ArgValue> args = readArgsV(conf, ap);
+  std::vector<brew::ArgValue> args = readArgVectorV(conf, ap);
   va_end(ap);
 
   auto* dispatch = new brew_dispatch();

@@ -133,7 +133,7 @@ std::unique_lock<std::mutex> CodeCache::lockShard(Shard& shard) {
 // Lock-free hit path
 // ---------------------------------------------------------------------------
 
-CodeHandle CodeCache::fastLookup(const CacheKey& key, size_t hash) {
+CodeHandle CodeCache::fastLookup(const CacheKeyView& key, size_t hash) {
   if (hitSlots_ == nullptr) return CodeHandle{};
   HitSlot& slot = hitSlots_[slotIndex(hash)];
   // The guard keeps any block whose pointer we can still load from the
@@ -170,7 +170,7 @@ CodeHandle CodeCache::fastLookup(const CacheKey& key, size_t hash) {
   // check: a key whose hashes collide with the slot's falls through to
   // its shard, where the map compares the full bytes too.
   if (slot.seq.load(std::memory_order_acquire) != s1 ||
-      block->keyBytes != key.bytes)
+      !std::ranges::equal(block->keyBytes, key.bytes))
     return CodeHandle{};  // `handle` drops the reference
 
   fastpathHits_.fetch_add(1, std::memory_order_relaxed);
@@ -179,7 +179,7 @@ CodeHandle CodeCache::fastLookup(const CacheKey& key, size_t hash) {
   return handle;
 }
 
-void CodeCache::publishLocked(size_t hash, const KeyRef& key,
+void CodeCache::publishLocked(size_t hash, const CacheKeyView& key,
                               const CodeHandle& handle) {
   if (hitSlots_ == nullptr || !handle) return;
   HitSlot& slot = hitSlots_[slotIndex(hash)];
@@ -232,7 +232,8 @@ void CodeCache::touchLocked(Shard& shard, Entry& entry) {
   entry.stamp = lruClock_.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
-void CodeCache::insertLocked(Shard& shard, size_t hash, const KeyRef& key,
+void CodeCache::insertLocked(Shard& shard, size_t hash,
+                             const CacheKeyView& key,
                              const CodeHandle& handle,
                              std::vector<CodeHandle>& dropped) {
   auto it = shard.entries.find(key);
@@ -275,7 +276,7 @@ void CodeCache::eraseLocked(
   entryCount_.fetch_sub(1, std::memory_order_relaxed);
 }
 
-void CodeCache::enforceBudget(const KeyRef* protect,
+void CodeCache::enforceBudget(const CacheKeyView* protect,
                               std::vector<CodeHandle>& dropped) {
   // Runs with NO shard lock held; takes one shard lock at a time. The
   // budget is global, so the victim search spans shards: pick the entry
@@ -315,7 +316,7 @@ void CodeCache::enforceBudget(const KeyRef* protect,
         if (protect != nullptr && *keyIt == *protect) continue;
         auto it = shard.entries.find(*keyIt);
         if (it == shard.entries.end()) break;
-        const size_t victimHash = KeyRefHash{}(*keyIt);
+        const size_t victimHash = CacheKeyHash{}(*keyIt);
         eraseLocked(shard, victimHash, it, dropped);
         ++shard.evictions;
         mirror(telemetry::CounterId::CacheEvictions).add();
@@ -332,18 +333,16 @@ void CodeCache::enforceBudget(const KeyRef* protect,
 // Public API
 // ---------------------------------------------------------------------------
 
-Result<CodeHandle> CodeCache::getOrBuild(
-    const CacheKey& key, const std::function<Result<CodeHandle>()>& build) {
+Result<CodeHandle> CodeCache::getOrBuild(const CacheKeyView& key,
+                                         BuildRef build) {
   const size_t hash = CacheKeyHash{}(key);
   if (CodeHandle fast = fastLookup(key, hash)) return fast;
 
   Shard& shard = *shards_[shardIndex(hash)];
-  const KeyRef ref(key);
   std::shared_ptr<InFlight> flight;
-  bool builder = false;
   {
     std::unique_lock<std::mutex> lock = lockShard(shard);
-    auto it = shard.entries.find(ref);
+    auto it = shard.entries.find(key);
     if (it != shard.entries.end()) {
       ++shard.hits;
       mirror(telemetry::CounterId::CacheHits).add();
@@ -352,46 +351,50 @@ Result<CodeHandle> CodeCache::getOrBuild(
       publishLocked(hash, it->first, it->second.handle);
       return it->second.handle;
     }
-    // The in-flight record points at `key`, which outlives it: the
-    // builder erases the record before this call returns.
-    auto fit = shard.inFlight.find(ref);
+    auto fit = shard.inFlight.find(key);
     if (fit != shard.inFlight.end()) {
       flight = fit->second;
       ++shard.hits;
       ++shard.inFlightWaits;
       mirror(telemetry::CounterId::CacheHits).add();
       mirror(telemetry::CounterId::CacheInFlightWaits).add();
-    } else {
-      flight = std::make_shared<InFlight>();
-      shard.inFlight.emplace(ref, flight);
-      builder = true;
-      ++shard.misses;
-      mirror(telemetry::CounterId::CacheMisses).add();
+      lock.unlock();
+      std::unique_lock<std::mutex> wait(flight->mu);
+      flight->cv.wait(wait, [&] { return flight->done; });
+      if (flight->ok) return flight->handle;
+      return flight->error;
     }
+    // This call builds. The one copy of the key bytes: the in-flight
+    // record's map key points at it, `build` receives it, and it becomes
+    // the block's keyBytes. The caller's bytes are not used past here.
+    flight = std::make_shared<InFlight>();
+    flight->keyBytes.assign(key.bytes.begin(), key.bytes.end());
+    shard.inFlight.emplace(key.withBytes(flight->keyBytes), flight);
+    ++shard.misses;
+    mirror(telemetry::CounterId::CacheMisses).add();
   }
 
-  if (!builder) {
-    std::unique_lock<std::mutex> lock(flight->mu);
-    flight->cv.wait(lock, [&] { return flight->done; });
-    if (flight->ok) return flight->handle;
-    return flight->error;
-  }
-
-  Result<CodeHandle> built = build();
+  const CacheKeyView owned = key.withBytes(flight->keyBytes);
+  Result<CodeHandle> built = build(owned);
   // Each block enters the cache under exactly this one key, so it carries
   // the key's bytes: the entry's map key points at them, and the lock-free
   // path compares them. The block is still private to this thread.
-  const bool cacheable = built.ok() && *built;
-  if (cacheable) const_cast<CodeBlock*>(built->get())->keyBytes = key.bytes;
+  CodeBlock* block =
+      built.ok() ? const_cast<CodeBlock*>(built->get()) : nullptr;
   std::vector<CodeHandle> dropped;
   {
     std::unique_lock<std::mutex> lock = lockShard(shard);
-    shard.inFlight.erase(ref);
-    if (cacheable)
-      insertLocked(shard, hash, KeyRef(key, (*built)->keyBytes), *built,
+    shard.inFlight.erase(owned);
+    if (block != nullptr) {
+      block->keyBytes = std::move(flight->keyBytes);
+      insertLocked(shard, hash, owned.withBytes(block->keyBytes), *built,
                    dropped);
+    }
   }
-  if (cacheable) enforceBudget(&ref, dropped);
+  if (block != nullptr) {
+    const CacheKeyView protect = owned.withBytes(block->keyBytes);
+    enforceBudget(&protect, dropped);
+  }
   {
     std::lock_guard<std::mutex> lock(flight->mu);
     flight->done = true;
@@ -407,13 +410,13 @@ Result<CodeHandle> CodeCache::getOrBuild(
   // every cache lock: their death can reenter the ExecMemory free hook.
 }
 
-CodeHandle CodeCache::lookup(const CacheKey& key) {
+CodeHandle CodeCache::lookup(const CacheKeyView& key) {
   const size_t hash = CacheKeyHash{}(key);
   if (CodeHandle fast = fastLookup(key, hash)) return fast;
 
   Shard& shard = *shards_[shardIndex(hash)];
   std::unique_lock<std::mutex> lock = lockShard(shard);
-  auto it = shard.entries.find(KeyRef(key));
+  auto it = shard.entries.find(key);
   if (it == shard.entries.end()) {
     ++shard.misses;
     mirror(telemetry::CounterId::CacheMisses).add();
@@ -437,7 +440,7 @@ void CodeCache::collectInvalidated(const void* base, size_t size,
       if (it->first.fn >= start && it->first.fn < end) {
         auto victim = it++;
         const uint64_t victimFn = victim->first.fn;
-        eraseLocked(shard, KeyRefHash{}(victim->first), victim, out);
+        eraseLocked(shard, CacheKeyHash{}(victim->first), victim, out);
         ++shard.invalidations;
         mirror(telemetry::CounterId::CacheInvalidations).add();
         flight::record(flight::Event::CacheInvalidate, victimFn);
@@ -499,7 +502,7 @@ void CodeCache::clear() {
     size_t shardBytes = 0;
     size_t shardBlocks = 0;
     for (auto& [key, entry] : shard.entries) {
-      unpublishLocked(KeyRefHash{}(key), entry.handle.get());
+      unpublishLocked(CacheKeyHash{}(key), entry.handle.get());
       shardBytes += entry.handle ? entry.handle->codeBytes() : 0;
       shardBlocks += entry.handle ? entry.handle->blockUnits() : 0;
       dropped.push_back(std::move(entry.handle));

@@ -37,13 +37,15 @@
 // entry whose target lies in a freed range.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
+#include <span>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -163,12 +165,35 @@ class CodeHandle {
   CodeBlock* block_ = nullptr;
 };
 
+// Non-owning view of a cache key: what every lookup path takes. The bytes
+// may live in a caller's reused buffer (SpecManager::rewrite writes them
+// into a per-thread one); the cache copies them into owned storage only
+// when a call becomes the builder of a new entry, and never refers to the
+// caller's bytes after getOrBuild/lookup returns.
+struct CacheKeyView {
+  uint64_t fn = 0;
+  uint64_t configFp = 0;
+  uint64_t argsHash = 0;
+  std::span<const uint8_t> bytes;
+
+  // Exact, like CacheKey's: the hash words and every byte.
+  bool operator==(const CacheKeyView& other) const {
+    return fn == other.fn && configFp == other.configFp &&
+           argsHash == other.argsHash && std::ranges::equal(bytes, other.bytes);
+  }
+  // The same key over other storage of the same bytes.
+  CacheKeyView withBytes(std::span<const uint8_t> storage) const {
+    return {fn, configFp, argsHash, storage};
+  }
+};
+
 // Cache key: subject function address and the canonical bytes of
 // everything the generated code was specialized against (code-shaping
 // Config and PassOptions fields, known arguments and pointees, known
 // regions; see makeCacheKey). `configFp` and `argsHash` hash sections of
 // `bytes` to pick the shard and hit slot; equality compares the bytes
-// themselves, so keys whose hashes collide never share an entry.
+// themselves, so keys whose hashes collide never share an entry. The
+// owning form of CacheKeyView, to which it converts.
 struct CacheKey {
   uint64_t fn = 0;
   uint64_t configFp = 0;
@@ -176,6 +201,7 @@ struct CacheKey {
   std::vector<uint8_t> bytes;
 
   bool operator==(const CacheKey&) const = default;
+  operator CacheKeyView() const { return {fn, configFp, argsHash, bytes}; }
 };
 
 struct CacheKeyHash {
@@ -186,9 +212,39 @@ struct CacheKeyHash {
     h ^= argsHash + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
     return static_cast<size_t>(h);
   }
-  size_t operator()(const CacheKey& key) const noexcept {
+  size_t operator()(const CacheKeyView& key) const noexcept {
     return mix(key.fn, key.configFp, key.argsHash);
   }
+};
+
+// Non-owning reference to a getOrBuild builder: the callable's address and
+// a function that invokes it, so passing a builder allocates nothing (a
+// std::function would, for any lambda capturing more than two words). The
+// callable must outlive the getOrBuild call, as any argument temporary
+// does. It takes the owned view of the key being built, or nothing.
+class BuildRef {
+ public:
+  template <typename F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, BuildRef>)
+  BuildRef(F&& build) noexcept  // implicit: call sites pass a lambda
+      : callable_(static_cast<const void*>(std::addressof(build))),
+        invoke_([](const void* callable,
+                   const CacheKeyView& owned) -> Result<CodeHandle> {
+          using Fn = std::remove_reference_t<F>;
+          Fn& fn = *static_cast<Fn*>(const_cast<void*>(callable));
+          if constexpr (std::is_invocable_v<Fn&, const CacheKeyView&>)
+            return fn(owned);
+          else
+            return fn();
+        }) {}
+
+  Result<CodeHandle> operator()(const CacheKeyView& owned) const {
+    return invoke_(callable_, owned);
+  }
+
+ private:
+  const void* callable_;
+  Result<CodeHandle> (*invoke_)(const void*, const CacheKeyView&);
 };
 
 struct CacheStats {
@@ -243,12 +299,13 @@ class CodeCache {
   // Single-flight lookup-or-build. `build` runs outside all cache locks on
   // exactly one thread per key; concurrent same-key callers block until it
   // finishes and share the result. Failures are returned to every waiter
-  // and are NOT cached (the next request retries).
-  Result<CodeHandle> getOrBuild(const CacheKey& key,
-                                const std::function<Result<CodeHandle>()>& build);
+  // and are NOT cached (the next request retries). A hit allocates
+  // nothing. The builder copies `key.bytes` once, before `build` runs;
+  // `build` receives that owned copy.
+  Result<CodeHandle> getOrBuild(const CacheKeyView& key, BuildRef build);
 
   // Non-building probe; counts a hit or a miss. Null handle on miss.
-  CodeHandle lookup(const CacheKey& key);
+  CodeHandle lookup(const CacheKeyView& key);
 
   // Drops every entry whose key.fn lies in [base, base+size). Called by
   // the ExecMemory free hook; safe to call directly.
@@ -274,38 +331,21 @@ class CodeCache {
   void recordPersistWrite();
 
  private:
-  // Shard-map key: the hash words of a CacheKey and a pointer to its
-  // bytes. A cached entry's bytes are its block's keyBytes (kept alive by
-  // the entry's handle); an in-flight build's are the builder's CacheKey,
-  // which outlives the in-flight record. A cached key is thus stored once.
-  struct KeyRef {
-    KeyRef(const CacheKey& key, const std::vector<uint8_t>& keyBytes)
-        : fn(key.fn),
-          configFp(key.configFp),
-          argsHash(key.argsHash),
-          bytes(&keyBytes) {}
-    explicit KeyRef(const CacheKey& key) : KeyRef(key, key.bytes) {}
-    bool operator==(const KeyRef& other) const {
-      return fn == other.fn && configFp == other.configFp &&
-             argsHash == other.argsHash && *bytes == *other.bytes;
-    }
-    uint64_t fn;
-    uint64_t configFp;
-    uint64_t argsHash;
-    const std::vector<uint8_t>* bytes;
-  };
-  struct KeyRefHash {
-    size_t operator()(const KeyRef& key) const noexcept {
-      return CacheKeyHash::mix(key.fn, key.configFp, key.argsHash);
-    }
-  };
+  // Shard maps, LRU lists and the in-flight table are keyed by views. A
+  // cached entry's bytes are its block's keyBytes (kept alive by the
+  // entry's handle); an in-flight build's are the builder's owned copy in
+  // its InFlight record; a probe's are the caller's, used only under the
+  // shard lock. A cached key is thus stored once.
   struct Entry {
     CodeHandle handle;
-    std::list<KeyRef>::iterator lruPos;
+    std::list<CacheKeyView>::iterator lruPos;
     uint64_t stamp = 0;  // global recency stamp for cross-shard eviction
   };
-  using EntryMap = std::unordered_map<KeyRef, Entry, KeyRefHash>;
+  using EntryMap = std::unordered_map<CacheKeyView, Entry, CacheKeyHash>;
   struct InFlight {
+    // The builder's owned copy of the key bytes; the in-flight map key
+    // points at it, and it moves into the built block's keyBytes.
+    std::vector<uint8_t> keyBytes;
     std::mutex mu;
     std::condition_variable cv;
     bool done = false;
@@ -329,9 +369,9 @@ class CodeCache {
   struct Shard {
     mutable std::mutex mu;
     EntryMap entries;
-    std::unordered_map<KeyRef, std::shared_ptr<InFlight>, KeyRefHash>
+    std::unordered_map<CacheKeyView, std::shared_ptr<InFlight>, CacheKeyHash>
         inFlight;
-    std::list<KeyRef> lru;  // front = most recently used
+    std::list<CacheKeyView> lru;  // front = most recently used
     // Per-shard slices of the counters; stats() sums them.
     uint64_t hits = 0;
     uint64_t misses = 0;
@@ -348,13 +388,13 @@ class CodeCache {
   // Hot-path lock: counts acquisitions that had to wait (cache.shard_contention).
   std::unique_lock<std::mutex> lockShard(Shard& shard);
 
-  CodeHandle fastLookup(const CacheKey& key, size_t hash);
-  void publishLocked(size_t hash, const KeyRef& key,
+  CodeHandle fastLookup(const CacheKeyView& key, size_t hash);
+  void publishLocked(size_t hash, const CacheKeyView& key,
                      const CodeHandle& handle);
   void unpublishLocked(size_t hash, const CodeBlock* block);
 
   void touchLocked(Shard& shard, Entry& entry);
-  void insertLocked(Shard& shard, size_t hash, const KeyRef& key,
+  void insertLocked(Shard& shard, size_t hash, const CacheKeyView& key,
                     const CodeHandle& handle, std::vector<CodeHandle>& dropped);
   // Removes `it` from `shard`, unpublishing and debiting the global byte
   // count; the handle lands in `dropped` for release outside all locks.
@@ -364,7 +404,8 @@ class CodeCache {
   // Evicts globally-oldest LRU tails (one shard locked at a time, no shard
   // lock held on entry) until the byte budget is met. `protect`, when
   // non-null, is never evicted — the caller just received its handle.
-  void enforceBudget(const KeyRef* protect, std::vector<CodeHandle>& dropped);
+  void enforceBudget(const CacheKeyView* protect,
+                     std::vector<CodeHandle>& dropped);
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<HitSlot[]> hitSlots_;  // null in single-shard control mode

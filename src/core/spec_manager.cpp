@@ -1,5 +1,6 @@
 #include "core/spec_manager.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -15,8 +16,8 @@ namespace brew {
 
 namespace {
 
-// Key hash constants. Fixed, so a key hashes the same in every process:
-// argsHash and configFp name persistent-cache entry files.
+// Key hash constants (hashKeyBytes). Fixed, so a key hashes the same in
+// every process: argsHash and configFp name persistent-cache entry files.
 constexpr uint64_t kHashSeed = 0x2d358dccaa6c78a5ULL;
 constexpr uint64_t kHashK0 = 0xa0761d6478bd642fULL;
 constexpr uint64_t kHashK1 = 0xe7037ed1a0b428dbULL;
@@ -33,20 +34,6 @@ uint64_t loadWord(const uint8_t* p) {
   uint64_t v = 0;
   std::memcpy(&v, p, sizeof v);
   return v;
-}
-
-// Word-at-a-time hash of canonical key bytes: 16 bytes per multiply, the
-// length mixed in last so zero padding cannot alias a shorter key.
-uint64_t hashKeyBytes(std::span<const uint8_t> bytes) {
-  const uint8_t* p = bytes.data();
-  size_t n = bytes.size();
-  uint64_t h = kHashSeed;
-  for (; n >= 16; p += 16, n -= 16)
-    h = foldMul(loadWord(p) ^ kHashK0, loadWord(p + 8) ^ h);
-  uint64_t tail[2] = {0, 0};
-  if (n != 0) std::memcpy(tail, p, n);
-  h = foldMul(tail[0] ^ kHashK0, tail[1] ^ h);
-  return foldMul(h ^ kHashK1, bytes.size() ^ kHashK0);
 }
 
 // The PassOptions switches, for the flags word of Config::writeKeySection.
@@ -83,11 +70,14 @@ size_t wordBytes(size_t n) { return (n + 7) & ~size_t{7}; }
 //                 pointee bytes of a non-null KnownPtr
 //   region count
 //   per known region: start, length, contents
-// Every length is explicit, so equal bytes mean equal inputs.
-std::vector<uint8_t> specKeyBytes(const Config& config,
-                                  const PassOptions& passes,
-                                  std::span<const ArgValue> args) {
-  // Sizing pass first, so the key is one allocation and one write pass.
+// Every length is explicit, so equal bytes mean equal inputs. Writes the
+// key at the front of `out`, which only grows (a reused buffer then keeps
+// its size as well as its capacity, and resize never zero-fills), and
+// returns its length. Every key byte is written, padding included.
+size_t writeSpecKeyBytes(const Config& config, const PassOptions& passes,
+                         std::span<const ArgValue> args,
+                         std::vector<uint8_t>& out) {
+  // Sizing pass first, so the key is one resize and one write pass.
   const std::vector<MemRegion>& regions = config.knownRegions();
   // Both counts, one tag per argument.
   size_t size = config.keySectionBytes() + 8 * (2 + args.size());
@@ -99,14 +89,19 @@ std::vector<uint8_t> specKeyBytes(const Config& config,
   for (const MemRegion& region : regions)
     size += 16 + wordBytes(static_cast<size_t>(region.end - region.start));
 
-  std::vector<uint8_t> out(size);  // zero-filled: padding stays zero
+  if (out.size() < size) out.resize(size);
   uint8_t* p = config.writeKeySection(out.data(), passBits(passes));
   auto putWord = [&p](uint64_t v) {
     std::memcpy(p, &v, sizeof v);
     p += sizeof v;
   };
   auto putMemory = [&p](uint64_t address, size_t n) {
-    if (n != 0) std::memcpy(p, reinterpret_cast<const void*>(address), n);
+    if (n == 0) return;
+    // The buffer may hold an earlier key: zero the last word first, so the
+    // padding after the contents is zero.
+    const uint64_t zero = 0;
+    std::memcpy(p + wordBytes(n) - 8, &zero, 8);
+    std::memcpy(p, reinterpret_cast<const void*>(address), n);
     p += wordBytes(n);
   };
   putWord(args.size());
@@ -134,7 +129,7 @@ std::vector<uint8_t> specKeyBytes(const Config& config,
     putWord(n);
     putMemory(region.start, n);
   }
-  return out;
+  return size;
 }
 
 // env helper for Options::fromEnv: positive integer or fallthrough.
@@ -189,14 +184,53 @@ SpecManager::Options takeProcessOptions() {
 
 }  // namespace
 
+uint64_t hashKeyBytes(std::span<const uint8_t> bytes) {
+  const uint8_t* p = bytes.data();
+  size_t n = bytes.size();
+  uint64_t h = kHashSeed;
+  if (n >= 64) {
+    // Four independent multiply chains, one 16-byte step each per 64-byte
+    // block, so the multiplies overlap; then merged in lane order. Named
+    // variables, not an array: the lanes must stay in registers.
+    uint64_t a = kHashSeed;
+    uint64_t b = kHashSeed ^ kHashK0;
+    uint64_t c = kHashSeed ^ kHashK1;
+    uint64_t d = kHashSeed ^ kHashK0 ^ kHashK1;
+    for (; n >= 64; p += 64, n -= 64) {
+      a = foldMul(loadWord(p) ^ kHashK0, loadWord(p + 8) ^ a);
+      b = foldMul(loadWord(p + 16) ^ kHashK0, loadWord(p + 24) ^ b);
+      c = foldMul(loadWord(p + 32) ^ kHashK0, loadWord(p + 40) ^ c);
+      d = foldMul(loadWord(p + 48) ^ kHashK0, loadWord(p + 56) ^ d);
+    }
+    h = foldMul(a ^ kHashK0, b ^ h);
+    h = foldMul(c ^ kHashK0, d ^ h);
+  }
+  for (; n >= 16; p += 16, n -= 16)
+    h = foldMul(loadWord(p) ^ kHashK0, loadWord(p + 8) ^ h);
+  uint64_t tail[2] = {0, 0};
+  if (n != 0) std::memcpy(tail, p, n);
+  h = foldMul(tail[0] ^ kHashK0, tail[1] ^ h);
+  return foldMul(h ^ kHashK1, bytes.size() ^ kHashK0);
+}
+
+CacheKeyView writeCacheKey(const Config& config, const PassOptions& passes,
+                           const void* fn, std::span<const ArgValue> args,
+                           std::vector<uint8_t>& buffer) {
+  const size_t size = writeSpecKeyBytes(config, passes, args, buffer);
+  const std::span<const uint8_t> bytes(buffer.data(), size);
+  const size_t configBytes = config.keySectionBytes();
+  return CacheKeyView{reinterpret_cast<uint64_t>(fn),
+                      hashKeyBytes(bytes.first(configBytes)),
+                      hashKeyBytes(bytes.subspan(configBytes)), bytes};
+}
+
 CacheKey makeCacheKey(const Config& config, const PassOptions& passes,
                       const void* fn, std::span<const ArgValue> args) {
   CacheKey key;
-  key.fn = reinterpret_cast<uint64_t>(fn);
-  key.bytes = specKeyBytes(config, passes, args);
-  const size_t configBytes = config.keySectionBytes();
-  key.configFp = hashKeyBytes({key.bytes.data(), configBytes});
-  key.argsHash = hashKeyBytes(std::span(key.bytes).subspan(configBytes));
+  const CacheKeyView view = writeCacheKey(config, passes, fn, args, key.bytes);
+  key.fn = view.fn;
+  key.configFp = view.configFp;
+  key.argsHash = view.argsHash;
   return key;
 }
 
@@ -332,22 +366,30 @@ Result<CodeHandle> SpecManager::rewrite(const Config& config,
                                         std::span<const ArgValue> args) {
   if (fn == nullptr)
     return Error{ErrorCode::InvalidArgument, 0, "null function pointer"};
-  // The key build is timed on 1 call in 64 (cache.key_ns), so a slow hit
-  // can be split into key and lookup without two clock reads per call.
+  // The key is written into a per-thread buffer that keeps its capacity,
+  // so a cached hit allocates nothing; the cache copies the bytes only
+  // when this call builds. The key write and both hashes are timed on 1
+  // call in 64 (cache.key_ns), so a slow hit can be split into key and
+  // lookup without two clock reads per call.
+  thread_local std::vector<uint8_t> keyBuffer;
   thread_local uint32_t keySample = 0;
   const bool sampled = ((++keySample) & 63) == 0;
   const uint64_t keyStart = sampled ? telemetry::fastTicks() : 0;
-  const CacheKey key = makeCacheKey(config, passes, fn, args);
+  const CacheKeyView view =
+      writeCacheKey(config, passes, fn, args, keyBuffer);
   if (sampled)
     telemetry::histogram(telemetry::HistogramId::CacheKeyNs)
         .record(telemetry::ticksToNs(telemetry::fastTicks() - keyStart));
-  return cache_.getOrBuild(key, [&]() -> Result<CodeHandle> {
+  // The lambda's `key` is the cache's owned copy of `view`.
+  return cache_.getOrBuild(view, [&](const CacheKeyView& key)
+                                     -> Result<CodeHandle> {
     // Probe the persistent store first: a hit materializes finalized code
     // with zero trace/emulate/emit phases (docs/CACHE.md "Persistence").
     if (persist_ != nullptr) {
       persist::ProbeResult probe =
           persist_->probe(fn, key.configFp, key.argsHash);
-      if (probe.entry.has_value() && probe.entry->keyBytes != key.bytes) {
+      if (probe.entry.has_value() &&
+          !std::ranges::equal(probe.entry->keyBytes, key.bytes)) {
         // The file name and header hold hashes only; an entry stored under
         // other key bytes is refused like any invalid entry. The store has
         // already counted the load in cache.persist_hits.

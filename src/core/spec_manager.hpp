@@ -41,6 +41,22 @@ class Store;
 CacheKey makeCacheKey(const Config& config, const PassOptions& passes,
                       const void* fn, std::span<const ArgValue> args);
 
+// makeCacheKey into a caller's buffer, reusing it: the returned view's
+// bytes are the front of `buffer`, which grows to the longest key written
+// into it and never shrinks. SpecManager::rewrite keeps one per thread, so
+// a cached hit allocates nothing.
+CacheKeyView writeCacheKey(const Config& config, const PassOptions& passes,
+                           const void* fn, std::span<const ArgValue> args,
+                           std::vector<uint8_t>& buffer);
+
+// The key hash (configFp and argsHash hash one key section each). 64-byte
+// blocks fold in four independent multiply lanes, merged in lane order;
+// the rest in 16-byte steps, then the zero-padded tail; the length is
+// mixed in last, so zero padding cannot alias a shorter key. The constants
+// are fixed, so a key hashes the same in every process: the hashes name
+// persistent-cache entry files.
+uint64_t hashKeyBytes(std::span<const uint8_t> bytes);
+
 // makeCacheKey(config, passes, ...).configFp alone: tags uncached code in
 // perf maps and crash reports.
 uint64_t configKeyHash(const Config& config, const PassOptions& passes);

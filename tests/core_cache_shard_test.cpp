@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <shared_mutex>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -307,6 +308,95 @@ TEST(CacheShardTest, InvalidateRacesFastpathReaders) {
   EXPECT_EQ(stats.hits + stats.misses,
             static_cast<uint64_t>(kReaders) * kReads);
   EXPECT_GE(stats.misses, 1u);
+  epoch::drain();
+  EXPECT_EQ(epoch::pendingRetired(), 0u);
+}
+
+TEST(CacheShardTest, RedistributedPointeesServeOwnedKeys) {
+  // Domain-map-style redistribution: 8 threads rewrite through known
+  // pointers to a few shared maps while other iterations rewrite the maps'
+  // contents. Each thread's key lives in its own reused buffer; in-flight
+  // waiters and shard lookups must compare against the builder's owned
+  // copy, never that buffer (ThreadSanitizer reports a read of another
+  // thread's buffer as a race). A small budget keeps keys missing,
+  // evicting and hitting in turn. Every served entry must compute what the
+  // original computes on the map's current contents.
+  constexpr int kThreads = 8;
+  constexpr int kMaps = 3;
+  constexpr int kStates = 5;
+  constexpr int kIters = 300;
+  constexpr size_t kBudget = 256;
+
+  // "rax = p[0] + p[3] + x": the known pointee folds into constants.
+  jit::Assembler as;
+  as.movRegMem(isa::Reg::rax, isa::MemOperand{.base = isa::Reg::rdi}, 8);
+  as.movRegMem(isa::Reg::rcx,
+               isa::MemOperand{.base = isa::Reg::rdi, .disp = 24}, 8);
+  as.aluRegReg(isa::Mnemonic::Add, isa::Reg::rax, isa::Reg::rcx, 8);
+  as.aluRegReg(isa::Mnemonic::Add, isa::Reg::rax, isa::Reg::rsi, 8);
+  as.ret();
+  auto fn = as.finalizeExecutable();
+  ASSERT_TRUE(fn.ok()) << fn.error().message();
+  typedef int64_t (*map_fn)(const int64_t*, int64_t);
+  const auto original = reinterpret_cast<map_fn>(fn->data());
+
+  struct Map {
+    std::shared_mutex mu;  // shared: rewrite and call; unique: redistribute
+    int64_t words[4] = {};
+  };
+  Map maps[kMaps];
+  auto redistribute = [](Map& map, int state) {
+    for (int w = 0; w < 4; ++w) map.words[w] = state * 1000 + w;
+  };
+  for (Map& map : maps) redistribute(map, 0);
+
+  SpecManager manager{
+      SpecManager::Options{.workers = 1, .cacheBytes = kBudget}};
+  Config config;
+  config.setParamKnownPtr(0, sizeof maps[0].words);
+  config.setReturnKind(ReturnKind::Int);
+  std::atomic<int> wrong{0};
+  std::atomic<int> failed{0};
+  std::atomic<int> ready{0};
+  std::atomic<bool> go{false};
+
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (!go.load()) std::this_thread::yield();
+      for (int i = 0; i < kIters; ++i) {
+        Map& map = maps[(t + i) % kMaps];
+        if ((i + t) % 7 == 0) {
+          std::unique_lock<std::shared_mutex> lock(map.mu);
+          redistribute(map, (i * 3 + t) % kStates);
+          continue;
+        }
+        std::shared_lock<std::shared_mutex> lock(map.mu);
+        const ArgValue args[] = {ArgValue::fromPtr(map.words),
+                                 ArgValue::fromInt(static_cast<uint64_t>(i))};
+        auto result = manager.rewrite(config, PassOptions{}, fn->data(), args);
+        if (!result.ok()) {
+          failed.fetch_add(1);
+          continue;
+        }
+        if (reinterpret_cast<map_fn>(result->entry())(map.words, i) !=
+            original(map.words, i))
+          wrong.fetch_add(1);
+      }
+    });
+  }
+  while (ready.load() != kThreads) std::this_thread::yield();
+  go.store(true);
+  for (std::thread& thread : threads) thread.join();
+
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_EQ(wrong.load(), 0);
+  const CacheStats stats = manager.cache().stats();
+  EXPECT_GT(stats.hits, 0u);
+  EXPECT_GT(stats.misses, static_cast<uint64_t>(kMaps));
+  manager.cache().clear();
   epoch::drain();
   EXPECT_EQ(epoch::pendingRetired(), 0u);
 }

@@ -6,6 +6,8 @@
 
 #include <atomic>
 #include <cstring>
+#include <random>
+#include <span>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -256,6 +258,92 @@ TEST(CacheKeying, CollidingKeysKeepTheirOwnBlocks) {
   const CacheStats stats = cache.stats();
   EXPECT_EQ(stats.misses, 2u);
   EXPECT_EQ(stats.entries, 2u);
+}
+
+TEST(CacheKeying, HashSeesEveryByteAcrossTheLanes) {
+  // A 2368-byte key (the size of the grouped stencil's): one known pointer
+  // whose pointee fills the argument section. hashKeyBytes folds 64-byte
+  // blocks in four lanes, then 16-byte steps, then the tail; a change to
+  // any one byte must reach the hash wherever it falls.
+  constexpr size_t kKeyBytes = 2368;
+  Config config;
+  config.setParamKnownPtr(0, 1);  // sized below, once the section is known
+  // Argument section: count, tag, value, pointee, region count.
+  const size_t pointee = kKeyBytes - config.keySectionBytes() - 32;
+  config.setParamKnownPtr(0, pointee);
+  std::vector<uint8_t> data(pointee);
+  std::mt19937_64 rng(17);
+  for (uint8_t& byte : data) byte = static_cast<uint8_t>(rng());
+  const ArgValue args[] = {ArgValue::fromPtr(data.data())};
+  const void* fn = reinterpret_cast<const void*>(&triple);
+  const CacheKey key = makeCacheKey(config, {}, fn, args);
+  ASSERT_EQ(key.bytes.size(), kKeyBytes);
+
+  const size_t configBytes = config.keySectionBytes();
+  std::vector<uint8_t> bytes = key.bytes;
+  for (size_t offset = 0; offset < bytes.size(); ++offset) {
+    const bool inConfig = offset < configBytes;
+    for (const uint8_t flip : {uint8_t{0x01}, uint8_t{0x80}, uint8_t{0xff}}) {
+      bytes[offset] ^= flip;
+      const std::span<const uint8_t> all(bytes);
+      if (inConfig)
+        EXPECT_NE(hashKeyBytes(all.first(configBytes)), key.configFp)
+            << "config byte " << offset;
+      else
+        EXPECT_NE(hashKeyBytes(all.subspan(configBytes)), key.argsHash)
+            << "argument byte " << offset;
+      bytes[offset] ^= flip;
+    }
+  }
+
+  // One more zero word changes the hash: the length is folded in.
+  std::vector<uint8_t> longer(key.bytes.begin() + configBytes,
+                              key.bytes.end());
+  longer.resize(longer.size() + 8, 0);
+  EXPECT_NE(hashKeyBytes(longer), key.argsHash);
+
+  // Every block/step/tail layout: each byte of each short length counts.
+  for (size_t n = 8; n <= 256; n += 8) {
+    std::vector<uint8_t> shortKey(data.begin(), data.begin() + n);
+    const uint64_t h = hashKeyBytes(shortKey);
+    for (size_t offset = 0; offset < n; ++offset) {
+      shortKey[offset] ^= 0x01;
+      EXPECT_NE(hashKeyBytes(shortKey), h) << n << " bytes, byte " << offset;
+      shortKey[offset] ^= 0x01;
+    }
+  }
+
+  // Each hash covers only its own section.
+  data[pointee / 2] ^= 0x01;
+  const CacheKey argEdit = makeCacheKey(config, {}, fn, args);
+  data[pointee / 2] ^= 0x01;
+  EXPECT_EQ(argEdit.configFp, key.configFp);
+  EXPECT_NE(argEdit.argsHash, key.argsHash);
+  Config limits = config;
+  limits.limits().maxTraceSteps += 1;
+  const CacheKey configEdit = makeCacheKey(limits, {}, fn, args);
+  EXPECT_NE(configEdit.configFp, key.configFp);
+  EXPECT_EQ(configEdit.argsHash, key.argsHash);
+}
+
+TEST(CacheKeying, ReusedBufferWritesTheSameKey) {
+  // writeCacheKey reuses its buffer's capacity: a shorter key written over
+  // a longer one must come out byte-for-byte as a fresh key, padding
+  // included.
+  const uint8_t pointee[5] = {1, 2, 3, 4, 5};  // 3 bytes of padding
+  Config config;
+  config.setParamKnownPtr(0, sizeof pointee);
+  const ArgValue args[] = {ArgValue::fromPtr(pointee)};
+  const void* fn = reinterpret_cast<const void*>(&triple);
+  const CacheKey fresh = makeCacheKey(config, {}, fn, args);
+
+  std::vector<uint8_t> buffer(fresh.bytes.size() + 64, 0xaa);
+  const CacheKeyView view = writeCacheKey(config, {}, fn, args, buffer);
+  EXPECT_EQ(view.bytes.data(), buffer.data());
+  const CacheKey copied{
+      view.fn, view.configFp, view.argsHash,
+      std::vector<uint8_t>(view.bytes.begin(), view.bytes.end())};
+  EXPECT_EQ(copied, fresh);
 }
 
 TEST(CodeCacheTest, EightThreadsSameKeyTraceOnce) {
