@@ -80,4 +80,18 @@ for counter in cache.persist_hits cache.persist_writes \
   fi
 done
 echo "cache.persist_* counters present in BREW_STATS"
+
+# Asynchronous rewriting: the dispatch suite's async misses and epoch bumps
+# all go through SpecManager::rewriteBatch, so a BREW_STATS run must show
+# respecializations submitted and batch items installing code.
+stats_out=$(BREW_STATS=1 ./tests/core_dispatch_test 2>&1)
+for counter in dispatch.async_respecs cache.async_installs; do
+  if ! printf '%s\n' "$stats_out" | \
+      grep -E "$counter[[:space:]]+[1-9][0-9]*" > /dev/null; then
+    echo "FAIL: $counter missing or zero in BREW_STATS output" >&2
+    printf '%s\n' "$stats_out" | grep -E "async" >&2 || true
+    exit 1
+  fi
+done
+echo "async batch counters present in BREW_STATS"
 echo "telemetry/concurrency tests are TSan-clean"

@@ -347,11 +347,12 @@ brew_batch* brew_rewrite_batch(brew_conf* conf, const void* const* fns,
   std::vector<brew::ArgValue> args = readArgVectorV(conf, ap);
   va_end(ap);
 
+  std::vector<brew::RewriteItem> items(count);
+  for (size_t i = 0; i < count; ++i) items[i] = {fns[i], args};
   auto* batch = new brew_batch();
   batch->conf = conf;
   batch->impl = brew::SpecManager::process().rewriteBatch(
-      conf->config, brew::PassOptions{},
-      std::span<const void* const>(fns, count), std::move(args));
+      conf->config, brew::PassOptions{}, std::move(items));
   return batch;
 }
 

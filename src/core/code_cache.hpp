@@ -258,7 +258,7 @@ struct CacheStats {
   uint64_t blocksLive = 0;      // current specialized basic blocks held
   uint64_t codeBytes = 0;       // current mapped bytes held by the cache
   uint64_t capacityBytes = 0;   // configured budget
-  uint64_t asyncInstalls = 0;   // SpecManager::rewriteAsync publications
+  uint64_t asyncInstalls = 0;   // SpecManager::rewriteBatch items with code
   uint64_t asyncLatencyNsTotal = 0;
   uint64_t asyncLatencyNsMax = 0;
   uint64_t fastpathHits = 0;    // subset of hits served by the seqlock table

@@ -235,10 +235,10 @@ DispatchStats VariantDispatcher::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   DispatchStats out = stats_;
   out.variantsLive = variants_.size();
-  out.pendingAsync = pending_.size();
-  for (const auto& pb : pendingBatches_)
-    for (size_t i = 0; i < pb.keys.size(); ++i)
-      if (!pb.claimed[i]) ++out.pendingAsync;
+  out.pendingAsync = 0;
+  for (const Pending& p : pending_)
+    out.pendingAsync +=
+        static_cast<uint64_t>(std::ranges::count(p.claimed, false));
   out.variantHits = 0;
   for (const auto& [key, rec] : variants_)
     out.variantHits += rec->hits.load(std::memory_order_relaxed);
@@ -335,8 +335,7 @@ VariantDispatcher::coldestLocked() {
 void VariantDispatcher::maybeSpecializeLocked(uint64_t key, uint64_t score) {
   if (events_ < options_.sampleCalls) return;
   if (score < options_.promoteThreshold) return;
-  for (const Pending& p : pending_)
-    if (p.key == key) return;  // candidate already in flight
+  if (inFlightLocked(key)) return;
   if (variants_.size() >= options_.maxVariants) {
     // Hysteresis: the challenger must clearly beat the coldest variant's
     // decayed hit score, or the table would thrash under a shifting
@@ -349,28 +348,45 @@ void VariantDispatcher::maybeSpecializeLocked(uint64_t key, uint64_t score) {
     demoteLocked(coldest);
   }
   if (options_.asyncSpecialize) {
-    Pending pending;
-    pending.key = key;
-    pending.epoch = stats_.epoch;
-    pending.request =
-        manager_.rewriteAsync(config_, passes_, fn_, argsFor(key));
-    pending_.push_back(std::move(pending));
-    telemetry::counter(telemetry::CounterId::DispatchAsyncRespecs).add();
+    submitLocked({key});
     return;
   }
   auto result = manager_.rewrite(config_, passes_, fn_, argsFor(key));
   if (!result.ok()) {
-    failed_.insert(key);
-    missScore_.erase(key);
-    telemetry::counter(telemetry::CounterId::DispatchVariantFailures).add();
-    flight::record(flight::Event::DispatchVariantFail,
-                   reinterpret_cast<uint64_t>(fn_), key);
-    BREW_LOG_INFO("dispatch variant %p/%llu failed: %s", fn_,
-                  static_cast<unsigned long long>(key),
-                  result.error().message().c_str());
+    failLocked(key, result.error());
     return;
   }
   installLocked(key, std::move(*result), score);
+}
+
+void VariantDispatcher::failLocked(uint64_t key, const Error& error) {
+  failed_.insert(key);
+  missScore_.erase(key);
+  telemetry::counter(telemetry::CounterId::DispatchVariantFailures).add();
+  flight::record(flight::Event::DispatchVariantFail,
+                 reinterpret_cast<uint64_t>(fn_), key);
+  BREW_LOG_INFO("dispatch variant %p/%llu failed: %s", fn_,
+                static_cast<unsigned long long>(key), error.message().c_str());
+}
+
+bool VariantDispatcher::inFlightLocked(uint64_t key) const {
+  for (const Pending& p : pending_)
+    for (size_t i = 0; i < p.keys.size(); ++i)
+      if (p.keys[i] == key && !p.claimed[i]) return true;
+  return false;
+}
+
+void VariantDispatcher::submitLocked(std::vector<uint64_t> keys) {
+  std::vector<RewriteItem> items;
+  items.reserve(keys.size());
+  for (const uint64_t key : keys) items.push_back({fn_, argsFor(key)});
+  telemetry::counter(telemetry::CounterId::DispatchAsyncRespecs)
+      .add(keys.size());
+  Pending pending;
+  pending.claimed.assign(keys.size(), false);
+  pending.keys = std::move(keys);
+  pending.batch = manager_.rewriteBatch(config_, passes_, std::move(items));
+  pending_.push_back(std::move(pending));
 }
 
 void VariantDispatcher::installLocked(uint64_t key, CodeHandle handle,
@@ -459,44 +475,22 @@ void VariantDispatcher::maybeDecayLocked() {
 
 void VariantDispatcher::pollPendingLocked() {
   for (auto it = pending_.begin(); it != pending_.end();) {
-    if (!it->request->ready()) {
-      ++it;
-      continue;
-    }
-    if (it->epoch == stats_.epoch) {
-      if (it->request->ok()) {
-        installLocked(it->key, it->request->handle(),
-                      options_.promoteThreshold);
-      } else {
-        failed_.insert(it->key);
-        missScore_.erase(it->key);
-        telemetry::counter(telemetry::CounterId::DispatchVariantFailures)
-            .add();
-      }
-    }
-    it = pending_.erase(it);
-  }
-  for (auto it = pendingBatches_.begin(); it != pendingBatches_.end();) {
-    PendingBatch& pb = *it;
+    Pending& p = *it;
     bool open = false;
-    for (size_t i = 0; i < pb.keys.size(); ++i) {
-      if (pb.claimed[i]) continue;
-      if (!pb.batch->done(i)) {
+    for (size_t i = 0; i < p.keys.size(); ++i) {
+      if (p.claimed[i]) continue;
+      if (!p.batch->done(i)) {
         open = true;
         continue;
       }
-      pb.claimed[i] = true;
-      if (pb.epoch != stats_.epoch) continue;  // stale-epoch result
-      if (pb.batch->ok(i)) {
-        installLocked(pb.keys[i], pb.batch->handle(i),
+      p.claimed[i] = true;
+      if (p.batch->ok(i))
+        installLocked(p.keys[i], p.batch->handle(i),
                       options_.promoteThreshold);
-      } else {
-        failed_.insert(pb.keys[i]);
-        telemetry::counter(telemetry::CounterId::DispatchVariantFailures)
-            .add();
-      }
+      else
+        failLocked(p.keys[i], p.batch->error(i));
     }
-    it = open ? std::next(it) : pendingBatches_.erase(it);
+    it = open ? std::next(it) : pending_.erase(it);
   }
 }
 
@@ -517,15 +511,10 @@ void VariantDispatcher::seedHot(std::span<const uint64_t> hotKeys,
     if (variants_.size() >= options_.maxVariants) break;
     if (variants_.count(key) != 0) continue;
     auto result = manager_.rewrite(config_, passes_, fn_, argsFor(key));
-    if (!result.ok()) {
-      failed_.insert(key);
-      telemetry::counter(telemetry::CounterId::DispatchVariantFailures).add();
-      BREW_LOG_INFO("dispatch seed %p/%llu failed: %s", fn_,
-                    static_cast<unsigned long long>(key),
-                    result.error().message().c_str());
-      continue;
-    }
-    installLocked(key, std::move(*result), options_.promoteThreshold);
+    if (result.ok())
+      installLocked(key, std::move(*result), options_.promoteThreshold);
+    else
+      failLocked(key, result.error());
   }
 }
 
@@ -542,23 +531,14 @@ void VariantDispatcher::bumpEpoch() {
   while (!variants_.empty()) demoteLocked(variants_.begin());
   missScore_.clear();
   failed_.clear();
-  pending_.clear();  // stale-epoch singles are dropped at poll time anyway
+  // The previous epoch's rewrites still in flight would install stale
+  // variants: forget them (their workers finish into the dropped batches).
+  pending_.clear();
   if (hot.empty()) return;
   // Respecialize the previously hot keys for the new epoch as one batch on
   // the worker pool; makeCacheKey picks up the new pointee/region bytes,
   // so unchanged inputs simply hit the cache.
-  PendingBatch pb;
-  pb.keys = hot;
-  pb.claimed.assign(hot.size(), false);
-  pb.epoch = stats_.epoch;
-  std::vector<std::vector<ArgValue>> argSets;
-  argSets.reserve(hot.size());
-  for (const uint64_t key : hot) argSets.push_back(argsFor(key));
-  pb.batch = manager_.rewriteBatchArgs(config_, passes_, fn_,
-                                       std::move(argSets));
-  telemetry::counter(telemetry::CounterId::DispatchAsyncRespecs)
-      .add(hot.size());
-  pendingBatches_.push_back(std::move(pb));
+  submitLocked(std::move(hot));
 }
 
 VariantDispatcher* VariantDispatcher::find(const void* fn) {

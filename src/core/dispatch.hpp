@@ -132,9 +132,10 @@ class VariantDispatcher {
   void seedHot(std::span<const uint64_t> hotKeys, uint64_t observedCalls);
 
   // Predicate-epoch change (e.g. PGAS redistribution): retires every live
-  // variant and respecializes the previously hot keys as one batch on the
-  // worker pool (SpecManager::rewriteBatchArgs); fresh variants install as
-  // the batch completes. Misses fall back to the original meanwhile.
+  // variant, drops the previous epoch's rewrites still in flight, and
+  // respecializes the previously hot keys as one batch on the worker pool
+  // (SpecManager::rewriteBatch); fresh variants install as the batch
+  // completes. Misses fall back to the original meanwhile.
   void bumpEpoch();
   uint64_t epoch() const;
 
@@ -174,15 +175,11 @@ class VariantDispatcher {
                              const std::function<void(VariantDispatcher&)>& fn);
 
  private:
+  // Variant rewrites in flight on the worker pool, all for the current
+  // epoch: an async miss submits one key, bumpEpoch the previous hot set.
   struct Pending {
-    uint64_t key = 0;
-    uint64_t epoch = 0;
-    std::shared_ptr<SpecRequest> request;
-  };
-  struct PendingBatch {
-    std::vector<uint64_t> keys;
-    std::vector<bool> claimed;
-    uint64_t epoch = 0;
+    std::vector<uint64_t> keys;  // item i of `batch` specializes keys[i]
+    std::vector<bool> claimed;   // item already installed or failed
     std::shared_ptr<RewriteBatch> batch;
   };
   struct Retired {
@@ -197,6 +194,9 @@ class VariantDispatcher {
   void promoteWayLocked(IcRecord* record);
   void demoteLocked(std::map<uint64_t, std::unique_ptr<IcRecord>>::iterator it);
   void maybeSpecializeLocked(uint64_t key, uint64_t score);
+  void failLocked(uint64_t key, const Error& error);
+  bool inFlightLocked(uint64_t key) const;
+  void submitLocked(std::vector<uint64_t> keys);
   void maybeDecayLocked();
   void pollPendingLocked();
   void drainQuarantineLocked();
@@ -223,7 +223,6 @@ class VariantDispatcher {
   std::map<uint64_t, uint64_t> missScore_;
   std::set<uint64_t> failed_;  // keys whose rewrite failed; cleared by decay
   std::vector<Pending> pending_;
-  std::vector<PendingBatch> pendingBatches_;
   std::deque<Retired> quarantine_;
   DispatchStats stats_;
 };

@@ -345,83 +345,6 @@ size_t runRedundantLoads(ir::CapturedFunction& fn) {
   return forwarded;
 }
 
-// --- zero-add forwarding ---------------------------------------------------
-//
-// The tracer materializes a known +0.0 accumulator seed as a pool load;
-// the following addsd then computes 0 + y. Within a block:
-//   movsd  X, [pool +0.0] ... addsd X, src   (no use/def of X between)
-// becomes a single load (mem src) or movq copy (reg src; movq zeroes the
-// upper lane exactly like the deleted pool load did).
-
-bool isZeroPoolLoad(const Instruction& in, const ir::CapturedFunction& fn) {
-  if (in.mnemonic != Mnemonic::Movsd || in.nops != 2 || !in.ops[0].isReg() ||
-      !in.ops[1].isMem() || in.ops[1].mem.poolSlot < 0)
-    return false;
-  const ir::PoolEntry& entry =
-      fn.pool()[static_cast<size_t>(in.ops[1].mem.poolSlot)];
-  return entry.lo == 0 && entry.hi == 0;  // +0.0 exactly
-}
-
-size_t runFoldZeroAdd(ir::CapturedFunction& fn) {
-  size_t folded = 0;
-  // Seed-load indices, shared scratch across blocks (and rewrites).
-  static thread_local std::vector<size_t> drop;
-  for (ir::Block& block : fn.blocks()) {
-    // For each register: index of a pending +0.0 seed load, or -1.
-    int pending[32];
-    for (int& v : pending) v = -1;
-    drop.clear();
-    for (size_t k = 0; k < block.instrs.size(); ++k) {
-      Instruction& in = block.instrs[k];
-      if (isZeroPoolLoad(in, fn)) {
-        pending[16 + isa::regNum(in.ops[0].reg)] = static_cast<int>(k);
-        continue;
-      }
-      // addsd X, src with a pending seed for X?
-      if (in.mnemonic == Mnemonic::Addsd && in.nops == 2 &&
-          in.ops[0].isReg()) {
-        int& seed = pending[16 + isa::regNum(in.ops[0].reg)];
-        if (seed >= 0) {
-          drop.push_back(static_cast<size_t>(seed));
-          if (in.ops[1].isMem()) {
-            in.mnemonic = Mnemonic::Movsd;  // load replaces the lane, hi=0
-          } else {
-            in.mnemonic = Mnemonic::Movq;   // reg copy, zeroes the hi lane
-          }
-          seed = -1;
-          ++folded;
-          // The destination now holds a fresh value; fall through to the
-          // kill handling below so other facts stay correct.
-        }
-      }
-      // Any other use or redefinition of a seeded register kills the fact.
-      const uint32_t touched = isa::regsRead(in) | isa::regsWritten(in);
-      for (unsigned r = 0; r < 16; ++r)
-        if (touched & (1u << (16 + r))) pending[16 + r] = -1;
-      // Calls/branches end all facts (conservative).
-      if (in.isBranch())
-        for (int& v : pending) v = -1;
-    }
-    if (!drop.empty()) {
-      // Seed indices arrive in ascending order; compact in place.
-      std::sort(drop.begin(), drop.end());
-      ir::InstrVec& v = block.instrs;
-      size_t w = 0;
-      auto next = drop.begin();
-      for (size_t k = 0; k < v.size(); ++k) {
-        if (next != drop.end() && *next == k) {
-          ++next;
-          continue;
-        }
-        if (w != k) v[w] = v[k];
-        ++w;
-      }
-      v.resize(w);
-    }
-  }
-  return folded;
-}
-
 // --- block merging ----------------------------------------------------------
 //
 // A block reached only by a single unconditional-jump predecessor is
@@ -486,8 +409,6 @@ void runPasses(ir::CapturedFunction& fn, const PassOptions& options) {
   if (options.peephole) peephole += runPeephole(fn);
   if (options.deadFlagWriters)
     counter(CounterId::PassDeadFlagsRemoved).add(runDeadFlagWriters(fn));
-  if (options.foldZeroAdd)
-    counter(CounterId::PassZeroAddFolds).add(runFoldZeroAdd(fn));
   if (options.redundantLoads)
     counter(CounterId::PassLoadsForwarded).add(runRedundantLoads(fn));
   // The vectorizing pair runs after load dedup (so it sees the canonical

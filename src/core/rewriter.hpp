@@ -33,12 +33,6 @@ struct PassOptions {
   bool peephole = true;        // drop no-op moves / identity arithmetic
   bool deadFlagWriters = true; // remove compares whose flags are never read
   bool redundantLoads = true;  // forward identical loads within a block
-  // Fold "x = +0.0; x += y" accumulator idioms into "x = y". Superseded by
-  // the tracer-level fold (Config::setFoldZeroAccumulator, on by default),
-  // which sees lane states and emits domain-friendly copies; this IR-level
-  // variant uses movq (integer domain) and is kept for ablation. Same
-  // -0.0 / sNaN caveats.
-  bool foldZeroAdd = false;
   // Merge a block into its unique Jmp predecessor (removes the stub blocks
   // that migration compensation and resolved control flow leave behind).
   bool mergeBlocks = true;

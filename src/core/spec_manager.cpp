@@ -1,11 +1,9 @@
 #include "core/spec_manager.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
 
-#include "jit/assembler.hpp"
 #include "support/log.hpp"
 #include "support/perf_map.hpp"
 #include "support/persist_cache.hpp"
@@ -41,10 +39,9 @@ uint64_t passBits(const PassOptions& passes) {
   return static_cast<uint64_t>(passes.peephole) |
          static_cast<uint64_t>(passes.deadFlagWriters) << 1 |
          static_cast<uint64_t>(passes.redundantLoads) << 2 |
-         static_cast<uint64_t>(passes.foldZeroAdd) << 3 |
-         static_cast<uint64_t>(passes.mergeBlocks) << 4 |
-         static_cast<uint64_t>(passes.slpVectorize) << 5 |
-         static_cast<uint64_t>(passes.crossIterLoads) << 6;
+         static_cast<uint64_t>(passes.mergeBlocks) << 3 |
+         static_cast<uint64_t>(passes.slpVectorize) << 4 |
+         static_cast<uint64_t>(passes.crossIterLoads) << 5;
 }
 
 const ParamSpec& paramSpec(const Config& config, size_t index) {
@@ -157,24 +154,6 @@ ProcessConfig& processConfig() {
   return *config;
 }
 
-// "movabs r11, cell; mov r11, [r11]; jmp r11": SpecRequest's stable entry
-// point, whose target is republished with a single pointer store to *cell.
-// Mapped next to `fn`, whose callers now call the stub.
-Result<ExecMemory> buildEntrySlotStub(void* const* cell, const void* fn) {
-  using isa::makeInstr;
-  using isa::MemOperand;
-  using isa::Mnemonic;
-  using isa::Operand;
-  using isa::Reg;
-  jit::Assembler as;
-  as.movRegImm(Reg::r11,
-               static_cast<int64_t>(reinterpret_cast<uintptr_t>(cell)));
-  as.emit(makeInstr(Mnemonic::Mov, 8, Operand::makeReg(Reg::r11),
-                    Operand::makeMem(MemOperand{.base = Reg::r11})));
-  as.emit(makeInstr(Mnemonic::JmpInd, 8, Operand::makeReg(Reg::r11)));
-  return as.finalizeExecutable(reinterpret_cast<uint64_t>(fn));
-}
-
 SpecManager::Options takeProcessOptions() {
   ProcessConfig& pc = processConfig();
   std::lock_guard<std::mutex> lock(pc.mu);
@@ -277,8 +256,8 @@ Error RewriteBatch::error(size_t index) const {
 }
 
 const void* RewriteBatch::fn(size_t index) const {
-  // items_[i].fn is set before the fan-out and never mutated.
-  return index < items_.size() ? items_[index].fn : nullptr;
+  // items_[i].request is set before the fan-out and never mutated.
+  return index < items_.size() ? items_[index].request.fn : nullptr;
 }
 
 void RewriteBatch::complete(size_t index, Result<CodeHandle> result) {
@@ -474,86 +453,30 @@ void SpecManager::workerLoop() {
   }
 }
 
-std::shared_ptr<SpecRequest> SpecManager::rewriteAsync(
-    Config config, PassOptions passes, const void* fn,
-    std::vector<ArgValue> args) {
-  auto request = std::shared_ptr<SpecRequest>(new SpecRequest());
-  request->original_ = fn;
-  request->slot_.store(const_cast<void*>(fn), std::memory_order_release);
-  auto stub = buildEntrySlotStub(
-      reinterpret_cast<void* const*>(&request->slot_), fn);
-  if (stub.ok()) {
-    request->stub_ = std::move(*stub);
-    registerGeneratedCode(request->stub_.data(), request->stub_.size(), fn,
-                          configKeyHash(config, passes), "stub");
-  } else {
-    BREW_LOG_INFO("async entry stub failed: %s (entry() tracks the slot)",
-                  stub.error().message().c_str());
-  }
-
-  const auto enqueued = std::chrono::steady_clock::now();
-  const uint64_t enqueuedNs = telemetry::nowNs();
-  enqueue([this, request, config = std::move(config), passes, fn,
-           args = std::move(args), enqueued, enqueuedNs] {
-    telemetry::histogram(telemetry::HistogramId::AsyncQueueLatencyNs)
-        .record(telemetry::nowNs() - enqueuedNs);
-    auto result = rewrite(config, passes, fn, args);
-    {
-      std::lock_guard<std::mutex> lock(request->mu_);
-      request->done_ = true;
-      if (result.ok()) {
-        request->ok_ = true;
-        request->handle_ = std::move(*result);
-        // Publish: callers spinning through the stub switch to the
-        // specialized code on their next dispatch.
-        request->slot_.store(request->handle_.entry(),
-                             std::memory_order_release);
-        const auto installed = std::chrono::steady_clock::now();
-        cache_.recordAsyncInstall(static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(installed -
-                                                                 enqueued)
-                .count()));
-      } else {
-        request->error_ = result.error();
-      }
-    }
-    request->cv_.notify_all();
-  });
-  return request;
-}
-
 std::shared_ptr<RewriteBatch> SpecManager::rewriteBatch(
-    Config config, PassOptions passes, std::span<const void* const> fns,
-    std::vector<ArgValue> args) {
+    Config config, PassOptions passes, std::vector<RewriteItem> items) {
   auto batch = std::shared_ptr<RewriteBatch>(new RewriteBatch());
-  batch->items_.resize(fns.size());
-  for (size_t i = 0; i < fns.size(); ++i) batch->items_[i].fn = fns[i];
-  // One copy of the request shape shared by every enqueued item.
-  auto shared = std::make_shared<std::pair<Config, std::vector<ArgValue>>>(
-      std::move(config), std::move(args));
+  batch->config_ = std::move(config);
+  batch->passes_ = passes;
+  batch->items_.resize(items.size());
+  for (size_t i = 0; i < items.size(); ++i)
+    batch->items_[i].request = std::move(items[i]);
+  const uint64_t enqueuedNs = telemetry::nowNs();
   for (size_t i = 0; i < batch->items_.size(); ++i) {
-    const void* fn = batch->items_[i].fn;
-    enqueue([this, batch, shared, passes, fn, i] {
-      // Duplicate fns hit the cache's per-key single-flight: one traces,
+    enqueue([this, batch, i, enqueuedNs] {
+      telemetry::histogram(telemetry::HistogramId::AsyncQueueLatencyNs)
+          .record(telemetry::nowNs() - enqueuedNs);
+      // Duplicate items hit the cache's per-key single-flight: one traces,
       // the rest wait and share the handle. A null/failing fn fails only
       // its own item.
-      batch->complete(i, rewrite(shared->first, passes, fn, shared->second));
-    });
-  }
-  return batch;
-}
-
-std::shared_ptr<RewriteBatch> SpecManager::rewriteBatchArgs(
-    Config config, PassOptions passes, const void* fn,
-    std::vector<std::vector<ArgValue>> argSets) {
-  auto batch = std::shared_ptr<RewriteBatch>(new RewriteBatch());
-  batch->items_.resize(argSets.size());
-  for (auto& item : batch->items_) item.fn = fn;
-  auto shared = std::make_shared<std::pair<Config, std::vector<std::vector<ArgValue>>>>(
-      std::move(config), std::move(argSets));
-  for (size_t i = 0; i < batch->items_.size(); ++i) {
-    enqueue([this, batch, shared, passes, fn, i] {
-      batch->complete(i, rewrite(shared->first, passes, fn, shared->second[i]));
+      const RewriteItem& item = batch->items_[i].request;
+      auto result =
+          rewrite(batch->config_, batch->passes_, item.fn, item.args);
+      // Recorded before completion, so a caller woken by the batch sees
+      // the install in the stats.
+      if (result.ok())
+        cache_.recordAsyncInstall(telemetry::nowNs() - enqueuedNs);
+      batch->complete(i, std::move(result));
     });
   }
   return batch;

@@ -6,10 +6,13 @@
 //
 //   SpecManager& mgr = SpecManager::process();
 //   Rewriter r{config, mgr};                  // cached, deduplicated
-//   auto req = mgr.rewriteAsync(config, {}, fn, args);
-//   auto f = req->as<kernel_t>();             // callable immediately:
-//                                             // original now, specialized
-//                                             // once the worker installs
+//   auto batch = mgr.rewriteBatch(config, {}, {{fn, args}, {fn2, args2}});
+//   for (int i; (i = batch->next()) >= 0;)    // completion order
+//     if (batch->ok(i)) use(batch->handle(i));
+//
+// A caller that wants one stable entry running the original until the
+// specialized code lands uses an asynchronous VariantDispatcher
+// (core/dispatch.hpp), which submits its rewrites through rewriteBatch.
 #pragma once
 
 #include <condition_variable>
@@ -61,65 +64,20 @@ uint64_t hashKeyBytes(std::span<const uint8_t> bytes);
 // perf maps and crash reports.
 uint64_t configKeyHash(const Config& config, const PassOptions& passes);
 
-// One asynchronous rewrite. entry() is callable the moment rewriteAsync
-// returns: it forwards to the original function until the worker finishes,
-// then atomically switches to the specialized code (a relaxed pointer load
-// per call through the stub; no locks on the execution path).
-class SpecRequest {
- public:
-  void* entry() const {
-    return stub_.valid() ? const_cast<uint8_t*>(stub_.data())
-                         : slot_.load(std::memory_order_acquire);
-  }
-  template <typename Fn>
-  Fn as() const {
-    return reinterpret_cast<Fn>(entry());
-  }
-
-  bool ready() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return done_;
-  }
-  // Valid after ready()/wait(): did the rewrite succeed?
-  bool ok() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return ok_;
-  }
-  CodeHandle handle() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return handle_;
-  }
-  Error error() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return error_;
-  }
-  void wait() const {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return done_; });
-  }
-
- private:
-  friend class SpecManager;
-  SpecRequest() = default;
-
-  const void* original_ = nullptr;
-  std::atomic<void*> slot_{nullptr};  // jump target read by the stub
-  ExecMemory stub_;
-  mutable std::mutex mu_;
-  mutable std::condition_variable cv_;
-  bool done_ = false;
-  bool ok_ = false;
-  CodeHandle handle_;
-  Error error_{};
+// One rewrite of a batch: the function and the argument values it is
+// specialized against.
+struct RewriteItem {
+  const void* fn = nullptr;
+  std::vector<ArgValue> args;
 };
 
-// Fan-out of one configuration across many target functions on the async
+// Fan-out of one configuration across many rewrite items on the async
 // worker pool (SpecManager::rewriteBatch). Results are consumed in
 // COMPLETION order: next() blocks until some unclaimed item finishes and
-// returns its index into the original fns[] span — each index is returned
+// returns its index into the submitted items — each index is returned
 // exactly once across all callers, so several threads can drain one batch.
-// Duplicate functions in the span deduplicate in the cache: they trace
-// once and every item shares the same refcounted code.
+// Duplicate items deduplicate in the cache: they trace once and every item
+// shares the same refcounted code.
 class RewriteBatch {
  public:
   size_t size() const { return items_.size(); }
@@ -144,7 +102,7 @@ class RewriteBatch {
  private:
   friend class SpecManager;
   struct Item {
-    const void* fn = nullptr;
+    RewriteItem request;  // set before the fan-out, never mutated
     bool done = false;
     bool ok = false;
     CodeHandle handle;
@@ -153,6 +111,10 @@ class RewriteBatch {
 
   RewriteBatch() = default;
   void complete(size_t index, Result<CodeHandle> result);
+
+  // The shared request shape, read by the workers; set before the fan-out.
+  Config config_;
+  PassOptions passes_;
 
   mutable std::mutex mu_;
   mutable std::condition_variable cv_;
@@ -230,30 +192,17 @@ class SpecManager {
   Result<CodeHandle> rewrite(const Config& config, const PassOptions& passes,
                              const void* fn, std::span<const ArgValue> args);
 
-  // Asynchronous rewrite on the worker pool. The returned request's
-  // entry() is immediately callable (forwards to `fn`); the specialized
-  // version is installed atomically when ready. Install latency is
-  // recorded in the cache stats (asyncInstalls / asyncLatencyNs*).
-  std::shared_ptr<SpecRequest> rewriteAsync(Config config, PassOptions passes,
-                                            const void* fn,
-                                            std::vector<ArgValue> args);
-
-  // Fans one rewrite request per function in `fns` out to the worker pool,
-  // all sharing `config`/`passes`/`args`. Returns immediately; consume
-  // results in completion order with RewriteBatch::next(). Null or failing
-  // functions fail their own item only — the rest of the batch proceeds.
+  // The one asynchronous rewrite path: fans each item out to the worker
+  // pool as a cached rewrite under `config`/`passes`. Returns immediately;
+  // consume results in completion order with RewriteBatch::next(), or poll
+  // them with done()/ok()/handle(). A null or failing function fails its
+  // own item only — the rest of the batch proceeds. Every item records its
+  // queue latency (async.queue_latency_ns); every item that produces code
+  // records its install latency in the cache stats (asyncInstalls /
+  // asyncLatencyNs*, async.install_latency_ns).
   std::shared_ptr<RewriteBatch> rewriteBatch(Config config,
                                              PassOptions passes,
-                                             std::span<const void* const> fns,
-                                             std::vector<ArgValue> args);
-
-  // The transpose of rewriteBatch: fans many argument sets for ONE
-  // function out to the worker pool (multi-version respecialization after
-  // a dispatch-epoch bump). Item i corresponds to argSets[i]; results are
-  // polled with RewriteBatch::done()/ok()/handle() or drained with next().
-  std::shared_ptr<RewriteBatch> rewriteBatchArgs(
-      Config config, PassOptions passes, const void* fn,
-      std::vector<std::vector<ArgValue>> argSets);
+                                             std::vector<RewriteItem> items);
 
  private:
   void enqueue(std::function<void()> task);

@@ -30,7 +30,7 @@ void perfMapRegister(const void* code, size_t size, const char* name);
 // publishes the region in the in-process code-region index (profiler +
 // crash attribution, support/profiler.hpp), and forwards to the perf
 // map/jitdump sinks when they are enabled. Every generated blob —
-// specializations, dispatch/guard/entry stubs — goes through here.
+// specializations, persisted code, dispatch stubs — goes through here.
 void registerGeneratedCode(const void* code, size_t size, const void* fn,
                            uint64_t fingerprint,
                            const char* suffix = nullptr);

@@ -56,7 +56,6 @@ enum class CounterId : int {
   PassPeepholeRemoved,
   PassDeadFlagsRemoved,
   PassLoadsForwarded,
-  PassZeroAddFolds,
   PassVectorizedGroups,   // scalar groups re-emitted as one packed SSE op
   PassLoadsEliminated,    // cross-iteration re-loads replaced by reg reuse
   EmitInstructions,

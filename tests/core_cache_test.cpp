@@ -1,10 +1,11 @@
 // Specialization cache tests: single-flight deduplication across threads,
 // LRU eviction under a byte budget (with outstanding handles surviving),
 // content-sensitive and exact (collision-proof) keying, and asynchronous
-// install through SpecManager.
+// install through SpecManager's batches and an async VariantDispatcher.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <random>
 #include <span>
@@ -15,6 +16,7 @@
 
 #include "core/brew.h"
 #include "core/code_cache.hpp"
+#include "core/dispatch.hpp"
 #include "core/rewriter.hpp"
 #include "core/spec_manager.hpp"
 #include "jit/assembler.hpp"
@@ -141,7 +143,6 @@ TEST(ConfigFingerprint, DeterministicAndShapeSensitive) {
        [](Config&, PassOptions& p) { p.deadFlagWriters = false; }},
       {"redundantLoads off",
        [](Config&, PassOptions& p) { p.redundantLoads = false; }},
-      {"foldZeroAdd on", [](Config&, PassOptions& p) { p.foldZeroAdd = true; }},
       {"mergeBlocks off",
        [](Config&, PassOptions& p) { p.mergeBlocks = false; }},
       {"slpVectorize off",
@@ -471,32 +472,69 @@ TEST(CodeCacheTest, HandleSurvivesCacheClear) {
   EXPECT_EQ(reinterpret_cast<addmul_t>(handle.entry())(0, 5), 3 * 7 + 5);
 }
 
+// An asynchronous dispatcher that specializes its first missed key.
+DispatchOptions asyncOnFirstMiss() {
+  DispatchOptions options;
+  options.sampleCalls = 1;
+  options.promoteThreshold = 1;
+  options.asyncSpecialize = true;
+  return options;
+}
+
 TEST(SpecManagerAsync, InstallObservedBySpinningCaller) {
   SpecManager manager{SpecManager::Options{.workers = 2}};
-  Config config = knownFirstParam();
-  auto request = manager.rewriteAsync(
-      config, PassOptions{}, reinterpret_cast<const void*>(&addmul),
-      {ArgValue::fromInt(42), ArgValue::fromInt(0)});
-  ASSERT_NE(request, nullptr);
+  VariantDispatcher d(manager, reinterpret_cast<const void*>(&addmul), 0,
+                      {ArgValue::fromInt(0), ArgValue::fromInt(0)},
+                      knownFirstParam(), asyncOnFirstMiss());
+  ASSERT_TRUE(d.valid());
 
-  // Callable from the first instant: original behavior until the worker
-  // publishes, specialized behavior after. Spin until the switch.
-  addmul_t fn = request->as<addmul_t>();
-  int observed = fn(1, 2);
-  EXPECT_TRUE(observed == 1 * 7 + 2 || observed == 42 * 7 + 2);
-  for (int spin = 0; spin < 100000000 && observed != 42 * 7 + 2; ++spin)
-    observed = fn(1, 2);
-  EXPECT_EQ(observed, 42 * 7 + 2);
+  // Callable from the first instant: the original serves the calls until
+  // the worker's variant installs. Spin until the switch.
+  const addmul_t fn = d.as<addmul_t>();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (d.variantCount() == 0 &&
+         std::chrono::steady_clock::now() < deadline)
+    ASSERT_EQ(fn(42, 2), 42 * 7 + 2);
+  ASSERT_EQ(d.variantCount(), 1u);
+  const VariantInfo variant = d.variants()[0];
+  EXPECT_EQ(variant.key, 42u);
+  EXPECT_GT(variant.codeBytes, 0u);
 
-  request->wait();
-  ASSERT_TRUE(request->ok()) << request->error().message();
-  // The stable stub entry does not move when the worker publishes.
-  EXPECT_EQ(reinterpret_cast<void*>(fn), request->entry());
-  EXPECT_GT(request->handle().codeSize(), 0u);
+  // Specialized behavior after: the calls now run the variant.
+  for (int i = 0; i < 100; ++i) ASSERT_EQ(fn(42, i), 42 * 7 + i);
+  EXPECT_EQ(d.variants()[0].hits, variant.hits + 100);
+  // The stable stub entry does not move when the variant installs.
+  EXPECT_EQ(reinterpret_cast<void*>(fn), d.entry());
   const CacheStats stats = manager.cache().stats();
   EXPECT_EQ(stats.asyncInstalls, 1u);
   EXPECT_GT(stats.asyncLatencyNsMax, 0u);
   EXPECT_GE(stats.asyncLatencyNsTotal, stats.asyncLatencyNsMax);
+}
+
+TEST(SpecManagerAsync, BatchItemsRecordInstallLatency) {
+  using telemetry::counter;
+  using telemetry::CounterId;
+  telemetry::Histogram& installNs =
+      telemetry::histogram(telemetry::HistogramId::AsyncInstallLatencyNs);
+  const uint64_t installs0 = counter(CounterId::CacheAsyncInstalls).value();
+  const uint64_t samples0 = installNs.count();
+
+  SpecManager manager{SpecManager::Options{.workers = 2}};
+  std::vector<RewriteItem> items;
+  for (const int64_t a : {3, 4, 5})
+    items.push_back({reinterpret_cast<const void*>(&addmul),
+                     {ArgValue::fromInt(static_cast<uint64_t>(a)),
+                      ArgValue::fromInt(0)}});
+  auto batch =
+      manager.rewriteBatch(knownFirstParam(), PassOptions{}, std::move(items));
+  batch->wait();
+  for (size_t i = 0; i < batch->size(); ++i)
+    ASSERT_TRUE(batch->ok(i)) << batch->error(i).message();
+
+  EXPECT_EQ(manager.cache().stats().asyncInstalls, 3u);
+  EXPECT_EQ(counter(CounterId::CacheAsyncInstalls).value() - installs0, 3u);
+  EXPECT_EQ(installNs.count() - samples0, 3u);
 }
 
 TEST(TelemetryMirror, RegistryCountersTrackCacheBehavior) {
@@ -600,15 +638,39 @@ TEST(TelemetryMirror, CapiSnapshotAgreesWithCacheStats) {
 }
 
 TEST(SpecManagerAsync, FailedAsyncKeepsOriginalEntry) {
-  static const uint8_t bogus[] = {0x0f, 0x31, 0xc3};  // rdtsc; ret
-  SpecManager manager;
-  auto request =
-      manager.rewriteAsync(Config{}, PassOptions{}, bogus, {});
-  request->wait();
-  EXPECT_FALSE(request->ok());
-  EXPECT_FALSE(request->handle());
-  // entry() still routes somewhere callable: the original code.
-  EXPECT_NE(request->entry(), nullptr);
+  // "rdtsc; mov rax, rdi; ret": the tracer rejects rdtsc, so the variant's
+  // item fails on the worker; the original returns its key.
+  static const uint8_t rdtsc[] = {0x0f, 0x31};
+  jit::Assembler as;
+  as.emitBytes(rdtsc);
+  as.movRegReg(isa::Reg::rax, isa::Reg::rdi);
+  as.ret();
+  auto subject = as.finalizeExecutable();
+  ASSERT_TRUE(subject.ok());
+  using telemetry::counter;
+  using telemetry::CounterId;
+  const uint64_t failures0 =
+      counter(CounterId::DispatchVariantFailures).value();
+
+  SpecManager manager{SpecManager::Options{.workers = 1}};
+  VariantDispatcher d(manager, subject->data(), 0, {ArgValue::fromInt(0)},
+                      Config{}, asyncOnFirstMiss());
+  ASSERT_TRUE(d.valid());
+  const triple_t fn = d.as<triple_t>();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (counter(CounterId::DispatchVariantFailures).value() == failures0 &&
+         std::chrono::steady_clock::now() < deadline)
+    ASSERT_EQ(fn(5), 5);
+  EXPECT_EQ(counter(CounterId::DispatchVariantFailures).value() - failures0,
+            1u);
+
+  // The dispatcher keeps routing to the original through the same entry.
+  EXPECT_EQ(d.variantCount(), 0u);
+  EXPECT_EQ(d.stats().pendingAsync, 0u);
+  EXPECT_EQ(reinterpret_cast<void*>(fn), d.entry());
+  for (int64_t i = 0; i < 100; ++i) ASSERT_EQ(fn(i), i);
+  EXPECT_EQ(manager.cache().stats().asyncInstalls, 0u);
 }
 
 }  // namespace

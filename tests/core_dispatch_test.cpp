@@ -237,6 +237,72 @@ TEST(Dispatch, AsyncSpecializationInstallsEventually) {
   ASSERT_EQ(fn(9, 1), 9001);
 }
 
+// g(n) = n + (n-1) + ... + 1. With n known and the per-address variant
+// limit lifted, the tracer runs the whole loop as one block variant per
+// iteration, so a cold rewrite for n = 16000 keeps a worker busy for tens
+// of milliseconds.
+ExecMemory buildCountdown() {
+  jit::Assembler as;
+  jit::Label loop = as.newLabel();
+  as.movRegReg(Reg::rcx, Reg::rdi);
+  as.movRegImm(Reg::rax, 0);
+  as.bind(loop);
+  as.aluRegReg(Mnemonic::Add, Reg::rax, Reg::rcx);
+  as.aluRegImm(Mnemonic::Sub, Reg::rcx, 1);
+  as.jcc(Cond::NE, loop);
+  as.ret();
+  auto mem = as.finalizeExecutable();
+  EXPECT_TRUE(mem.ok());
+  return std::move(*mem);
+}
+
+TEST(Dispatch, EpochBatchKeyInstallsOnce) {
+  // A hot key whose epoch-batch item is still queued is in flight: misses
+  // on it must not specialize it a second time, and the item installs once.
+  SpecManager manager{SpecManager::Options{.workers = 1}};
+  ExecMemory kernel = buildKernel(1000);
+  const DispatchOptions opt = fastOptions();
+  VariantDispatcher d(manager, kernel.data(), 0, protoArgs(), Config{}, opt);
+  ASSERT_TRUE(d.valid());
+  auto fn = d.as<kernel_t>();
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_EQ(fn(1, i), 1000 + i);
+    ASSERT_EQ(fn(2, i), 2000 + i);
+  }
+  ASSERT_EQ(d.variantCount(), 2u);
+  const DispatchStats before = d.stats();
+
+  // The one worker takes a slow cold rewrite first, so the epoch batch for
+  // keys 1 and 2 waits in the queue behind it.
+  ExecMemory countdown = buildCountdown();
+  Config slow;
+  slow.setParamKnown(0);
+  slow.setReturnKind(ReturnKind::Int);
+  slow.limits().maxVariantsPerAddress = 1 << 30;
+  auto hold = manager.rewriteBatch(
+      slow, {}, {{countdown.data(), {ArgValue::fromInt(16000)}}});
+  d.bumpEpoch();
+  for (uint64_t i = 0; i < opt.promoteThreshold; ++i)
+    ASSERT_EQ(fn(1, static_cast<int64_t>(i)),
+              1000 + static_cast<int64_t>(i));
+
+  // Drain: the poller installs each batch item on a later miss.
+  hold->wait();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (d.stats().pendingAsync > 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    ASSERT_EQ(fn(1, 5), 1005);
+    ASSERT_EQ(fn(2, 5), 2005);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(d.stats().pendingAsync, 0u);
+  const DispatchStats after = d.stats();
+  EXPECT_EQ(after.promotions - before.promotions, 2u);  // the batch's keys
+  EXPECT_EQ(after.demotions - before.demotions, 2u);    // the bumped ones
+  EXPECT_EQ(d.variantCount(), 2u);
+}
+
 TEST(Dispatch, SeedHotStartsInSteadyState) {
   SpecManager manager{SpecManager::Options{.workers = 1}};
   ExecMemory kernel = buildKernel(1000);

@@ -2,6 +2,7 @@
 // the tracer is exercised independently of compiler output.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 
 #include "core/dispatch.hpp"
@@ -430,27 +431,46 @@ TEST(Placement, PgasAccessorSpecializationsLandInSubjectWindow) {
 }
 
 TEST(Placement, AsyncEntryStubLandsInSubjectWindow) {
+  // An asynchronous dispatcher keyed on the row width: its stub is the
+  // stable entry, and the variant the worker builds lands next to it.
   constexpr int kXs = 16;
   const brew_stencil s = stencil::fivePoint();
   const void* subject = reinterpret_cast<const void*>(&brew_stencil_apply);
+  DispatchOptions options;
+  options.sampleCalls = 1;
+  options.promoteThreshold = 1;
+  options.asyncSpecialize = true;
   SpecManager manager{SpecManager::Options{.workers = 1}};
-  auto request = manager.rewriteAsync(
-      stencilCellConfig(), {}, subject,
-      {ArgValue::fromPtr(nullptr), ArgValue::fromInt(kXs),
-       ArgValue::fromPtr(&s)});
-  EXPECT_TRUE(inSubjectWindow(subject, request->entry(), 1))
-      << request->entry() << " for " << subject;
-  request->wait();
-  ASSERT_TRUE(request->ok()) << request->error().message();
-  const CodeHandle handle = request->handle();
-  EXPECT_TRUE(inSubjectWindow(subject, handle.entry(), handle.codeSize()));
+  VariantDispatcher d(manager, subject, 1,
+                      {ArgValue::fromPtr(nullptr), ArgValue::fromInt(kXs),
+                       ArgValue::fromPtr(&s)},
+                      stencilCellConfig(), options);
+  ASSERT_TRUE(d.valid());
+  EXPECT_TRUE(inSubjectWindow(subject, d.entry(), 1))
+      << d.entry() << " for " << subject;
+
   stencil::Matrix m(kXs, kXs);
   m.fillDeterministic();
-  auto spec = request->as<brew_stencil_fn>();
-  for (int i = kXs + 1; i < kXs * (kXs - 1) - 1; ++i)
-    ASSERT_TRUE(sameBits(spec(m.data() + i, kXs, &s),
-                         brew_stencil_apply(m.data() + i, kXs, &s)))
-        << i;
+  auto spec = d.as<brew_stencil_fn>();
+  auto sweepCells = [&] {
+    for (int i = kXs + 1; i < kXs * (kXs - 1) - 1; ++i)
+      ASSERT_TRUE(sameBits(spec(m.data() + i, kXs, &s),
+                           brew_stencil_apply(m.data() + i, kXs, &s)))
+          << i;
+  };
+  // The original serves every call until the worker's variant installs.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (d.variantCount() == 0 && !HasFatalFailure() &&
+         std::chrono::steady_clock::now() < deadline)
+    sweepCells();
+  ASSERT_EQ(d.variantCount(), 1u);
+  const VariantInfo variant = d.variants()[0];
+  EXPECT_EQ(variant.key, static_cast<uint64_t>(kXs));
+  EXPECT_TRUE(inSubjectWindow(subject, variant.entry, variant.codeBytes))
+      << variant.entry << " for " << subject;
+  sweepCells();
+  EXPECT_GT(d.variants()[0].hits, variant.hits);  // the variant served them
 }
 
 TEST(Placement, DispatcherStubAndVariantsLandInSubjectWindow) {

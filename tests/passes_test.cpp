@@ -2,8 +2,14 @@
 // functions, plus end-to-end equivalence checks after each pass.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <limits>
+
+#include "core/code_cache.hpp"
 #include "core/rewriter.hpp"
 #include "ir/captured.hpp"
+#include "jit/assembler.hpp"
 
 namespace brew {
 namespace {
@@ -23,13 +29,11 @@ ir::CapturedFunction singleBlock(std::vector<isa::Instruction> instrs) {
   return fn;
 }
 
-PassOptions only(bool peephole, bool deadFlags, bool loads,
-                 bool zeroAdd = false) {
+PassOptions only(bool peephole, bool deadFlags, bool loads) {
   PassOptions options;
   options.peephole = peephole;
   options.deadFlagWriters = deadFlags;
   options.redundantLoads = loads;
-  options.foldZeroAdd = zeroAdd;
   options.mergeBlocks = false;  // structure-sensitive tests pick passes
   options.slpVectorize = false;
   options.crossIterLoads = false;
@@ -172,85 +176,152 @@ TEST(RedundantLoads, PoolConstantsSurviveStores) {
   EXPECT_EQ(fn.block(0).instrs[2].mnemonic, Mnemonic::Movapd);
 }
 
+// --- the tracer's zero-seeded accumulator fold ------------------------------
+//
+// Config::setFoldZeroAccumulator: "pxor acc, acc; addsd acc, y" is captured
+// as a copy of y when the lane states prove it exact. The subjects are
+// built with jit::Assembler and return acc in xmm0; each fold is checked
+// on the captured code and bit-exact against the original.
+
+using zero_add_t = double (*)(const double*, double*);
+
+// The subject's captured instructions, all blocks in order.
+std::vector<isa::Instruction> capturedInstrs(const RewrittenFunction& f) {
+  std::vector<isa::Instruction> out;
+  for (const ir::Block& block : f.handle()->captured.blocks())
+    out.insert(out.end(), block.instrs.begin(), block.instrs.end());
+  return out;
+}
+
+size_t countMnemonic(const std::vector<isa::Instruction>& instrs,
+                     Mnemonic mnemonic) {
+  return static_cast<size_t>(
+      std::ranges::count(instrs, mnemonic, &isa::Instruction::mnemonic));
+}
+
+// Rewrites `subject` with both pointers unknown, then runs the original
+// and the rewrite on the same inputs; -0.0 and signaling NaNs are left
+// out, the fold's documented differences.
+RewrittenFunction rewriteAndCompare(const ExecMemory& subject) {
+  Config config;
+  config.setReturnKind(ReturnKind::Float);
+  Rewriter rewriter{config};
+  const ArgValue args[] = {ArgValue::fromPtr(nullptr),
+                           ArgValue::fromPtr(nullptr)};
+  auto rewritten = rewriter.rewrite(subject.data(), args);
+  EXPECT_TRUE(rewritten.ok()) << rewritten.error().message();
+  if (!rewritten.ok()) return {};
+  const auto original = subject.entry<zero_add_t>();
+  const auto spec = rewritten->as<zero_add_t>();
+  for (const double y : {1.5, -2.25, 0.0, 1e300, -7e-310,
+                         std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity()}) {
+    double wantStore = 3.0, gotStore = 3.0;
+    const double want = original(&y, &wantStore);
+    const double got = spec(&y, &gotStore);
+    EXPECT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
+        << y;
+    EXPECT_EQ(std::bit_cast<uint64_t>(gotStore),
+              std::bit_cast<uint64_t>(wantStore))
+        << y;
+  }
+  return std::move(*rewritten);
+}
+
+ExecMemory finalizeSubject(jit::Assembler& as) {
+  as.emit(makeInstr(Mnemonic::Movapd, 16, Operand::makeReg(Reg::xmm0),
+                    Operand::makeReg(Reg::xmm1)));
+  as.ret();
+  auto mem = as.finalizeExecutable();
+  EXPECT_TRUE(mem.ok());
+  return std::move(*mem);
+}
+
+void zeroXmm1(jit::Assembler& as) {
+  as.emit(makeInstr(Mnemonic::Pxor, 16, Operand::makeReg(Reg::xmm1),
+                    Operand::makeReg(Reg::xmm1)));
+}
+
 TEST(ZeroAdd, FoldsSeededAccumulator) {
-  ir::CapturedFunction fn;
-  const int id = fn.newBlock(0x1000, 0);
-  const int zeroSlot = fn.addPoolConstant(0, 0);
-  MemOperand poolRef;
-  poolRef.ripRelative = true;
-  poolRef.poolSlot = zeroSlot;
-  const MemOperand load{.base = Reg::rdi};
-  fn.block(id).instrs = {
-      makeInstr(Mnemonic::Movsd, 8, Operand::makeReg(Reg::xmm1),
-                Operand::makeMem(poolRef)),
-      makeInstr(Mnemonic::Addsd, 8, Operand::makeReg(Reg::xmm1),
-                Operand::makeMem(load)),
-  };
-  fn.block(id).term.kind = ir::Terminator::Kind::Ret;
-  runPasses(fn, only(false, false, false, /*zeroAdd=*/true));
-  ASSERT_EQ(fn.block(0).instrs.size(), 1u);
-  EXPECT_EQ(fn.block(0).instrs[0].mnemonic, Mnemonic::Movsd);
-  EXPECT_TRUE(fn.block(0).instrs[0].ops[1].isMem());
+  // pxor xmm1, xmm1; addsd xmm1, [rdi] -> movsd xmm1, [rdi] (the return
+  // copy then coalesces it into xmm0)
+  jit::Assembler as;
+  zeroXmm1(as);
+  as.emit(makeInstr(Mnemonic::Addsd, 8, Operand::makeReg(Reg::xmm1),
+                    Operand::makeMem(MemOperand{.base = Reg::rdi})));
+  const ExecMemory subject = finalizeSubject(as);
+  const RewrittenFunction f = rewriteAndCompare(subject);
+  ASSERT_TRUE(f);
+  const std::vector<isa::Instruction> instrs = capturedInstrs(f);
+  EXPECT_EQ(countMnemonic(instrs, Mnemonic::Addsd), 0u) << f.dumpCaptured();
+  const auto load = std::ranges::find_if(instrs, [](const auto& in) {
+    return in.mnemonic == Mnemonic::Movsd && in.ops[1].isMem() &&
+           in.ops[1].mem.base == Reg::rdi;
+  });
+  EXPECT_NE(load, instrs.end()) << f.dumpCaptured();
 }
 
 TEST(ZeroAdd, RegisterSourceBecomesMovq) {
-  ir::CapturedFunction fn;
-  const int id = fn.newBlock(0x1000, 0);
-  const int zeroSlot = fn.addPoolConstant(0, 0);
-  MemOperand poolRef;
-  poolRef.ripRelative = true;
-  poolRef.poolSlot = zeroSlot;
-  fn.block(id).instrs = {
-      makeInstr(Mnemonic::Movsd, 8, Operand::makeReg(Reg::xmm1),
-                Operand::makeMem(poolRef)),
-      makeInstr(Mnemonic::Addsd, 8, Operand::makeReg(Reg::xmm1),
-                Operand::makeReg(Reg::xmm0)),
-  };
-  fn.block(id).term.kind = ir::Terminator::Kind::Ret;
-  runPasses(fn, only(false, false, false, true));
-  ASSERT_EQ(fn.block(0).instrs.size(), 1u);
-  EXPECT_EQ(fn.block(0).instrs[0].mnemonic, Mnemonic::Movq);
+  // A register source whose high lane is a real 0 (a movsd load) makes the
+  // fold a full-register copy: the tracer emits movapd, which zeroes the
+  // high lane exactly like the pxor did (and like the IR-level fold's movq).
+  jit::Assembler as;
+  as.emit(makeInstr(Mnemonic::Movsd, 8, Operand::makeReg(Reg::xmm2),
+                    Operand::makeMem(MemOperand{.base = Reg::rdi})));
+  zeroXmm1(as);
+  as.emit(makeInstr(Mnemonic::Addsd, 8, Operand::makeReg(Reg::xmm1),
+                    Operand::makeReg(Reg::xmm2)));
+  const ExecMemory subject = finalizeSubject(as);
+  const RewrittenFunction f = rewriteAndCompare(subject);
+  ASSERT_TRUE(f);
+  const std::vector<isa::Instruction> instrs = capturedInstrs(f);
+  EXPECT_EQ(countMnemonic(instrs, Mnemonic::Addsd), 0u) << f.dumpCaptured();
+  const auto copy = std::ranges::find_if(instrs, [](const auto& in) {
+    return in.mnemonic == Mnemonic::Movapd && in.ops[1].isReg() &&
+           in.ops[1].reg == Reg::xmm2;
+  });
+  EXPECT_NE(copy, instrs.end()) << f.dumpCaptured();
 }
 
 TEST(ZeroAdd, InterveningUseBlocksTheFold) {
-  ir::CapturedFunction fn;
-  const int id = fn.newBlock(0x1000, 0);
-  const int zeroSlot = fn.addPoolConstant(0, 0);
-  MemOperand poolRef;
-  poolRef.ripRelative = true;
-  poolRef.poolSlot = zeroSlot;
-  fn.block(id).instrs = {
-      makeInstr(Mnemonic::Movsd, 8, Operand::makeReg(Reg::xmm1),
-                Operand::makeMem(poolRef)),
-      // xmm1 is read here: the seed is live, no fold allowed.
-      makeInstr(Mnemonic::Mulsd, 8, Operand::makeReg(Reg::xmm2),
-                Operand::makeReg(Reg::xmm1)),
-      makeInstr(Mnemonic::Addsd, 8, Operand::makeReg(Reg::xmm1),
-                Operand::makeReg(Reg::xmm0)),
-  };
-  fn.block(id).term.kind = ir::Terminator::Kind::Ret;
-  runPasses(fn, only(false, false, false, true));
-  EXPECT_EQ(fn.block(0).instrs.size(), 3u);
-  EXPECT_EQ(fn.block(0).instrs[0].mnemonic, Mnemonic::Movsd);
-  EXPECT_EQ(fn.block(0).instrs[2].mnemonic, Mnemonic::Addsd);
+  // The store reads the seed, which materializes it: the addsd is kept.
+  jit::Assembler as;
+  zeroXmm1(as);
+  as.emit(makeInstr(Mnemonic::Movsd, 8,
+                    Operand::makeMem(MemOperand{.base = Reg::rsi}),
+                    Operand::makeReg(Reg::xmm1)));
+  as.emit(makeInstr(Mnemonic::Addsd, 8, Operand::makeReg(Reg::xmm1),
+                    Operand::makeMem(MemOperand{.base = Reg::rdi})));
+  const ExecMemory subject = finalizeSubject(as);
+  const RewrittenFunction f = rewriteAndCompare(subject);
+  ASSERT_TRUE(f);
+  EXPECT_EQ(countMnemonic(capturedInstrs(f), Mnemonic::Addsd), 1u)
+      << f.dumpCaptured();
 }
 
 TEST(ZeroAdd, NonZeroPoolConstantNotTouched) {
-  ir::CapturedFunction fn;
-  const int id = fn.newBlock(0x1000, 0);
-  const int slot = fn.addPoolConstant(0x3FF0000000000000ull);  // 1.0
-  MemOperand poolRef;
-  poolRef.ripRelative = true;
-  poolRef.poolSlot = slot;
-  fn.block(id).instrs = {
-      makeInstr(Mnemonic::Movsd, 8, Operand::makeReg(Reg::xmm1),
-                Operand::makeMem(poolRef)),
-      makeInstr(Mnemonic::Addsd, 8, Operand::makeReg(Reg::xmm1),
-                Operand::makeReg(Reg::xmm0)),
-  };
-  fn.block(id).term.kind = ir::Terminator::Kind::Ret;
-  runPasses(fn, only(false, false, false, true));
-  EXPECT_EQ(fn.block(0).instrs.size(), 2u);
+  // An accumulator seeded with 1.0 is materialized from the pool and the
+  // addsd is kept.
+  jit::Assembler as;
+  as.movRegImm(Reg::rax, static_cast<int64_t>(std::bit_cast<uint64_t>(1.0)));
+  as.emit(makeInstr(Mnemonic::Movq, 8, Operand::makeReg(Reg::xmm1),
+                    Operand::makeReg(Reg::rax)));
+  as.emit(makeInstr(Mnemonic::Addsd, 8, Operand::makeReg(Reg::xmm1),
+                    Operand::makeMem(MemOperand{.base = Reg::rdi})));
+  const ExecMemory subject = finalizeSubject(as);
+  const RewrittenFunction f = rewriteAndCompare(subject);
+  ASSERT_TRUE(f);
+  const std::vector<isa::Instruction> instrs = capturedInstrs(f);
+  EXPECT_EQ(countMnemonic(instrs, Mnemonic::Addsd), 1u) << f.dumpCaptured();
+  const auto seed = std::ranges::find_if(instrs, [&](const auto& in) {
+    if (in.nops != 2 || !in.ops[1].isMem() || in.ops[1].mem.poolSlot < 0)
+      return false;
+    const ir::PoolEntry& entry =
+        f.handle()->captured.pool()[static_cast<size_t>(
+            in.ops[1].mem.poolSlot)];
+    return entry.lo == std::bit_cast<uint64_t>(1.0);
+  });
+  EXPECT_NE(seed, instrs.end()) << f.dumpCaptured();
 }
 
 TEST(MergeBlocks, CollapsesJmpChains) {
@@ -258,7 +329,6 @@ TEST(MergeBlocks, CollapsesJmpChains) {
   options.peephole = false;
   options.deadFlagWriters = false;
   options.redundantLoads = false;
-  options.foldZeroAdd = false;
   options.mergeBlocks = true;
 
   ir::CapturedFunction fn;
@@ -293,7 +363,6 @@ TEST(MergeBlocks, SharedSuccessorNotMerged) {
   options.peephole = false;
   options.deadFlagWriters = false;
   options.redundantLoads = false;
-  options.foldZeroAdd = false;
   options.mergeBlocks = true;
 
   // Two predecessors jump to the same block: no merge allowed.
