@@ -67,11 +67,12 @@ echo "blocks.* counters present in BREW_STATS"
 
 # Persistent cache: a warm-start run of the persistence battery must show
 # the cache.persist_* counters moving — zero writes means nothing was
-# published, zero hits means every restart silently traced cold.
+# published, zero hits means every restart silently traced cold, zero
+# shared maps means no warm load was mapped from its entry file.
 stats_out=$(BREW_STATS=1 ./tests/support_persist_cache_test \
   --gtest_filter='PersistRoundTrip.*:PersistCorruption.Truncated*' 2>&1)
 for counter in cache.persist_hits cache.persist_writes \
-    cache.persist_rejects; do
+    cache.persist_rejects cache.persist_shared_maps; do
   if ! printf '%s\n' "$stats_out" | \
       grep -E "$counter[[:space:]]+[1-9][0-9]*" > /dev/null; then
     echo "FAIL: $counter missing or zero in BREW_STATS output" >&2

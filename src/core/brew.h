@@ -176,9 +176,10 @@ void brew_options_set_profile_guided(brew_options* options, int enabled);
 /* Persistent on-disk specialization cache directory (copied; NULL or ""
  * disables persistence). Entries are keyed by the executable's build id
  * plus the full specialization identity, written crash-safely, and — when
- * position independent — shared as read-only code pages between sibling
- * processes using the same directory. A restarted process warm-starts
- * with zero trace phases. See docs/CACHE.md "Persistence". */
+ * position independent — loaded by mapping the entry file read-only, so
+ * every process using the directory shares those code pages through the
+ * page cache. A restarted process warm-starts with zero trace phases. See
+ * docs/CACHE.md "Persistence". */
 void brew_options_set_cache_dir(brew_options* options, const char* dir);
 
 /* Installs `options` as the configuration of the process-wide runtime.
@@ -303,10 +304,11 @@ typedef struct brew_persist_stats {
   uint64_t writes;       /* entries published to disk */
   uint64_t rejects;      /* on-disk entries that failed validation
                             (corruption, stale format, foreign build) */
-  uint64_t shared_maps;  /* hits served as shared pages from a sibling
-                            process's sealed memfd */
-  uint64_t serving_pages; /* 1 when this process owns the directory's
-                             page-sharing socket */
+  uint64_t shared_maps;  /* hits mapped from the entry file itself, their
+                            pages shared through the page cache */
+  uint64_t serving_pages; /* always 0: entries are shared by mapping the
+                             files, with no page-serving process; kept so
+                             the struct layout stays append-only */
 } brew_persist_stats;
 void brew_getpersiststats(brew_persist_stats* out);
 

@@ -16,7 +16,6 @@
 #include "core/dispatch.hpp"
 #include "core/rewriter.hpp"
 #include "core/spec_manager.hpp"
-#include "support/persist_cache.hpp"
 #include "support/profiler.hpp"
 #include "support/telemetry.hpp"
 
@@ -427,7 +426,6 @@ void brew_getpersiststats(brew_persist_stats* out) {
   if (out == nullptr) return;
   brew::SpecManager& manager = brew::SpecManager::process();
   const brew::CacheStats s = manager.cache().stats();
-  const brew::persist::Store* store = manager.persistStore();
   *out = brew_persist_stats{
       s.persistHits,
       s.persistMisses,
@@ -436,7 +434,7 @@ void brew_getpersiststats(brew_persist_stats* out) {
       brew::telemetry::counter(
           brew::telemetry::CounterId::PersistSharedMaps)
           .value(),
-      store != nullptr && store->servingPages() ? uint64_t{1} : uint64_t{0},
+      uint64_t{0},
   };
 }
 

@@ -73,9 +73,6 @@ struct CodeBlock {
   // the finalized bytes survive serialization); this preserves the unit's
   // block count for cache accounting. Zero for freshly-compiled blocks.
   uint32_t persistedBlocks = 0;
-  // True when the code pages are a shared mapping of another process's
-  // sealed memfd (see support/persist_cache.hpp).
-  bool sharedMapping = false;
   // CacheKey::bytes of the one key this block is cached under. Set by
   // CodeCache::getOrBuild before the block is published; the shard map's
   // key points at it, and fastLookup compares it so a hit slot never

@@ -385,7 +385,6 @@ Result<CodeHandle> SpecManager::rewrite(const Config& config,
         block->emitStats.poolBytes = probe.entry->poolBytes;
         block->emitStats.instructions = probe.entry->instructions;
         block->persistedBlocks = probe.entry->blockUnits;
-        block->sharedMapping = probe.entry->shared;
         registerGeneratedCode(block->memory.data(),
                               block->emitStats.codeBytes, fn, key.configFp,
                               "persist");

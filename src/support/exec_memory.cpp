@@ -149,21 +149,25 @@ bool poolPark(void* base, void* wbase, size_t size) noexcept {
   return true;
 }
 
+void cursorRetreat(uintptr_t base, size_t size) noexcept;
+
 void unmapRegion(void* base, void* wbase, size_t size) noexcept {
   ::munmap(base, size);
   if (wbase != nullptr) ::munmap(wbase, size);
+  cursorRetreat(reinterpret_cast<uintptr_t>(base), size);
 }
 
 // Frees a mapping: notify (hook + telemetry + mutation record) first, then
 // park in the pool or unmap. The hook may itself free ExecMemory, so no
 // lock is held while it runs. Dual-mapped regions park as-is (no syscall);
-// single-mapping regions are returned to read+write first.
+// single-mapping regions are returned to read+write first, which a shared
+// mapping of a read-only file refuses, so it is unmapped.
 void releaseMapping(void* base, void* wbase, size_t size,
                     bool executable) noexcept {
   notifyFree(base, size);
   if (wbase == nullptr && executable &&
       ::mprotect(base, size, PROT_READ | PROT_WRITE) != 0) {
-    ::munmap(base, size);
+    unmapRegion(base, nullptr, size);
     return;
   }
   if (!poolPark(base, wbase, size)) unmapRegion(base, wbase, size);
@@ -194,14 +198,26 @@ WindowCursor& cursorFor(uintptr_t window) noexcept {
   return c;
 }
 
+// An unmapped region at a window's search edge hands the edge back, so a
+// map/unmap cycle (a mapped persist entry per probe) reuses one address
+// instead of walking the window onto fresh page tables.
+void cursorRetreat(uintptr_t base, size_t size) noexcept {
+  std::lock_guard<std::mutex> lock(g_cursorMutex);
+  for (WindowCursor& c : g_cursors) {
+    if (c.window != base >> kWindowShift) continue;
+    if (c.below == base) c.below = base + size;
+    if (c.above == base + size) c.above = base;
+  }
+}
+
 // One MAP_FIXED_NOREPLACE probe. On kernels without the flag the address
 // is only a hint, so a mapping that lands elsewhere is undone. Sets
 // `stop` on errors other than "occupied" (out of address space, exec
 // refused, map count exhausted): further probes would fail the same way.
 void* probeAt(uintptr_t addr, size_t bytes, int prot, int flags, int fd,
-              bool& stop) noexcept {
+              off_t offset, bool& stop) noexcept {
   void* p = ::mmap(reinterpret_cast<void*>(addr), bytes, prot,
-                   flags | MAP_FIXED_NOREPLACE, fd, 0);
+                   flags | MAP_FIXED_NOREPLACE, fd, offset);
   if (p == MAP_FAILED) {
     stop = errno != EEXIST;
     return nullptr;
@@ -216,8 +232,8 @@ void* probeAt(uintptr_t addr, size_t bytes, int prot, int flags, int fd,
 // anchor's own page for anonymous code) first, then upward from above
 // the anchor and the program break's headroom, each with a bounded number
 // of doubling steps. Never maps over an existing mapping.
-void* mapNear(uintptr_t anchor, size_t bytes, int prot, int flags,
-              int fd) noexcept {
+void* mapNear(uintptr_t anchor, size_t bytes, int prot, int flags, int fd,
+              off_t offset) noexcept {
   const uintptr_t page = pageSize();
   const uintptr_t window = anchor >> kWindowShift;
   uintptr_t moduleLo = anchor & ~(page - 1);
@@ -245,7 +261,7 @@ void* mapNear(uintptr_t anchor, size_t bytes, int prot, int flags,
     bool stop = false;
     for (int i = 0; i < kMaxProbes && !stop && inWindow(anchor, addr, bytes);
          ++i) {
-      if (void* p = probeAt(addr, bytes, prot, flags, fd, stop)) {
+      if (void* p = probeAt(addr, bytes, prot, flags, fd, offset, stop)) {
         std::lock_guard<std::mutex> lock(g_cursorMutex);
         WindowCursor& c = cursorFor(window);
         if (down)
@@ -268,12 +284,13 @@ void* mapNear(uintptr_t anchor, size_t bytes, int prot, int flags,
 
 // The one placement rule for executable views: in `anchor`'s window when
 // it has one and room there, otherwise wherever mmap puts it (counted in
-// exec.far_maps when an anchor was given). Returns MAP_FAILED on failure.
-void* mapPlaced(uintptr_t anchor, size_t bytes, int prot, int flags,
-                int fd) noexcept {
+// exec.far_maps when an anchor was given). Maps `fd` from `offset` (a
+// page multiple). Returns MAP_FAILED on failure.
+void* mapPlaced(uintptr_t anchor, size_t bytes, int prot, int flags, int fd,
+                off_t offset = 0) noexcept {
   if (anchor != 0)
-    if (void* p = mapNear(anchor, bytes, prot, flags, fd)) return p;
-  void* p = ::mmap(nullptr, bytes, prot, flags, fd, 0);
+    if (void* p = mapNear(anchor, bytes, prot, flags, fd, offset)) return p;
+  void* p = ::mmap(nullptr, bytes, prot, flags, fd, offset);
   if (anchor != 0 && p != MAP_FAILED)
     telemetry::counter(telemetry::CounterId::ExecFarMaps).add();
   return p;
@@ -381,13 +398,14 @@ Result<ExecMemory> ExecMemory::allocate(size_t size, const void* near) {
   return mem;
 }
 
-Result<ExecMemory> ExecMemory::adoptShared(int fd, size_t size,
+Result<ExecMemory> ExecMemory::adoptShared(int fd, off_t offset, size_t size,
                                            const void* near) {
-  if (fd < 0 || size == 0)
-    return Error{ErrorCode::InvalidArgument, 0, "bad shared code fd"};
+  if (fd < 0 || size == 0 || offset < 0 ||
+      static_cast<size_t>(offset) % pageSize() != 0)
+    return Error{ErrorCode::InvalidArgument, 0, "bad shared code range"};
   const size_t bytes = roundUpToPage(size);
   void* x = mapPlaced(reinterpret_cast<uintptr_t>(near), bytes,
-                      PROT_READ | PROT_EXEC, MAP_SHARED, fd);
+                      PROT_READ | PROT_EXEC, MAP_SHARED, fd, offset);
   if (x == MAP_FAILED)
     return Error{ErrorCode::CodeBufferFull, 0,
                  std::string("mmap shared code: ") + std::strerror(errno)};

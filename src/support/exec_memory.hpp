@@ -27,6 +27,8 @@
 // exec.far_maps. The writable alias of a dual mapping is never placed.
 #pragma once
 
+#include <sys/types.h>
+
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -84,13 +86,16 @@ class ExecMemory {
   // `near` when it is non-null (see "Placement" above).
   static Result<ExecMemory> allocate(size_t size, const void* near = nullptr);
 
-  // Maps `size` bytes of `fd` (a sealed memfd received from a sibling
-  // process's page server — see support/persist_cache.hpp) as a shared
-  // read-only-executable view, placed near `near` like allocate(). The
-  // region is born finalized: there is no writable alias and
-  // makeWritable() fails, exactly as the seals demand. The caller keeps
+  // Maps `size` bytes of `fd` from the page-aligned `offset` (the payload
+  // of a persisted entry file opened O_RDONLY — see
+  // support/persist_cache.hpp) as a MAP_SHARED read-only-executable view,
+  // placed near `near` like allocate(). Every process that maps the same
+  // file range shares its page-cache pages. The region is born finalized:
+  // there is no writable alias, and makeWritable() fails because the
+  // kernel refuses PROT_WRITE on a shared mapping of a read-only fd (so
+  // the region is unmapped on release, never pooled). The caller keeps
   // ownership of `fd` (the mapping pins the inode).
-  static Result<ExecMemory> adoptShared(int fd, size_t size,
+  static Result<ExecMemory> adoptShared(int fd, off_t offset, size_t size,
                                         const void* near = nullptr);
 
   // Makes the region executable. Emitting after this is invalid.

@@ -4,19 +4,17 @@
 #include <elf.h>
 #include <fcntl.h>
 #include <link.h>
-#include <poll.h>
 #include <signal.h>
 #include <sys/file.h>
-#include <sys/mman.h>
-#include <sys/socket.h>
 #include <sys/stat.h>
-#include <sys/un.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <mutex>
 
 #include "support/telemetry.hpp"
 
@@ -156,8 +154,10 @@ std::optional<ModuleInfo> moduleById(uint64_t id) {
 }
 
 // ---------------------------------------------------------------------------
-// On-disk layout: EntryHeader | key bytes | payload | DiskReloc[] |
-// DiskModule[]. Everything little-endian.
+// On-disk layout: EntryHeader | key bytes | DiskReloc[] | DiskModule[] |
+// zero pad | payload. The payload starts at the first page boundary after
+// the tables, so a reloc-free payload maps straight from the file.
+// Everything little-endian.
 // ---------------------------------------------------------------------------
 
 struct EntryHeader {
@@ -167,7 +167,7 @@ struct EntryHeader {
   uint64_t fnOffset = 0;   // subject function, module-relative
   uint64_t configFp = 0;
   uint64_t argsHash = 0;
-  uint64_t payloadChecksum = 0;  // fnv over key + payload + reloc + modules
+  uint64_t payloadChecksum = 0;  // fnv over key + reloc + modules + payload
   uint64_t headerChecksum = 0;   // fnv over this header with the field zeroed
   uint32_t version = kFormatVersion;
   uint32_t flags = 0;
@@ -226,12 +226,33 @@ size_t pageRound(size_t n) {
   return (n + page - 1) / page * page;
 }
 
-bool readAll(int fd, void* dst, size_t n) {
+// Page-aligned file offset of the payload: the end of the header and
+// tables, rounded up. Writer and reader both derive it from the header.
+uint64_t payloadOffset(const EntryHeader& h) {
+  return pageRound(sizeof(EntryHeader) + uint64_t{h.keyBytes} +
+                   uint64_t{h.relocCount} * sizeof(DiskReloc) +
+                   uint64_t{h.moduleCount} * sizeof(DiskModule));
+}
+
+// Header checks that need no other bytes: magic, version, section bounds,
+// header checksum and the exact file size. The size check precedes any
+// mmap, so a truncated entry is rejected and never faults a mapping.
+bool headerValid(const EntryHeader& h, uint64_t fileSize) {
+  return h.magic == kEntryMagic && h.version == kFormatVersion &&
+         h.relocCount <= (1u << 20) && h.moduleCount <= (1u << 16) &&
+         h.keyBytes <= (64u << 20) && h.payloadBytes != 0 &&
+         h.payloadBytes <= (64u << 20) &&
+         headerChecksum(h) == h.headerChecksum &&
+         fileSize == payloadOffset(h) + h.payloadBytes;
+}
+
+bool preadAll(int fd, void* dst, size_t n, uint64_t off) {
   auto* p = static_cast<uint8_t*>(dst);
   while (n > 0) {
-    const ssize_t r = ::read(fd, p, n);
+    const ssize_t r = ::pread(fd, p, n, static_cast<off_t>(off));
     if (r <= 0) return false;
     p += r;
+    off += static_cast<uint64_t>(r);
     n -= static_cast<size_t>(r);
   }
   return true;
@@ -246,122 +267,6 @@ bool writeAll(int fd, const void* src, size_t n) {
     n -= static_cast<size_t>(r);
   }
   return true;
-}
-
-struct ParsedEntry {
-  EntryHeader hdr;
-  std::vector<uint8_t> key;
-  std::vector<uint8_t> payload;
-  std::vector<DiskReloc> relocs;
-  std::vector<DiskModule> modules;
-};
-
-// Reads and fully validates one entry file: size, magic, version, both
-// checksums, section-count consistency. nullopt on ANY deviation — a
-// truncated, bit-flipped or stale file must look exactly like a miss plus
-// a reject counter, never a crash.
-std::optional<ParsedEntry> readEntry(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return std::nullopt;
-  ParsedEntry e;
-  struct stat st{};
-  if (::fstat(fd, &st) != 0 || static_cast<size_t>(st.st_size) <
-                                   sizeof(EntryHeader)) {
-    ::close(fd);
-    return std::nullopt;
-  }
-  if (!readAll(fd, &e.hdr, sizeof e.hdr)) {
-    ::close(fd);
-    return std::nullopt;
-  }
-  const EntryHeader& h = e.hdr;
-  // Bound the section sizes before trusting any of them.
-  const uint64_t want = sizeof(EntryHeader) + uint64_t{h.keyBytes} +
-                        uint64_t{h.payloadBytes} +
-                        uint64_t{h.relocCount} * sizeof(DiskReloc) +
-                        uint64_t{h.moduleCount} * sizeof(DiskModule);
-  if (h.magic != kEntryMagic || h.version != kFormatVersion ||
-      h.relocCount > (1u << 20) || h.moduleCount > (1u << 16) ||
-      h.keyBytes > (64u << 20) ||
-      h.payloadBytes == 0 || h.payloadBytes > (64u << 20) ||
-      static_cast<uint64_t>(st.st_size) != want ||
-      headerChecksum(h) != h.headerChecksum) {
-    ::close(fd);
-    return std::nullopt;
-  }
-  e.key.resize(h.keyBytes);
-  e.payload.resize(h.payloadBytes);
-  e.relocs.resize(h.relocCount);
-  e.modules.resize(h.moduleCount);
-  if (!readAll(fd, e.key.data(), e.key.size()) ||
-      !readAll(fd, e.payload.data(), e.payload.size()) ||
-      (!e.relocs.empty() &&
-       !readAll(fd, e.relocs.data(), e.relocs.size() * sizeof(DiskReloc))) ||
-      (!e.modules.empty() &&
-       !readAll(fd, e.modules.data(),
-                e.modules.size() * sizeof(DiskModule)))) {
-    ::close(fd);
-    return std::nullopt;
-  }
-  ::close(fd);
-  uint64_t sum = fnvBytes(e.key.data(), e.key.size());
-  sum = fnvBytes(e.payload.data(), e.payload.size(), sum);
-  sum = fnvBytes(e.relocs.data(), e.relocs.size() * sizeof(DiskReloc), sum);
-  sum = fnvBytes(e.modules.data(), e.modules.size() * sizeof(DiskModule),
-                 sum);
-  if (sum != h.payloadChecksum) return std::nullopt;
-  for (const DiskReloc& r : e.relocs)
-    if (r.moduleIdx >= h.moduleCount ||
-        uint64_t{r.offset} + 8 > h.payloadBytes)
-      return std::nullopt;
-  return e;
-}
-
-// recvmsg/sendmsg of one uint64 with an optional SCM_RIGHTS fd.
-bool sendFdMsg(int sock, uint64_t size, int fd) {
-  msghdr msg{};
-  iovec iov{&size, sizeof size};
-  msg.msg_iov = &iov;
-  msg.msg_iovlen = 1;
-  alignas(cmsghdr) char ctrl[CMSG_SPACE(sizeof(int))];
-  if (fd >= 0) {
-    std::memset(ctrl, 0, sizeof ctrl);
-    msg.msg_control = ctrl;
-    msg.msg_controllen = sizeof ctrl;
-    cmsghdr* cm = CMSG_FIRSTHDR(&msg);
-    cm->cmsg_level = SOL_SOCKET;
-    cm->cmsg_type = SCM_RIGHTS;
-    cm->cmsg_len = CMSG_LEN(sizeof(int));
-    std::memcpy(CMSG_DATA(cm), &fd, sizeof fd);
-  }
-  return ::sendmsg(sock, &msg, MSG_NOSIGNAL) == sizeof size;
-}
-
-int recvFdMsg(int sock, uint64_t* size) {
-  msghdr msg{};
-  iovec iov{size, sizeof *size};
-  msg.msg_iov = &iov;
-  msg.msg_iovlen = 1;
-  alignas(cmsghdr) char ctrl[CMSG_SPACE(sizeof(int))];
-  msg.msg_control = ctrl;
-  msg.msg_controllen = sizeof ctrl;
-  if (::recvmsg(sock, &msg, 0) != sizeof *size) return -1;
-  for (cmsghdr* cm = CMSG_FIRSTHDR(&msg); cm != nullptr;
-       cm = CMSG_NXTHDR(&msg, cm)) {
-    if (cm->cmsg_level == SOL_SOCKET && cm->cmsg_type == SCM_RIGHTS &&
-        cm->cmsg_len == CMSG_LEN(sizeof(int))) {
-      int fd = -1;
-      std::memcpy(&fd, CMSG_DATA(cm), sizeof fd);
-      return fd;
-    }
-  }
-  return -1;
-}
-
-void setSocketTimeouts(int fd) {
-  timeval tv{0, 250 * 1000};  // 250ms: a stuck peer must not stall rewrites
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
 }
 
 // Temp-file prefix; embeds the writer pid so open() can sweep files
@@ -402,25 +307,7 @@ std::unique_ptr<Store> Store::open(const std::string& dir) {
     }
     ::closedir(d);
   }
-
-  store->socketPath_ = sub + "/pages.sock";
-  store->tryBindPageServer();
   return store;
-}
-
-Store::~Store() {
-  if (listenFd_ >= 0) {
-    // Wake the server thread, join it, then retire the socket.
-    char b = 0;
-    [[maybe_unused]] ssize_t r = ::write(stopPipe_[1], &b, 1);
-    if (server_.joinable()) server_.join();
-    ::close(listenFd_);
-    ::unlink(socketPath_.c_str());
-  }
-  for (int i = 0; i < 2; ++i)
-    if (stopPipe_[i] >= 0) ::close(stopPipe_[i]);
-  std::lock_guard<std::mutex> lock(fdMu_);
-  for (auto& [hash, fd] : sealedFds_) ::close(fd);
 }
 
 std::string Store::entryPathFor(const void* fn, uint64_t configFp,
@@ -447,10 +334,16 @@ ProbeResult Store::probe(const void* fn, uint64_t configFp,
       nameHashOf(selfBuildId(), mod->id, fnOffset, configFp, argsHash);
   const std::string path = dir_ + "/" + entryFileName(nameHash);
 
-  if (::access(path.c_str(), R_OK) != 0) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
     counter(CounterId::PersistMisses).add();
     return result;
   }
+  // Closed on every return; a mapping of the file keeps the inode alive.
+  struct FdCloser {
+    int fd;
+    ~FdCloser() { ::close(fd); }
+  } closer{fd};
 
   auto reject = [&](bool unlinkFile) {
     if (unlinkFile) ::unlink(path.c_str());
@@ -460,62 +353,83 @@ ProbeResult Store::probe(const void* fn, uint64_t configFp,
     return std::move(result);  // lambda: captured lvalue needs the move
   };
 
-  auto parsed = readEntry(path);
-  if (!parsed) return reject(/*unlinkFile=*/true);  // corrupt: remove it
-  const EntryHeader& h = parsed->hdr;
+  // A truncated, bit-flipped or stale file must look exactly like a miss
+  // plus a reject counter, never a crash: remove it.
+  struct stat st{};
+  EntryHeader h;
+  if (::fstat(fd, &st) != 0 ||
+      static_cast<uint64_t>(st.st_size) < sizeof h ||
+      !preadAll(fd, &h, sizeof h, 0) ||
+      !headerValid(h, static_cast<uint64_t>(st.st_size)))
+    return reject(/*unlinkFile=*/true);
   if (h.exeBuildId != selfBuildId() || h.moduleId != mod->id ||
       h.fnOffset != fnOffset || h.configFp != configFp ||
       h.argsHash != argsHash)
     return reject(/*unlinkFile=*/true);  // foreign build or hash collision
 
+  LoadedEntry entry;
+  entry.keyBytes.resize(h.keyBytes);
+  std::vector<DiskReloc> relocs(h.relocCount);
+  std::vector<DiskModule> modules(h.moduleCount);
+  const uint64_t relocsAt = sizeof h + uint64_t{h.keyBytes};
+  const uint64_t modulesAt = relocsAt + relocs.size() * sizeof(DiskReloc);
+  if (!preadAll(fd, entry.keyBytes.data(), h.keyBytes, sizeof h) ||
+      !preadAll(fd, relocs.data(), relocs.size() * sizeof(DiskReloc),
+                relocsAt) ||
+      !preadAll(fd, modules.data(), modules.size() * sizeof(DiskModule),
+                modulesAt))
+    return reject(/*unlinkFile=*/true);
+  for (const DiskReloc& r : relocs)
+    if (r.moduleIdx >= h.moduleCount ||
+        uint64_t{r.offset} + 8 > h.payloadBytes)
+      return reject(/*unlinkFile=*/true);
+
+  // Reloc-free code is mapped from the file itself, so every process that
+  // loads the entry shares its page-cache pages. Code with relocations,
+  // or a refused mapping (a noexec cache directory), is read into a
+  // private region, placed next to the function the entry stands in for.
+  const auto payloadAt = static_cast<off_t>(payloadOffset(h));
+  std::optional<ExecMemory> mem;
+  if (relocs.empty())
+    if (auto shared = ExecMemory::adoptShared(fd, payloadAt, h.payloadBytes,
+                                              fn)) {
+      mem = std::move(*shared);
+      entry.shared = true;
+    }
+  if (!mem) {
+    auto copy = ExecMemory::allocate(h.payloadBytes, fn);
+    if (!copy || !preadAll(fd, copy->writeView(), h.payloadBytes,
+                           static_cast<uint64_t>(payloadAt)))
+      return reject(/*unlinkFile=*/false);
+    mem = std::move(*copy);
+  }
+  // Checksum the bytes that will run, not a second copy of them.
+  uint64_t sum = fnvBytes(entry.keyBytes.data(), entry.keyBytes.size());
+  sum = fnvBytes(relocs.data(), relocs.size() * sizeof(DiskReloc), sum);
+  sum = fnvBytes(modules.data(), modules.size() * sizeof(DiskModule), sum);
+  sum = fnvBytes(mem->data(), h.payloadBytes, sum);
+  if (sum != h.payloadChecksum) return reject(/*unlinkFile=*/true);
+
   // Resolve every referenced module to its current base. Failure here is
   // environmental (a library not loaded yet), so the file stays.
-  std::vector<uint64_t> bases(parsed->modules.size(), 0);
-  for (size_t i = 0; i < parsed->modules.size(); ++i) {
-    const auto m = moduleById(parsed->modules[i].moduleId);
+  std::vector<uint64_t> bases(modules.size(), 0);
+  for (size_t i = 0; i < modules.size(); ++i) {
+    const auto m = moduleById(modules[i].moduleId);
     if (!m) return reject(/*unlinkFile=*/false);
     bases[i] = m->base;
   }
+  for (const DiskReloc& r : relocs) {
+    const uint64_t target = bases[r.moduleIdx] + r.targetOffset;
+    std::memcpy(mem->writeView() + r.offset, &target, 8);
+  }
+  if (!entry.shared && !mem->finalize()) return reject(/*unlinkFile=*/false);
 
-  LoadedEntry entry;
-  entry.keyBytes = std::move(parsed->key);
+  entry.memory = std::move(*mem);
   entry.codeBytes = h.codeBytes;
   entry.poolBytes = h.poolBytes;
   entry.instructions = h.instructions;
   entry.blockUnits = h.blockUnits;
-  entry.relocCount = h.relocCount;
-
-  // Position-independent entries (no relocations) can share physical RX
-  // pages with the process serving this directory.
-  if (h.relocCount == 0 && listenFd_ < 0) {
-    size_t mappedSize = 0;
-    if (auto shared = fetchShared(nameHash, fn, &mappedSize);
-        shared && shared->size() >= h.payloadBytes) {
-      // Trust but verify: shared bytes must equal the validated file's.
-      if (std::memcmp(shared->data(), parsed->payload.data(),
-                      h.payloadBytes) == 0) {
-        entry.memory = std::move(*shared);
-        entry.shared = true;
-        counter(CounterId::PersistSharedMaps).add();
-        counter(CounterId::PersistHits).add();
-        result.entry = std::move(entry);
-        return result;
-      }
-    }
-  }
-
-  // Placed next to the function the entry stands in for (not the module
-  // base, which is 0 for a non-PIE executable).
-  auto mem = ExecMemory::allocate(h.payloadBytes, fn);
-  if (!mem) return reject(/*unlinkFile=*/false);
-  std::memcpy(mem->writeView(), parsed->payload.data(), h.payloadBytes);
-  for (size_t i = 0; i < parsed->relocs.size(); ++i) {
-    const DiskReloc& r = parsed->relocs[i];
-    const uint64_t target = bases[r.moduleIdx] + r.targetOffset;
-    std::memcpy(mem->writeView() + r.offset, &target, 8);
-  }
-  if (Status s = mem->finalize(); !s) return reject(/*unlinkFile=*/false);
-  entry.memory = std::move(*mem);
+  if (entry.shared) counter(CounterId::PersistSharedMaps).add();
   counter(CounterId::PersistHits).add();
   result.entry = std::move(entry);
   return result;
@@ -564,12 +478,21 @@ bool Store::write(const WriteRequest& req) {
   hdr.relocCount = static_cast<uint32_t>(relocs.size());
   hdr.moduleCount = static_cast<uint32_t>(modules.size());
 
-  uint64_t sum = fnvBytes(req.keyBytes.data(), req.keyBytes.size());
-  sum = fnvBytes(req.bytes, req.size, sum);
-  sum = fnvBytes(relocs.data(), relocs.size() * sizeof(DiskReloc), sum);
-  sum = fnvBytes(modules.data(), modules.size() * sizeof(DiskModule), sum);
-  hdr.payloadChecksum = sum;
+  // Everything before the payload, zero pad included, in one buffer.
+  std::vector<uint8_t> head(payloadOffset(hdr), 0);
+  uint8_t* const tables = head.data() + sizeof hdr;
+  uint8_t* at = tables;
+  auto append = [&at](const void* src, size_t n) {
+    if (n != 0) std::memcpy(at, src, n);
+    at += n;
+  };
+  append(req.keyBytes.data(), req.keyBytes.size());
+  append(relocs.data(), relocs.size() * sizeof(DiskReloc));
+  append(modules.data(), modules.size() * sizeof(DiskModule));
+  const uint64_t tableSum = fnvBytes(tables, static_cast<size_t>(at - tables));
+  hdr.payloadChecksum = fnvBytes(req.bytes, req.size, tableSum);
   hdr.headerChecksum = headerChecksum(hdr);
+  std::memcpy(head.data(), &hdr, sizeof hdr);
 
   const uint64_t nameHash = nameHashOf(hdr.exeBuildId, hdr.moduleId,
                                        hdr.fnOffset, hdr.configFp,
@@ -586,14 +509,8 @@ bool Store::write(const WriteRequest& req) {
   const int fd = ::open(tmpPath.c_str(),
                         O_CREAT | O_EXCL | O_WRONLY | O_CLOEXEC, 0644);
   if (fd < 0) return false;
-  const bool ok =
-      writeAll(fd, &hdr, sizeof hdr) &&
-      writeAll(fd, req.keyBytes.data(), req.keyBytes.size()) &&
-      writeAll(fd, req.bytes, req.size) &&
-      (relocs.empty() ||
-       writeAll(fd, relocs.data(), relocs.size() * sizeof(DiskReloc))) &&
-      (modules.empty() ||
-       writeAll(fd, modules.data(), modules.size() * sizeof(DiskModule)));
+  const bool ok = writeAll(fd, head.data(), head.size()) &&
+                  writeAll(fd, req.bytes, req.size);
   ::close(fd);
   if (!ok || ::rename(tmpPath.c_str(), (dir_ + "/" + name).c_str()) != 0) {
     ::unlink(tmpPath.c_str());
@@ -656,135 +573,6 @@ bool Store::manifestIntact(size_t* lineCount) const {
   }
   if (lineCount != nullptr) *lineCount = lines;
   return intact;
-}
-
-// ---------------------------------------------------------------------------
-// Page server: sealed-memfd handover between sibling processes.
-// ---------------------------------------------------------------------------
-
-bool Store::tryBindPageServer() {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (socketPath_.size() >= sizeof addr.sun_path) return false;
-  std::memcpy(addr.sun_path, socketPath_.c_str(), socketPath_.size() + 1);
-
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (fd < 0) return false;
-    if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0) {
-      if (::listen(fd, 64) != 0 || ::pipe2(stopPipe_, O_CLOEXEC) != 0) {
-        ::close(fd);
-        ::unlink(socketPath_.c_str());
-        return false;
-      }
-      listenFd_ = fd;
-      server_ = std::thread([this] { serveLoop(); });
-      return true;
-    }
-    ::close(fd);
-    if (errno != EADDRINUSE) return false;
-    // Socket file exists: live server, or a stale leftover from a dead
-    // one. Probe with a connect; only a refused connection may be swept.
-    const int probeFd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (probeFd < 0) return false;
-    const bool alive = ::connect(probeFd, reinterpret_cast<sockaddr*>(&addr),
-                                 sizeof addr) == 0;
-    ::close(probeFd);
-    if (alive) return false;  // a sibling serves this directory
-    ::unlink(socketPath_.c_str());
-  }
-  return false;
-}
-
-void Store::serveLoop() {
-  for (;;) {
-    pollfd fds[2] = {{listenFd_, POLLIN, 0}, {stopPipe_[0], POLLIN, 0}};
-    if (::poll(fds, 2, -1) < 0) {
-      if (errno == EINTR) continue;
-      return;
-    }
-    if ((fds[1].revents & POLLIN) != 0) return;  // destructor says stop
-    if ((fds[0].revents & POLLIN) == 0) continue;
-    const int conn = ::accept(listenFd_, nullptr, nullptr);
-    if (conn < 0) continue;
-    setSocketTimeouts(conn);
-    uint64_t nameHash = 0;
-    if (readAll(conn, &nameHash, sizeof nameHash)) {
-      uint64_t size = 0;
-      const int fd = sealedFdFor(nameHash, &size);
-      sendFdMsg(conn, fd >= 0 ? size : 0, fd);
-    }
-    ::close(conn);
-  }
-}
-
-// Returns (cached) a sealed memfd holding the validated payload of the
-// named entry, or -1. The fd stays owned by the store; SCM_RIGHTS
-// duplicates it into the requesting process.
-int Store::sealedFdFor(uint64_t nameHash, uint64_t* sizeOut) {
-  std::lock_guard<std::mutex> lock(fdMu_);
-  for (const auto& [hash, fd] : sealedFds_) {
-    if (hash != nameHash) continue;
-    struct stat st{};
-    if (::fstat(fd, &st) == 0) {
-      *sizeOut = static_cast<uint64_t>(st.st_size);
-      return fd;
-    }
-  }
-  const auto parsed = readEntry(dir_ + "/" + entryFileName(nameHash));
-  if (!parsed || parsed->hdr.relocCount != 0) return -1;
-#ifdef MFD_ALLOW_SEALING
-  const int fd = ::memfd_create("brew-persist", MFD_CLOEXEC |
-                                                    MFD_ALLOW_SEALING);
-  if (fd < 0) return -1;
-  const size_t mapped = pageRound(parsed->payload.size());
-  if (::ftruncate(fd, static_cast<off_t>(mapped)) != 0 ||
-      !writeAll(fd, parsed->payload.data(), parsed->payload.size()) ||
-      ::fcntl(fd, F_ADD_SEALS,
-              F_SEAL_SHRINK | F_SEAL_GROW | F_SEAL_WRITE | F_SEAL_SEAL) !=
-          0) {
-    ::close(fd);
-    return -1;
-  }
-  sealedFds_.emplace_back(nameHash, fd);
-  *sizeOut = mapped;
-  return fd;
-#else
-  return -1;
-#endif
-}
-
-std::optional<ExecMemory> Store::fetchShared(uint64_t nameHash,
-                                             const void* near,
-                                             size_t* sizeOut) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (socketPath_.size() >= sizeof addr.sun_path) return std::nullopt;
-  std::memcpy(addr.sun_path, socketPath_.c_str(), socketPath_.size() + 1);
-  const int sock = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (sock < 0) return std::nullopt;
-  setSocketTimeouts(sock);
-  if (::connect(sock, reinterpret_cast<sockaddr*>(&addr), sizeof addr) !=
-          0 ||
-      // MSG_NOSIGNAL: a server that exits mid-handshake must fail the
-      // fetch, not kill this process with SIGPIPE.
-      ::send(sock, &nameHash, sizeof nameHash, MSG_NOSIGNAL) !=
-          static_cast<ssize_t>(sizeof nameHash)) {
-    ::close(sock);
-    return std::nullopt;
-  }
-  uint64_t size = 0;
-  const int fd = recvFdMsg(sock, &size);
-  ::close(sock);
-  if (fd < 0 || size == 0) {
-    if (fd >= 0) ::close(fd);
-    return std::nullopt;
-  }
-  auto mem = ExecMemory::adoptShared(fd, static_cast<size_t>(size), near);
-  ::close(fd);  // the mapping pins the pages
-  if (!mem) return std::nullopt;
-  *sizeOut = static_cast<size_t>(size);
-  return std::move(*mem);
 }
 
 }  // namespace brew::persist

@@ -1,5 +1,5 @@
-// Persistent on-disk specialization cache with cross-process code-page
-// sharing (ROADMAP item 1, docs/CACHE.md "Persistence").
+// Persistent on-disk specialization cache whose code pages are shared
+// between processes through the page cache (docs/CACHE.md "Persistence").
 //
 // A Store maps a cache directory to a set of immutable entry files, one per
 // finalized specialization unit. Entries are keyed by everything their
@@ -23,29 +23,28 @@
 //
 // Crash safety: entries are written to an O_EXCL temp file and rename()d
 // into place, so readers only ever see complete files; every entry carries
-// a format version and two FNV-1a checksums (header; key bytes + payload +
-// relocation tables) and any mismatch — truncation, bit flips, stale
-// format, foreign build — is a graceful reject that falls back to a cold
-// rewrite and bumps cache.persist_rejects. An append-only MANIFEST is
-// maintained under flock() for diagnostics and fleet bookkeeping. Temp
-// files orphaned by a killed writer are swept on open().
+// a format version and two FNV-1a checksums (header; key bytes +
+// relocation tables + payload) and any mismatch — truncation, bit flips,
+// stale format, foreign build — is a graceful reject that falls back to a
+// cold rewrite and bumps cache.persist_rejects. An append-only MANIFEST is
+// maintained under flock() for diagnostics. Temp files orphaned by a
+// killed writer are swept on open().
 //
-// Cross-process sharing: the first Store to open a directory binds a unix
-// socket next to the entries and serves sealed memfds of position-
-// independent entries (no relocations) over SCM_RIGHTS; sibling processes
-// map the received fd read-only-executable, so N workers share one set of
-// physical code pages. Any failure in that path (no server, noexec memfd
-// mount, sealing unavailable) falls back to a plain per-process mapping.
+// Cross-process sharing: each entry's payload starts at a page-aligned
+// file offset, so a probe maps the payload of a position-independent entry
+// (no relocations) straight from the file, MAP_SHARED and
+// read-only-executable; N processes that load one entry share one set of
+// physical code pages through the page cache, with no server. Entries with
+// relocations, and any refused mapping, are read into a private region.
+// No BREW process truncates an entry in place (writers rename, rejecters
+// unlink), so a live mapping never loses its backing bytes.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "support/exec_memory.hpp"
@@ -54,7 +53,8 @@ namespace brew::persist {
 
 // On-disk format version; bumped on any incompatible layout change.
 // Entries with a different version are rejected (cold-rewrite fallback).
-constexpr uint32_t kFormatVersion = 2;  // 2: exact key bytes after header
+// 2: exact key bytes after the header; 3: payload at a page-aligned offset.
+constexpr uint32_t kFormatVersion = 3;
 constexpr uint64_t kEntryMagic = 0x3176'4350'5745'5242ULL;  // "BREWPCv1" LE
 
 // One absolute-address site to re-base at load: the 8 bytes at `offset`
@@ -90,9 +90,8 @@ struct LoadedEntry {
   uint32_t poolBytes = 0;
   uint32_t instructions = 0;
   uint32_t blockUnits = 0;
-  uint32_t relocCount = 0;
-  // True when the RX pages came from the page server's sealed memfd and
-  // are physically shared with sibling processes.
+  // True when `memory` maps the entry file itself (read-only, shared with
+  // every process that maps the same entry); false for a private copy.
   bool shared = false;
 };
 
@@ -111,18 +110,19 @@ uint64_t selfBuildId();
 class Store {
  public:
   // Opens (creating if needed) the cache directory and its per-build-id
-  // subdirectory, sweeps temp files orphaned by killed writers, and tries
-  // to become the page server for the subdirectory. Returns nullptr when
-  // the directory cannot be created or is not writable.
+  // subdirectory and sweeps temp files orphaned by killed writers.
+  // Returns nullptr when the directory cannot be created or is not
+  // writable.
   static std::unique_ptr<Store> open(const std::string& dir);
-  ~Store();
 
   Store(const Store&) = delete;
   Store& operator=(const Store&) = delete;
 
   // Looks the key up on disk; on success the returned entry holds
-  // finalized executable memory with every relocation applied. Bumps
-  // cache.persist_{hits,misses,rejects} and cache.persist_shared_maps.
+  // finalized executable memory with every relocation applied: a shared
+  // mapping of the file when the entry has no relocations, a private copy
+  // otherwise. Bumps cache.persist_{hits,misses,rejects} and, for a
+  // mapping, cache.persist_shared_maps.
   ProbeResult probe(const void* fn, uint64_t configFp, uint64_t argsHash);
 
   // Serializes one finalized unit (crash-safe: temp file + rename +
@@ -134,8 +134,6 @@ class Store {
 
   // The per-build-id subdirectory entries live in.
   const std::string& directory() const { return dir_; }
-  // True when this Store owns the subdirectory's page-sharing socket.
-  bool servingPages() const { return listenFd_ >= 0; }
 
   // Absolute path the entry for this key lives at (whether or not it
   // exists). Exposed so the corruption tests can truncate / flip bits in a
@@ -150,21 +148,7 @@ class Store {
  private:
   explicit Store(std::string dir);
 
-  bool tryBindPageServer();
-  void serveLoop();
-  int sealedFdFor(uint64_t nameHash, uint64_t* sizeOut);
-  // Maps a sibling's sealed pages for `nameHash`, placed near `near`.
-  std::optional<ExecMemory> fetchShared(uint64_t nameHash, const void* near,
-                                        size_t* sizeOut);
-
-  std::string dir_;          // per-build-id subdirectory
-  std::string socketPath_;
-  int listenFd_ = -1;
-  int stopPipe_[2] = {-1, -1};
-  std::thread server_;
-
-  std::mutex fdMu_;
-  std::vector<std::pair<uint64_t, int>> sealedFds_;  // nameHash -> memfd
+  std::string dir_;  // per-build-id subdirectory
 };
 
 }  // namespace brew::persist

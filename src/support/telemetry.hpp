@@ -91,7 +91,7 @@ enum class CounterId : int {
   PersistMisses,          // probes that found no usable entry
   PersistWrites,          // entries written (tmp + rename) to the store
   PersistRejects,         // entries rejected: corrupt/stale/unresolvable
-  PersistSharedMaps,      // loads served as shared sealed-memfd RX pages
+  PersistSharedMaps,      // loads mapped read-only from the entry file
   kCount
 };
 

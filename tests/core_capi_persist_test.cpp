@@ -55,7 +55,7 @@ TEST(CApiPersist, CacheDirConfiguresAndStatsTrackColdThenWarm) {
   EXPECT_GE(cold.misses, 1u);       // empty store probed before tracing
   EXPECT_GE(cold.writes, 1u);       // finished unit published to disk
   EXPECT_EQ(cold.rejects, 0u);
-  EXPECT_EQ(cold.serving_pages, 1u);  // first store binds the page socket
+  EXPECT_EQ(cold.serving_pages, 0u);  // no page server: files are mapped
 
   // Same key again: served from the in-memory cache, so persist traffic
   // must not move — the store is a backstop, not the hot path.
@@ -65,7 +65,7 @@ TEST(CApiPersist, CacheDirConfiguresAndStatsTrackColdThenWarm) {
   brew_getpersiststats(&warm);
   EXPECT_EQ(warm.misses, cold.misses);
   EXPECT_EQ(warm.writes, cold.writes);
-  EXPECT_EQ(warm.shared_maps, 0u);  // no sibling process in this test
+  EXPECT_EQ(warm.shared_maps, 0u);  // nothing was loaded from disk
 
   brew_release_h(again);
   brew_release_h(h);

@@ -3,11 +3,12 @@
 // (truncation, bit flips, stale format version, foreign build id, foreign
 // key bytes under a colliding name, a kill-during-write torture loop —
 // every case must fall back to a cold rewrite, never crash, and bump
-// cache.persist_rejects), plus the in-process page-sharing path (server
-// Store + client Store over the sealed-memfd socket) hammered from 8
-// threads for the TSan sweep.
+// cache.persist_rejects), plus page sharing between two Stores that map
+// one entry file, and both Stores hammered from 8 threads for the TSan
+// sweep.
 #include <gtest/gtest.h>
 
+#include <dirent.h>
 #include <fcntl.h>
 #include <signal.h>
 #include <sys/stat.h>
@@ -16,6 +17,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cinttypes>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -98,6 +100,33 @@ constexpr size_t kHeaderBytes = 104;
 constexpr size_t kExeBuildIdOffset = 8;
 constexpr size_t kHeaderChecksumOffset = 56;
 constexpr size_t kVersionOffset = 64;
+constexpr size_t kPayloadBytesOffset = 72;
+
+// Shared_Clean + Shared_Dirty (kB) of the /proc/self/smaps mapping that
+// holds `addr`: its pages that another mapping, in this process or
+// another, also maps. A freshly written entry stays dirty in the page
+// cache until writeback, so Shared_Clean alone can read 0.
+uint64_t sharedKbAt(const void* addr) {
+  std::FILE* f = std::fopen("/proc/self/smaps", "r");
+  if (f == nullptr) return 0;
+  const auto a = reinterpret_cast<uintptr_t>(addr);
+  bool inside = false;
+  uint64_t kb = 0;
+  char line[512];
+  while (std::fgets(line, sizeof line, f) != nullptr) {
+    uintptr_t lo = 0, hi = 0;
+    char perms[8];
+    unsigned long long v = 0;
+    if (std::sscanf(line, "%" SCNxPTR "-%" SCNxPTR " %7s", &lo, &hi,
+                    perms) == 3)
+      inside = a >= lo && a < hi;
+    else if (inside && (std::sscanf(line, "Shared_Clean: %llu", &v) == 1 ||
+                        std::sscanf(line, "Shared_Dirty: %llu", &v) == 1))
+      kb += v;
+  }
+  std::fclose(f);
+  return kb;
+}
 
 std::vector<uint8_t> readFile(const std::string& path) {
   std::vector<uint8_t> bytes;
@@ -182,6 +211,35 @@ TEST(PersistStore, OpenRejectsUnwritableDirectory) {
   EXPECT_EQ(persist::Store::open(""), nullptr);
 }
 
+size_t taskCount() {
+  size_t n = 0;
+  if (DIR* d = ::opendir("/proc/self/task"); d != nullptr) {
+    while (const dirent* ent = ::readdir(d))
+      if (ent->d_name[0] != '.') ++n;
+    ::closedir(d);
+  }
+  return n;
+}
+
+TEST(PersistStore, OpenStartsNoThreadOrSocket) {
+  // Processes share entries by mapping the files: opening a store starts
+  // no thread and binds no socket.
+  TempDir dir;
+  const size_t before = taskCount();
+  auto store = persist::Store::open(dir.path);
+  ASSERT_NE(store, nullptr);
+  EXPECT_EQ(taskCount(), before);
+  DIR* d = ::opendir(store->directory().c_str());
+  ASSERT_NE(d, nullptr);
+  while (const dirent* ent = ::readdir(d)) {
+    struct stat st{};
+    const std::string path = store->directory() + "/" + ent->d_name;
+    ASSERT_EQ(::lstat(path.c_str(), &st), 0) << path;
+    EXPECT_FALSE(S_ISSOCK(st.st_mode)) << path;
+  }
+  ::closedir(d);
+}
+
 TEST(ConfigAslr, StableFingerprintClassification) {
   EXPECT_TRUE(knownFirstParam().aslrStableFingerprint());
   Config region = knownFirstParam();
@@ -246,25 +304,48 @@ TEST(PersistRoundTrip, DifferentSpecializationMisses) {
   EXPECT_EQ(stats.persistRejects, 0u);
 }
 
+// Offset of the first payload byte, which the payload size puts at the
+// end of the file.
+size_t payloadStart(const std::vector<uint8_t>& bytes) {
+  uint32_t payloadBytes = 0;
+  std::memcpy(&payloadBytes, bytes.data() + kPayloadBytesOffset, 4);
+  return bytes.size() - payloadBytes;
+}
+
 TEST(PersistCorruption, TruncatedEntriesReject) {
   // Every truncation point: inside the header, header-only, inside the
-  // payload. All must reject, unlink the corpse, and rewrite cold.
-  for (const size_t keep : {size_t{3}, kHeaderBytes, kHeaderBytes + 7}) {
+  // key bytes, and one byte short of the full file, inside the range a
+  // probe maps. All must reject on the size check, before any mmap (no
+  // SIGBUS), unlink the corpse, and rewrite cold.
+  for (int cut = 0; cut < 4; ++cut) {
     TempDir dir;
     const std::string entry = seedEntry(dir.path, 5);
-    ASSERT_EQ(::truncate(entry.c_str(), static_cast<off_t>(keep)), 0);
+    struct stat st{};
+    ASSERT_EQ(::stat(entry.c_str(), &st), 0);
+    const size_t full = static_cast<size_t>(st.st_size);
+    ASSERT_GT(full, kHeaderBytes + 7);
+    const size_t keep[] = {3, kHeaderBytes, kHeaderBytes + 7, full - 1};
+    SCOPED_TRACE(keep[cut]);
+    ASSERT_EQ(::truncate(entry.c_str(), static_cast<off_t>(keep[cut])), 0);
     expectColdFallback(dir.path, 5);
   }
 }
 
 TEST(PersistCorruption, PayloadBitFlipRejects) {
-  TempDir dir;
-  const std::string entry = seedEntry(dir.path, 5);
-  std::vector<uint8_t> bytes = readFile(entry);
-  ASSERT_GT(bytes.size(), kHeaderBytes + 5);
-  bytes[kHeaderBytes + 5] ^= 0x40;
-  writeFile(entry, bytes);
-  expectColdFallback(dir.path, 5);
+  // One flip inside the key bytes, one in the first executable byte: the
+  // checksum covers the mapped code, not only the tables before it.
+  for (const bool inCode : {false, true}) {
+    SCOPED_TRACE(inCode ? "first payload byte" : "key bytes");
+    TempDir dir;
+    const std::string entry = seedEntry(dir.path, 5);
+    std::vector<uint8_t> bytes = readFile(entry);
+    ASSERT_GT(bytes.size(), kHeaderBytes + 5);
+    const size_t at = inCode ? payloadStart(bytes) : kHeaderBytes + 5;
+    ASSERT_LT(at, bytes.size());
+    bytes[at] ^= 0x40;
+    writeFile(entry, bytes);
+    expectColdFallback(dir.path, 5);
+  }
 }
 
 TEST(PersistCorruption, HeaderBitFlipRejects) {
@@ -451,9 +532,8 @@ TEST(PersistCorruption, KillDuringWriteTortureLoop) {
 
 TEST(PersistConcurrency, SharedPagesServedBetweenStores) {
   TempDir dir;
-  auto server = persist::Store::open(dir.path);
-  ASSERT_NE(server, nullptr);
-  ASSERT_TRUE(server->servingPages());
+  auto writer = persist::Store::open(dir.path);
+  ASSERT_NE(writer, nullptr);
 
   std::vector<uint8_t> payload(640);
   for (size_t i = 0; i < payload.size(); ++i)
@@ -466,32 +546,39 @@ TEST(PersistConcurrency, SharedPagesServedBetweenStores) {
   req.size = payload.size();
   req.codeBytes = static_cast<uint32_t>(payload.size());
   req.blockUnits = 1;
-  ASSERT_TRUE(server->write(req));
+  ASSERT_TRUE(writer->write(req));
 
-  // Second store in the same directory: the socket is taken, so it comes
-  // up as a client and its reloc-free probes map the server's sealed memfd.
-  auto client = persist::Store::open(dir.path);
-  ASSERT_NE(client, nullptr);
-  EXPECT_FALSE(client->servingPages());
-  persist::ProbeResult probe =
-      client->probe(reinterpret_cast<void*>(&addmul), 7, 9);
-  ASSERT_TRUE(probe.entry.has_value());
-  EXPECT_TRUE(probe.entry->shared);
-  EXPECT_TRUE(inFunctionWindow(reinterpret_cast<void*>(&addmul),
-                               probe.entry->memory.data()));
-  EXPECT_EQ(std::memcmp(probe.entry->memory.data(), payload.data(),
-                        payload.size()),
-            0);
-  // Sealed mapping: flipping it back to writable must fail, not succeed.
-  EXPECT_FALSE(probe.entry->memory.makeWritable().ok());
+  // Two stores over the directory, as two processes would open it. Each
+  // reloc-free probe maps the entry file itself, so the two mappings share
+  // the file's page-cache pages.
+  auto reader = persist::Store::open(dir.path);
+  ASSERT_NE(reader, nullptr);
+  persist::ProbeResult first =
+      writer->probe(reinterpret_cast<void*>(&addmul), 7, 9);
+  persist::ProbeResult second =
+      reader->probe(reinterpret_cast<void*>(&addmul), 7, 9);
+  for (const persist::ProbeResult* probe : {&first, &second}) {
+    ASSERT_TRUE(probe->entry.has_value());
+    EXPECT_TRUE(probe->entry->shared);
+    EXPECT_TRUE(inFunctionWindow(reinterpret_cast<void*>(&addmul),
+                                 probe->entry->memory.data()));
+    EXPECT_EQ(std::memcmp(probe->entry->memory.data(), payload.data(),
+                          payload.size()),
+              0);
+  }
+  EXPECT_NE(first.entry->memory.data(), second.entry->memory.data());
+  EXPECT_GT(sharedKbAt(second.entry->memory.data()), 0u);
+  // A shared mapping of a read-only file: flipping it back to writable
+  // must fail, not succeed.
+  EXPECT_FALSE(second.entry->memory.makeWritable().ok());
 }
 
 TEST(PersistConcurrency, EightThreadHammerOverOneDirectory) {
   TempDir dir;
-  auto server = persist::Store::open(dir.path);
-  ASSERT_NE(server, nullptr);
-  auto client = persist::Store::open(dir.path);
-  ASSERT_NE(client, nullptr);
+  auto first = persist::Store::open(dir.path);
+  ASSERT_NE(first, nullptr);
+  auto second = persist::Store::open(dir.path);
+  ASSERT_NE(second, nullptr);
 
   constexpr int kThreads = 8;
   constexpr int kIters = 40;
@@ -502,7 +589,7 @@ TEST(PersistConcurrency, EightThreadHammerOverOneDirectory) {
       std::vector<uint8_t> payload(256 + static_cast<size_t>(t) * 32);
       for (size_t i = 0; i < payload.size(); ++i)
         payload[i] = static_cast<uint8_t>(i + t);
-      persist::Store* mine = (t % 2 == 0) ? server.get() : client.get();
+      persist::Store* mine = (t % 2 == 0) ? first.get() : second.get();
       for (int i = 0; i < kIters; ++i) {
         persist::WriteRequest req;
         req.fn = reinterpret_cast<void*>(&addmul);
@@ -526,7 +613,7 @@ TEST(PersistConcurrency, EightThreadHammerOverOneDirectory) {
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
   size_t lines = 0;
-  EXPECT_TRUE(server->manifestIntact(&lines));
+  EXPECT_TRUE(first->manifestIntact(&lines));
   EXPECT_EQ(lines, static_cast<size_t>(kThreads) * kIters);
 }
 

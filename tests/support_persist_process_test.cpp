@@ -3,9 +3,9 @@
 // Phase 1 races 8 cold workers writing into an empty directory; phase 2
 // restarts 8 warm workers that must load everything from disk with ZERO
 // trace phases (persist hits == kernels, no compileSpecialization, no
-// traced instructions) and byte-identical code. A separate test pins the
-// sealed-memfd page-sharing path: a child of a page-serving parent must
-// map its code as shared RX pages backed by "memfd:brew-persist".
+// traced instructions) and byte-identical code. A separate test pins
+// page sharing: a child loading an entry the parent holds mapped must map
+// the same file, so its code pages show as shared in /proc/self/smaps.
 //
 // Forked children never run gtest machinery: they report through per-child
 // result files written with plain write() and leave via _exit(), so a
@@ -22,6 +22,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cinttypes>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -105,6 +106,32 @@ uint64_t fnv(const void* data, size_t n, uint64_t h = 1469598103934665603ULL) {
   return h;
 }
 
+// Shared_Clean + Shared_Dirty (kB) of the /proc/self/smaps mapping that
+// holds `addr`: its pages that another mapping, in this process or
+// another, also maps. A freshly written entry stays dirty in the page
+// cache until writeback, so Shared_Clean alone can read 0.
+uint64_t sharedKbAt(const void* addr) {
+  std::FILE* f = std::fopen("/proc/self/smaps", "r");
+  if (f == nullptr) return 0;
+  const auto a = reinterpret_cast<uintptr_t>(addr);
+  bool inside = false;
+  uint64_t kb = 0;
+  char line[512];
+  while (std::fgets(line, sizeof line, f) != nullptr) {
+    uintptr_t lo = 0, hi = 0;
+    char perms[8];
+    unsigned long long v = 0;
+    if (std::sscanf(line, "%" SCNxPTR "-%" SCNxPTR " %7s", &lo, &hi,
+                    perms) == 3)
+      inside = a >= lo && a < hi;
+    else if (inside && (std::sscanf(line, "Shared_Clean: %llu", &v) == 1 ||
+                        std::sscanf(line, "Shared_Dirty: %llu", &v) == 1))
+      kb += v;
+  }
+  std::fclose(f);
+  return kb;
+}
+
 // What one worker observed, written to its result file before _exit().
 struct WorkerReport {
   uint64_t magic = 0x574b5250;  // "WRKP": file fully written
@@ -116,6 +143,7 @@ struct WorkerReport {
   uint64_t codeDigest = 0;        // fnv over every unit's finalized bytes
   uint64_t execChecksum = 0;      // results of running the rewritten code
   uint64_t sharedMaps = 0;
+  uint64_t firstKernelSharedKb = 0;  // sharedKbAt(kKernels[0]'s code)
 };
 
 // Child body: open a SpecManager over `dir`, rewrite + execute every
@@ -145,6 +173,8 @@ struct WorkerReport {
       const int got = reinterpret_cast<kern_t>(result->entry())(k.known,
                                                                 k.probe);
       if (got != k.fn(k.known, k.probe)) ::_exit(3);
+      if (&k == &kKernels[0])
+        report.firstKernelSharedKb = sharedKbAt(result->entry());
       report.execChecksum =
           report.execChecksum * 31 + static_cast<uint64_t>(got);
     }
@@ -263,7 +293,7 @@ TEST(PersistProcess, ChildMapsSharedPagesFromParentServer) {
   GTEST_SKIP() << "fork-without-exec workers are not TSan-compatible";
 #else
   TempDir dir;
-  // Parent seeds the directory and stays alive as the page server.
+  // Parent seeds the directory.
   SpecManager::Options options;
   options.cacheDir = dir.path;
   SpecManager parent{options};
@@ -277,16 +307,25 @@ TEST(PersistProcess, ChildMapsSharedPagesFromParentServer) {
                     .ok());
   }
   ASSERT_NE(parent.persistStore(), nullptr);
-  if (!parent.persistStore()->servingPages())
-    GTEST_SKIP() << "page server unavailable (no memfd sealing?)";
+  // The parent maps the first kernel's entry and holds it across the fork.
+  const Kernel& first = kKernels[0];
+  const std::vector<ArgValue> firstArgs = {
+      ArgValue::fromInt(static_cast<uint64_t>(first.known)),
+      ArgValue::fromInt(0)};
+  const CacheKey key = makeCacheKey(
+      config, {}, reinterpret_cast<void*>(first.fn), firstArgs);
+  persist::ProbeResult held = parent.persistStore()->probe(
+      reinterpret_cast<void*>(first.fn), key.configFp, key.argsHash);
+  ASSERT_TRUE(held.entry.has_value());
+  ASSERT_TRUE(held.entry->shared);
 
   const std::string reportPath = dir.path + "/report-shared";
   const pid_t pid = ::fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
     // Child: every kernel has no relocations (pure arithmetic), so each
-    // warm load should arrive as a shared sealed-memfd mapping. Verify the
-    // mapping really is memfd-backed before reporting.
+    // warm load maps its entry file, and the first kernel's pages are the
+    // ones the parent holds mapped.
     runWorker(dir.path, reportPath);
   }
   int status = 0;
@@ -297,10 +336,11 @@ TEST(PersistProcess, ChildMapsSharedPagesFromParentServer) {
   ASSERT_TRUE(readReport(reportPath, &report));
   EXPECT_EQ(report.persistHits, kKernelCount);
   EXPECT_EQ(report.rewriteAttempts, 0u);
-  // At least one unit came over the socket as shared pages. (All of them
-  // should, but a reloc-bearing build keeps correctness with a private
-  // mapping — sharedMaps > 0 is the contract.)
+  // At least one unit was mapped from its file. (All of them should, but
+  // a reloc-bearing build keeps correctness with a private copy —
+  // sharedMaps > 0 is the contract.)
   EXPECT_GT(report.sharedMaps, 0u);
+  EXPECT_GT(report.firstKernelSharedKb, 0u);
 #endif
 }
 

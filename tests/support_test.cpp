@@ -12,12 +12,14 @@
 #include "support/prng.hpp"
 #include "support/telemetry.hpp"
 
+#include <fcntl.h>
 #include <sys/mman.h>
 #include <unistd.h>
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 
 namespace brew {
 namespace {
@@ -210,15 +212,40 @@ TEST(ExecPlacement, AnchoredAllocationLandsInAnchorWindow) {
 TEST(ExecPlacement, SharedAdoptLandsInAnchorWindow) {
   const int fd = ::memfd_create("brew-placement-test", MFD_CLOEXEC);
   ASSERT_GE(fd, 0);
+  // The code sits one page into the file, as a persisted entry's payload
+  // sits after its header and tables.
   static const uint8_t kCode[] = {0xB8, 42, 0, 0, 0, 0xC3};
-  ASSERT_EQ(::ftruncate(fd, 4096), 0);
-  ASSERT_EQ(::pwrite(fd, kCode, sizeof kCode, 0),
+  ASSERT_EQ(::ftruncate(fd, 2 * 4096), 0);
+  ASSERT_EQ(::pwrite(fd, kCode, sizeof kCode, 4096),
             static_cast<ssize_t>(sizeof kCode));
-  auto mem = ExecMemory::adoptShared(fd, 4096, testAnchor());
+  auto mem = ExecMemory::adoptShared(fd, 4096, 4096, testAnchor());
   ::close(fd);
   ASSERT_TRUE(mem.ok()) << mem.error().message();
   EXPECT_TRUE(inAnchorWindow(testAnchor(), mem->data(), mem->size()));
   EXPECT_EQ(mem->entry<int (*)()>()(), 42);
+}
+
+TEST(ExecPlacement, SharedMapCycleReusesOneAddress) {
+  // A shared mapping is unmapped on release, never pooled; the window's
+  // search edge steps back with it, so a map/release cycle (one persisted
+  // entry probed again and again) does not walk down the window.
+  const int rw = ::memfd_create("brew-placement-cycle", MFD_CLOEXEC);
+  ASSERT_GE(rw, 0);
+  ASSERT_EQ(::ftruncate(rw, 4096), 0);
+  // Read-only, like an entry file: the kernel then refuses to make the
+  // mapping writable, so release cannot park it in the pool.
+  const int fd = ::open(("/proc/self/fd/" + std::to_string(rw)).c_str(),
+                        O_RDONLY | O_CLOEXEC);
+  ::close(rw);
+  ASSERT_GE(fd, 0);
+  const uint8_t* first = nullptr;
+  for (int i = 0; i < 3; ++i) {
+    auto mem = ExecMemory::adoptShared(fd, 0, 4096, testAnchor());
+    ASSERT_TRUE(mem.ok()) << mem.error().message();
+    if (first == nullptr) first = mem->data();
+    EXPECT_EQ(mem->data(), first) << "cycle " << i;
+  }
+  ::close(fd);
 }
 
 TEST(ExecPlacement, PooledRegionFromAnotherWindowIsNotHandedToNearRequest) {
