@@ -38,7 +38,6 @@ inline RewrittenFunction rewriteApply(const brew_stencil& s,
     rewriter.passes().peephole = false;
     rewriter.passes().deadFlagWriters = false;
     rewriter.passes().redundantLoads = false;
-    rewriter.passes().slpVectorize = false;
     rewriter.passes().crossIterLoads = false;
   }
   auto rewritten = rewriter.rewrite(

@@ -108,9 +108,9 @@ EOF
 # BM_DispatchMonomorphic is a handful of ns per call, so anything beyond
 # noise (an extra load, a lock) trips the tighter 1.5x bound.
 # The pass-ablation pair gets per-bench bounds too: BM_WithPasses is the
-# SLP-vectorized kernel (a lost packing proof shows as a jump well inside
-# 2x), while BM_WithoutPasses is the scalar reference and only guards
-# against pipeline-wide regressions.
+# fully optimized kernel (a lost hoist or coalescing proof shows as a jump
+# well inside 2x), while BM_WithoutPasses is the scalar reference and only
+# guards against pipeline-wide regressions.
 # BM_RewritePgasStyleBranchy is the block-chained tier's cold-compile gate
 # (docs/BLOCKS.md): losing terminator chaining or reconvergence merging
 # roughly doubles it, so the 1.5x bound trips well before the generic

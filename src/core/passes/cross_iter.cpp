@@ -1,0 +1,450 @@
+// Cross-iteration redundant-load elimination (§IV).
+//
+// Full unrolling leaves the captured stream as long runs of isomorphic
+// scalar groups — load / multiply-by-pool-constant / accumulate, repeated
+// once per unrolled iteration. runCrossIterLoads keeps a value-numbered
+// window of live loaded lanes and turns re-loads of the same location —
+// the same pool constant referenced by every unrolled iteration, or a lane
+// a previous packed load already brought in — into register reuse.
+//
+// The pass synthesizes only instructions whose results are bitwise
+// identical to the scalar stream on every lane the program can observe;
+// lanes that diverge (the high half of a register refilled by a full copy
+// instead of a zeroing scalar load) are proven dead through the
+// scalar-return ABI before a rewrite is allowed.
+#include "core/passes/cross_iter.hpp"
+
+#include <algorithm>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+#include "isa/instruction.hpp"
+#include "isa/registers.hpp"
+
+namespace brew {
+
+namespace {
+
+using isa::Instruction;
+using isa::Mnemonic;
+using isa::Operand;
+using isa::Reg;
+
+bool referencesReg(const Instruction& in, Reg r) {
+  const uint32_t bit = isa::regBit(r);
+  return ((isa::regsRead(in) | isa::regsWritten(in)) & bit) != 0;
+}
+
+bool scalarSdArith(Mnemonic m) {
+  switch (m) {
+    case Mnemonic::Addsd: case Mnemonic::Subsd: case Mnemonic::Mulsd:
+    case Mnemonic::Divsd: case Mnemonic::Minsd: case Mnemonic::Maxsd:
+    case Mnemonic::Sqrtsd:
+      return true;
+    default:
+      return false;
+  }
+}
+
+bool scalarSsArith(Mnemonic m) {
+  switch (m) {
+    case Mnemonic::Addss: case Mnemonic::Subss: case Mnemonic::Mulss:
+    case Mnemonic::Divss: case Mnemonic::Sqrtss:
+      return true;
+    default:
+      return false;
+  }
+}
+
+bool scalarCompare(Mnemonic m) {
+  switch (m) {
+    case Mnemonic::Ucomisd: case Mnemonic::Comisd:
+    case Mnemonic::Ucomiss: case Mnemonic::Comiss:
+      return true;
+    default:
+      return false;
+  }
+}
+
+}  // namespace
+
+bool fullXmmOverwrite(const Instruction& in, Reg r) {
+  if (in.nops < 2 || !in.ops[0].isReg() || in.ops[0].reg != r) return false;
+  switch (in.mnemonic) {
+    case Mnemonic::Movsd:
+    case Mnemonic::Movss:
+      return in.ops[1].isMem();  // the load forms zero the upper lanes
+    case Mnemonic::Movapd: case Mnemonic::Movaps:
+    case Mnemonic::Movupd: case Mnemonic::Movups:
+    case Mnemonic::Movdqa: case Mnemonic::Movdqu:
+    case Mnemonic::Movq:   // zeroes the upper lane
+      return true;
+    default:
+      return false;
+  }
+}
+
+namespace {
+
+// After `from`, register r's high 64-bit lane differs from the scalar run.
+// True when that lane can never be observed: every later reference reads
+// the low lane only, the register is fully overwritten, or the block
+// returns (the scalar-return ABI exposes only xmm0's low lane). The one
+// full-register copy tolerated is a trailing return-value move, whose
+// destination inherits the same unobservability argument.
+bool hiLaneUnobserved(const ir::Block& block, size_t from, Reg r) {
+  const size_t n = block.instrs.size();
+  for (size_t k = from + 1; k < n; ++k) {
+    const Instruction& in = block.instrs[k];
+    if (fullXmmOverwrite(in, r)) return true;
+    const bool dst = in.nops >= 1 && in.ops[0].isReg() && in.ops[0].reg == r;
+    const bool src = in.nops >= 2 && in.ops[1].isReg() && in.ops[1].reg == r;
+    if (!dst && !src) {
+      if (referencesReg(in, r)) return false;  // unmodeled implicit use
+      continue;
+    }
+    if (dst && !src &&
+        (scalarSdArith(in.mnemonic) || scalarSsArith(in.mnemonic)))
+      continue;  // read-modify-write of the low lane; hi preserved, unread
+    if (src && !dst) {
+      if (scalarSdArith(in.mnemonic) || scalarSsArith(in.mnemonic) ||
+          scalarCompare(in.mnemonic))
+        continue;  // low-lane source
+      if (in.mnemonic == Mnemonic::Movsd || in.mnemonic == Mnemonic::Movss ||
+          in.mnemonic == Mnemonic::Movq || in.mnemonic == Mnemonic::Movd)
+        continue;  // scalar store / low-lane merge / low-bits extract
+      if ((in.mnemonic == Mnemonic::Movapd ||
+           in.mnemonic == Mnemonic::Movaps) &&
+          k + 1 == n && block.term.kind == ir::Terminator::Kind::Ret)
+        continue;  // trailing return-value copy; hi lane dies at the ret
+      return false;
+    }
+    return false;
+  }
+  return block.term.kind == ir::Terminator::Kind::Ret;
+}
+
+// Allocator over the XMM registers the block never touches.
+struct ScratchPool {
+  uint32_t freeMask = 0;
+
+  explicit ScratchPool(const ir::Block& block) {
+    uint32_t used = 0;
+    for (const Instruction& in : block.instrs)
+      used |= isa::regsRead(in) | isa::regsWritten(in);
+    freeMask = ~used & 0xffff0000u;
+    // The return register is never recycled as scratch.
+    freeMask &= ~isa::regBit(isa::abi::kSseReturn);
+  }
+
+  bool take(Reg* r) {
+    if (freeMask == 0) return false;
+    const unsigned n = static_cast<unsigned>(__builtin_ctz(freeMask)) - 16;
+    *r = isa::xmmFromNum(n);
+    freeMask &= freeMask - 1;
+    return true;
+  }
+};
+
+bool plainBaseMem(const isa::MemOperand& m) {
+  return m.base != Reg::none && m.index == Reg::none && !m.ripRelative &&
+         m.poolSlot < 0;
+}
+
+bool touchesMemoryState(const Instruction& in) {
+  return isa::writesMemory(in) || in.mnemonic == Mnemonic::Call ||
+         in.mnemonic == Mnemonic::CallInd || in.mnemonic == Mnemonic::Push ||
+         in.mnemonic == Mnemonic::Pushfq || in.mnemonic == Mnemonic::Pop ||
+         in.mnemonic == Mnemonic::Popfq;
+}
+
+Operand poolMem(int slot) {
+  isa::MemOperand m;
+  m.ripRelative = true;
+  m.poolSlot = slot;
+  return Operand::makeMem(m);
+}
+
+// Per-block edit list: indices whose instruction is replaced by one or
+// more new instructions. Applied in one rebuild.
+struct EditList {
+  std::vector<std::pair<size_t, std::vector<Instruction>>> edits;
+
+  // Reused across blocks and rewrites: clear() keeps the grown capacity.
+  void clear() { edits.clear(); }
+  void replace(size_t idx, std::vector<Instruction> repl) {
+    edits.emplace_back(idx, std::move(repl));
+  }
+
+  void apply(ir::CapturedFunction& fn, ir::Block& block) const {
+    if (edits.empty()) return;
+    ir::InstrVec out(fn.instrAllocator());
+    out.reserve(block.instrs.size() + 8);
+    for (size_t k = 0; k < block.instrs.size(); ++k) {
+      auto it = std::find_if(edits.begin(), edits.end(),
+                             [&](const auto& e) { return e.first == k; });
+      if (it == edits.end()) {
+        out.push_back(block.instrs[k]);
+        continue;
+      }
+      for (const Instruction& in : it->second) out.push_back(in);
+    }
+    block.instrs = std::move(out);
+  }
+};
+
+// An 8-byte lane whose memory value is currently live in a register.
+struct LaneFact {
+  Reg base = Reg::none;  // none => pool reference
+  int32_t disp = 0;      // byte address of the lane (slot*16 for pool)
+  Reg reg = Reg::none;
+  bool hi = false;
+};
+
+// One pool-referencing arithmetic operand; collected per block for the
+// constant-hoisting phase.
+struct PoolUse {
+  size_t idx;
+  int slot;
+  bool wide;
+  bool claimed = false;
+};
+
+struct CrossIterScratch {
+  std::vector<PoolUse> uses;
+  std::vector<LaneFact> facts;
+  std::vector<size_t> served;
+  EditList edits, reuse;
+};
+CrossIterScratch& crossIterScratch() {
+  static thread_local CrossIterScratch s;
+  return s;
+}
+
+bool poolOperandArith(const Instruction& in, bool* wide) {
+  if (in.nops != 2 || !in.ops[0].isReg() || !in.ops[1].isMem() ||
+      in.ops[1].mem.poolSlot < 0)
+    return false;
+  switch (in.mnemonic) {
+    case Mnemonic::Addsd: case Mnemonic::Subsd: case Mnemonic::Mulsd:
+    case Mnemonic::Divsd: case Mnemonic::Minsd: case Mnemonic::Maxsd:
+    case Mnemonic::Sqrtsd: case Mnemonic::Ucomisd: case Mnemonic::Comisd:
+      *wide = false;
+      return true;
+    case Mnemonic::Addpd: case Mnemonic::Subpd: case Mnemonic::Mulpd:
+    case Mnemonic::Divpd: case Mnemonic::Addps: case Mnemonic::Subps:
+    case Mnemonic::Mulps: case Mnemonic::Divps: case Mnemonic::Paddd:
+      *wide = true;
+      return true;
+    default:
+      return false;
+  }
+}
+
+}  // namespace
+
+size_t runCrossIterLoads(ir::CapturedFunction& fn) {
+  size_t eliminated = 0;
+  CrossIterScratch& s = crossIterScratch();
+  for (ir::Block& block : fn.blocks()) {
+    const size_t n = block.instrs.size();
+    if (n < 2) continue;
+    ScratchPool scratch(block);
+
+    // --- pool-constant hoisting: every unrolled iteration re-reads its
+    // coefficients from the literal pool; a constant used twice or more is
+    // loaded once into a scratch register and the arithmetic goes
+    // register-form. A 16-byte hoist also serves scalar users of its low
+    // lane.
+    std::vector<PoolUse>& uses = s.uses;
+    uses.clear();
+    for (size_t k = 0; k < n; ++k) {
+      bool wide = false;
+      if (poolOperandArith(block.instrs[k], &wide))
+        uses.push_back({k, block.instrs[k].ops[1].mem.poolSlot, wide, false});
+    }
+    EditList& edits = s.edits;
+    edits.clear();
+    if (uses.size() >= 2) {
+      auto value = [&](int slot) { return fn.pool()[size_t(slot)]; };
+      // Wide anchors first: each distinct 16-byte value, counting scalar
+      // low-lane matches toward its use count.
+      for (size_t i = 0; i < uses.size(); ++i) {
+        if (uses[i].claimed || !uses[i].wide) continue;
+        const ir::PoolEntry v = value(uses[i].slot);
+        std::vector<size_t>& served = s.served;
+        served.clear();
+        for (size_t j = 0; j < uses.size(); ++j) {
+          if (uses[j].claimed) continue;
+          const ir::PoolEntry w = value(uses[j].slot);
+          if (uses[j].wide ? (w == v) : (w.lo == v.lo)) served.push_back(j);
+        }
+        if (served.size() < 2) continue;
+        Reg xh;
+        if (!scratch.take(&xh)) break;
+        // Insert the hoist load before the earliest served use.
+        size_t firstIdx = uses[served[0]].idx;
+        for (size_t j : served) firstIdx = std::min(firstIdx, uses[j].idx);
+        for (size_t j : served) {
+          uses[j].claimed = true;
+          Instruction in = block.instrs[uses[j].idx];
+          in.ops[1] = Operand::makeReg(xh);
+          std::vector<Instruction> repl;
+          if (uses[j].idx == firstIdx)
+            repl.push_back(isa::makeInstr(Mnemonic::Movapd, 16,
+                                          Operand::makeReg(xh),
+                                          poolMem(uses[i].slot)));
+          repl.push_back(in);
+          edits.replace(uses[j].idx, std::move(repl));
+        }
+        eliminated += served.size() - 1;
+      }
+      // Remaining scalar constants, keyed by their 8-byte value.
+      for (size_t i = 0; i < uses.size(); ++i) {
+        if (uses[i].claimed || uses[i].wide) continue;
+        const uint64_t v = value(uses[i].slot).lo;
+        std::vector<size_t>& served = s.served;
+        served.clear();
+        for (size_t j = 0; j < uses.size(); ++j)
+          if (!uses[j].claimed && !uses[j].wide && value(uses[j].slot).lo == v)
+            served.push_back(j);
+        if (served.size() < 2) continue;
+        Reg xh;
+        if (!scratch.take(&xh)) break;
+        size_t firstIdx = uses[served[0]].idx;
+        for (size_t j : served) firstIdx = std::min(firstIdx, uses[j].idx);
+        for (size_t j : served) {
+          uses[j].claimed = true;
+          Instruction in = block.instrs[uses[j].idx];
+          in.ops[1] = Operand::makeReg(xh);
+          std::vector<Instruction> repl;
+          if (uses[j].idx == firstIdx)
+            repl.push_back(isa::makeInstr(Mnemonic::Movsd, 8,
+                                          Operand::makeReg(xh),
+                                          poolMem(uses[i].slot)));
+          repl.push_back(in);
+          edits.replace(uses[j].idx, std::move(repl));
+        }
+        eliminated += served.size() - 1;
+      }
+    }
+    edits.apply(fn, block);
+
+    // --- lane reuse: a scalar re-load of an address whose value a previous
+    // (packed or scalar) load still holds becomes a register move, with a
+    // lane realignment when the live copy sits in the high half.
+    std::vector<LaneFact>& facts = s.facts;
+    facts.clear();
+    EditList& reuse = s.reuse;
+    reuse.clear();
+    auto killReg = [&](uint32_t writtenMask) {
+      for (size_t i = 0; i < facts.size();) {
+        const uint32_t bits =
+            isa::regBit(facts[i].reg) |
+            (facts[i].base != Reg::none ? isa::regBit(facts[i].base) : 0u);
+        if (writtenMask & bits) {
+          facts[i] = facts.back();
+          facts.pop_back();
+        } else {
+          ++i;
+        }
+      }
+    };
+    for (size_t k = 0; k < block.instrs.size(); ++k) {
+      const Instruction& in = block.instrs[k];
+      // Rewrite a scalar f64 re-load through a live lane.
+      if (in.mnemonic == Mnemonic::Movsd && in.nops == 2 &&
+          in.ops[0].isReg() && in.ops[1].isMem() && in.width == 8) {
+        const isa::MemOperand& m = in.ops[1].mem;
+        const Reg fbase = m.poolSlot >= 0 ? Reg::none : m.base;
+        const int32_t fdisp = m.poolSlot >= 0 ? m.poolSlot * 16 : m.disp;
+        const bool plain = plainBaseMem(m) || m.poolSlot >= 0;
+        if (plain) {
+          auto it = std::find_if(facts.begin(), facts.end(),
+                                 [&](const LaneFact& f) {
+                                   return f.base == fbase && f.disp == fdisp;
+                                 });
+          if (it != facts.end() && it->reg != in.ops[0].reg &&
+              hiLaneUnobserved(block, k, in.ops[0].reg)) {
+            const Reg dst = in.ops[0].reg;
+            std::vector<Instruction> repl;
+            repl.push_back(isa::makeInstr(Mnemonic::Movapd, 16,
+                                          Operand::makeReg(dst),
+                                          Operand::makeReg(it->reg)));
+            if (it->hi)
+              repl.push_back(isa::makeInstr(Mnemonic::Unpckhpd, 16,
+                                            Operand::makeReg(dst),
+                                            Operand::makeReg(dst)));
+            reuse.replace(k, std::move(repl));
+            ++eliminated;
+            // The destination now holds the lane value; fact bookkeeping
+            // below records it off the rewritten semantics all the same.
+          }
+        }
+      }
+
+      // Kill, then record what this instruction makes available. A movhpd/
+      // movlpd load replaces one lane only; the other lane's fact survives.
+      uint32_t written = isa::regsWritten(in);
+      if ((in.mnemonic == Mnemonic::Movhpd || in.mnemonic == Mnemonic::Movlpd) &&
+          in.nops == 2 && in.ops[0].isReg()) {
+        const Reg d = in.ops[0].reg;
+        const bool hiWrite = in.mnemonic == Mnemonic::Movhpd;
+        for (size_t i = 0; i < facts.size();)
+          if (facts[i].reg == d && facts[i].hi == hiWrite) {
+            facts[i] = facts.back();
+            facts.pop_back();
+          } else {
+            ++i;
+          }
+        written &= ~isa::regBit(d);
+      }
+      killReg(written);
+      if (touchesMemoryState(in)) {
+        for (size_t i = 0; i < facts.size();)
+          if (facts[i].base != Reg::none) {
+            facts[i] = facts.back();
+            facts.pop_back();
+          } else {
+            ++i;
+          }
+      }
+      if (in.nops == 2 && in.ops[0].isReg() && in.ops[1].isMem()) {
+        const isa::MemOperand& m = in.ops[1].mem;
+        const bool pool = m.poolSlot >= 0;
+        if (plainBaseMem(m) || pool) {
+          const Reg fbase = pool ? Reg::none : m.base;
+          const int32_t fdisp = pool ? m.poolSlot * 16 : m.disp;
+          const Reg r = in.ops[0].reg;
+          switch (in.mnemonic) {
+            case Mnemonic::Movsd:
+              facts.push_back({fbase, fdisp, r, false});
+              break;
+            case Mnemonic::Movhpd:
+              facts.push_back({fbase, fdisp, r, true});
+              break;
+            case Mnemonic::Movupd: case Mnemonic::Movapd:
+              facts.push_back({fbase, fdisp, r, false});
+              facts.push_back({fbase, fdisp + 8, r, true});
+              break;
+            default:
+              break;
+          }
+        }
+      } else if (in.mnemonic == Mnemonic::Movsd && in.nops == 2 &&
+                 in.ops[0].isMem() && plainBaseMem(in.ops[0].mem) &&
+                 in.ops[1].isReg()) {
+        // Store-to-load forwarding: the stored lane is now a known value
+        // of that address (the store itself wiped the other memory facts
+        // above).
+        facts.push_back(
+            {in.ops[0].mem.base, in.ops[0].mem.disp, in.ops[1].reg, false});
+      }
+    }
+    reuse.apply(fn, block);
+  }
+  return eliminated;
+}
+
+}  // namespace brew

@@ -8,7 +8,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/passes/vectorize.hpp"
+#include "core/passes/cross_iter.hpp"
 #include "core/rewriter.hpp"
 #include "ir/captured.hpp"
 #include "isa/instruction.hpp"
@@ -21,6 +21,7 @@ namespace {
 using isa::Instruction;
 using isa::Mnemonic;
 using isa::Operand;
+using isa::Reg;
 
 bool isPureFlagWriter(const Instruction& in) {
   switch (in.mnemonic) {
@@ -90,6 +91,67 @@ size_t runPeephole(ir::CapturedFunction& fn) {
     v.resize(w);
   }
   return removed;
+}
+
+// --- final peephole: return-copy coalescing ---------------------------------
+//
+// The accumulator usually lives in another register and is copied into
+// xmm0 right before the ret. Exchanging the two register names in every
+// operand before the copy computes the accumulator in xmm0 directly and
+// drops the copy (a plain rename when xmm0 is otherwise unused). Sound when
+// neither register is live-in (each is first referenced by a full
+// overwrite) and no call uses either implicitly. The copy's source then
+// ends with another value at the ret, which the passes' scalar-return
+// assumption allows: only xmm0's low lane is observed.
+
+size_t coalesceRetMoves(ir::CapturedFunction& fn) {
+  size_t coalesced = 0;
+  for (ir::Block& block : fn.blocks()) {
+    if (block.term.kind != ir::Terminator::Kind::Ret) continue;
+    if (block.instrs.empty()) continue;
+    const Instruction& last = block.instrs.back();
+    if ((last.mnemonic != Mnemonic::Movapd &&
+         last.mnemonic != Mnemonic::Movaps) ||
+        last.nops != 2 || !last.ops[0].isReg() || !last.ops[1].isReg())
+      continue;
+    const Reg dst = last.ops[0].reg;
+    const Reg src = last.ops[1].reg;
+    if (dst != isa::abi::kSseReturn || src == dst || !isa::isXmm(src))
+      continue;
+
+    const size_t lastIdx = block.instrs.size() - 1;
+    uint32_t seen = 0;  // registers already referenced
+    bool ok = true;
+    for (size_t k = 0; k < lastIdx && ok; ++k) {
+      const Instruction& in = block.instrs[k];
+      if (in.mnemonic == Mnemonic::Call || in.mnemonic == Mnemonic::CallInd)
+        ok = false;  // implicit XMM uses
+      const uint32_t reads = isa::regsRead(in);
+      const uint32_t fresh = (reads | isa::regsWritten(in)) & ~seen;
+      for (const Reg r : {dst, src}) {
+        const uint32_t bit = isa::regBit(r);
+        if (!(fresh & bit)) continue;
+        // The first reference must define r entirely: r is not live-in.
+        if (!fullXmmOverwrite(in, r) || (reads & bit)) ok = false;
+        seen |= bit;
+      }
+    }
+    if (!ok || !(seen & isa::regBit(src))) continue;
+
+    for (size_t k = 0; k < lastIdx; ++k) {
+      Instruction& in = block.instrs[k];
+      for (unsigned o = 0; o < in.nops; ++o) {
+        if (!in.ops[o].isReg()) continue;
+        if (in.ops[o].reg == src)
+          in.ops[o].reg = dst;
+        else if (in.ops[o].reg == dst)
+          in.ops[o].reg = src;
+      }
+    }
+    block.instrs.pop_back();
+    ++coalesced;
+  }
+  return coalesced;
 }
 
 // --- dead pure flag writers -----------------------------------------------
@@ -168,11 +230,9 @@ size_t runDeadFlagWriters(ir::CapturedFunction& fn) {
         live = true;
       } else if (isPureFlagWriter(in)) {
         if (!live && !hasMemOperand(in)) {
-          // Memory-operand compares are kept: their load could fault, and
-          // a faulting load the original performed must be preserved? No —
-          // the original performed it on the same address, so removing is
-          // safe; we keep them only to avoid dropping injected onLoad
-          // pairing. Register-only compares always go.
+          // Memory-operand compares are kept so that an injected onLoad
+          // handler still sees every captured load. Register-only compares
+          // always go.
           dead.push_back(k);
           ++removed;
           continue;
@@ -411,26 +471,21 @@ void runPasses(ir::CapturedFunction& fn, const PassOptions& options) {
     counter(CounterId::PassDeadFlagsRemoved).add(runDeadFlagWriters(fn));
   if (options.redundantLoads)
     counter(CounterId::PassLoadsForwarded).add(runRedundantLoads(fn));
-  // The vectorizing pair runs after load dedup (so it sees the canonical
-  // scalar stream) and before the final peephole (which mops up any moves
-  // the rewrites leave behind). SLP first: the pool pair constants and
-  // packed loads it introduces are exactly what the cross-iteration pass
-  // hoists and lane-shares.
-  if (options.slpVectorize || options.crossIterLoads) {
+  // Cross-iteration load elimination runs after load dedup, so it sees the
+  // canonical scalar stream, and before the final peephole, which mops up
+  // the moves it leaves behind.
+  if (options.crossIterLoads) {
     const uint64_t v0 = telemetry::nowNs();
-    if (options.slpVectorize) {
-      const VectorizeStats vs = runSlpVectorize(fn);
-      counter(CounterId::PassVectorizedGroups).add(vs.groups);
-      peephole += vs.retMovesCoalesced;
-    }
-    if (options.crossIterLoads)
-      counter(CounterId::PassLoadsEliminated).add(runCrossIterLoads(fn));
+    counter(CounterId::PassLoadsEliminated).add(runCrossIterLoads(fn));
     const uint64_t v1 = telemetry::nowNs();
     telemetry::histogram(telemetry::HistogramId::PhaseVectorizeNs)
         .record(v1 - v0);
     if (telemetry::tracingEnabled()) telemetry::recordSpan("vectorize", v0, v1);
   }
-  if (options.peephole) peephole += runPeephole(fn);  // cleanups may expose more
+  if (options.peephole) {  // cleanups may expose more
+    peephole += runPeephole(fn);
+    peephole += coalesceRetMoves(fn);
+  }
   counter(CounterId::PassBlocksMerged).add(merged);
   counter(CounterId::PassPeepholeRemoved).add(peephole);
 }

@@ -36,12 +36,6 @@ struct PassOptions {
   // Merge a block into its unique Jmp predecessor (removes the stub blocks
   // that migration compensation and resolved control flow leave behind).
   bool mergeBlocks = true;
-  // SLP-vectorize the unrolled straight-line stream: groups of 2 (f64) or
-  // 4 (f32) isomorphic load/mul/accumulate chains become one packed SSE op
-  // each, with lane extraction preserving the original (bit-exact) add
-  // order; adjacent scalar stores merge into one 16-byte store. Groups
-  // failing an adjacency/overlap/lane-order/liveness proof stay scalar.
-  bool slpVectorize = true;
   // Cross-iteration redundant-load elimination: pool constants re-read by
   // every unrolled iteration are hoisted into scratch registers, and
   // re-loads of lanes a previous load still holds become register reuse.

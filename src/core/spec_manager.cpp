@@ -40,8 +40,7 @@ uint64_t passBits(const PassOptions& passes) {
          static_cast<uint64_t>(passes.deadFlagWriters) << 1 |
          static_cast<uint64_t>(passes.redundantLoads) << 2 |
          static_cast<uint64_t>(passes.mergeBlocks) << 3 |
-         static_cast<uint64_t>(passes.slpVectorize) << 4 |
-         static_cast<uint64_t>(passes.crossIterLoads) << 5;
+         static_cast<uint64_t>(passes.crossIterLoads) << 4;
 }
 
 const ParamSpec& paramSpec(const Config& config, size_t index) {

@@ -57,7 +57,6 @@ constexpr const char* kCounterNames[] = {
     "passes.peephole_removed",
     "passes.dead_flags_removed",
     "passes.loads_forwarded",
-    "passes.vectorized_groups",
     "passes.loads_eliminated",
     "emit.instructions",
     "emit.code_bytes",

@@ -56,7 +56,6 @@ enum class CounterId : int {
   PassPeepholeRemoved,
   PassDeadFlagsRemoved,
   PassLoadsForwarded,
-  PassVectorizedGroups,   // scalar groups re-emitted as one packed SSE op
   PassLoadsEliminated,    // cross-iteration re-loads replaced by reg reuse
   EmitInstructions,
   EmitCodeBytes,
@@ -108,7 +107,7 @@ enum class HistogramId : int {
   PhaseEmulateExecNs,     // emulate sub-span: abstract execution proper
   PhaseEmulateShadowNs,   // emulate sub-span: state snapshots + variant keys
   PhasePassesNs,
-  PhaseVectorizeNs,       // SLP + cross-iteration passes inside runPasses
+  PhaseVectorizeNs,       // cross-iteration load pass inside runPasses
   PhaseEmitNs,
   PhaseChainNs,           // emit sub-span: block layout + jump relocation
   PhaseInstallNs,         // registration + block adoption / publication

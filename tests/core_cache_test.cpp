@@ -145,8 +145,6 @@ TEST(ConfigFingerprint, DeterministicAndShapeSensitive) {
        [](Config&, PassOptions& p) { p.redundantLoads = false; }},
       {"mergeBlocks off",
        [](Config&, PassOptions& p) { p.mergeBlocks = false; }},
-      {"slpVectorize off",
-       [](Config&, PassOptions& p) { p.slpVectorize = false; }},
       {"crossIterLoads off",
        [](Config&, PassOptions& p) { p.crossIterLoads = false; }},
       // The counts frame the variable-length parts. Without the declared

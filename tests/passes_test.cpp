@@ -35,7 +35,6 @@ PassOptions only(bool peephole, bool deadFlags, bool loads) {
   options.deadFlagWriters = deadFlags;
   options.redundantLoads = loads;
   options.mergeBlocks = false;  // structure-sensitive tests pick passes
-  options.slpVectorize = false;
   options.crossIterLoads = false;
   return options;
 }
