@@ -3,7 +3,8 @@
 // 0.74 s; moving it into the same compilation unit (compiler inlines and
 // optimizes across updates) gives 0.48 s. BREW's analogue — rewriting the
 // WHOLE sweep with unrolling disabled, which inlines and specializes the
-// per-cell call — is measured as the extension row.
+// per-cell call — is measured as the extension row. A report-only line
+// then shows how much that code's speed depends on where it sits in a page.
 #include "bench_common.hpp"
 #include "stencil_bench_common.hpp"
 
@@ -20,7 +21,7 @@ using sweep_t = void (*)(double*, const double*, int, int, brew_stencil_fn,
 
 // Whole-sweep rewrite: bounds and stencil baked in, function-pointer call
 // inlined+specialized, outer loops kept via BREW_FN_NOUNROLL.
-Result<RewrittenFunction> rewriteSweep() {
+Result<RewrittenFunction> rewriteSweep(int side = kSide) {
   Config config;
   config.setParamKnown(2);  // xs
   config.setParamKnown(3);  // ys
@@ -33,7 +34,7 @@ Result<RewrittenFunction> rewriteSweep() {
   Rewriter rewriter{config};
   return rewriter.rewrite(
       reinterpret_cast<const void*>(&brew_stencil_sweep), nullptr, nullptr,
-      kSide, kSide, reinterpret_cast<const void*>(&brew_stencil_apply),
+      side, side, reinterpret_cast<const void*>(&brew_stencil_apply),
       &g_s);
 }
 
@@ -44,6 +45,66 @@ void BM_WholeSweepRewrite(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WholeSweepRewrite);
+
+constexpr int kPlacements = 16;
+constexpr int kSweeps = 400;
+
+struct PlacementTimes {
+  double fastest = 0.0, slowest = 0.0;
+};
+
+// Placement sensitivity of generated code: the whole sweep rewritten for a
+// 34x34 matrix (the width_shift shape; both matrices stay in L1, so the
+// loop's own speed shows, not memory), its code and literal pool (which it
+// addresses RIP-relatively) copied into kPlacements consecutive pages, each
+// copy at its own 16-byte-aligned offset within its page. The copies are
+// timed round-robin, so a slow moment on a shared host hits every offset
+// alike. Returns the fastest and the slowest copy's best time per
+// kSweeps sweeps, in seconds, or {} when the rewrite or the mapping fails.
+PlacementTimes measurePlacement() {
+  constexpr int kPlaceSide = 34;
+  constexpr int kRounds = 15;
+  constexpr size_t kPage = 4096;
+  auto rewritten = rewriteSweep(kPlaceSide);
+  if (!rewritten) return {};
+  const size_t unit =
+      rewritten->emitStats().codeBytes + rewritten->emitStats().poolBytes;
+  if (unit + 16 * (kPlacements - 1) > kPage) return {};
+  // An odd multiple of 16 bytes: the copies start at every 16-byte
+  // residue of a 64-byte cache line.
+  size_t step = ((kPage - unit) / (kPlacements - 1)) & ~size_t{15};
+  if ((step / 16) % 2 == 0) step -= 16;
+  auto region = ExecMemory::allocate(
+      kPlacements * kPage + unit,
+      reinterpret_cast<const void*>(&brew_stencil_sweep));
+  if (!region) return {};
+  for (int k = 0; k < kPlacements; ++k)
+    std::memcpy(region->writeView() + k * (kPage + step), rewritten->entry(),
+                unit);
+  if (!region->finalize()) return {};
+
+  Matrix a(kPlaceSide, kPlaceSide), b(kPlaceSide, kPlaceSide);
+  std::vector<double> best(kPlacements, 1e300);
+  for (int round = 0; round < kRounds; ++round) {
+    for (int k = 0; k < kPlacements; ++k) {
+      const auto sweep =
+          reinterpret_cast<sweep_t>(region->data() + k * (kPage + step));
+      a.fillDeterministic();
+      Matrix* src = &a;
+      Matrix* dst = &b;
+      const Timer timer;
+      for (int it = 0; it < kSweeps; ++it) {
+        sweep(dst->data(), src->data(), kPlaceSide, kPlaceSide,
+              &brew_stencil_apply, &g_s);
+        std::swap(src, dst);
+      }
+      best[static_cast<size_t>(k)] =
+          std::min(best[static_cast<size_t>(k)], timer.seconds());
+    }
+  }
+  return {*std::min_element(best.begin(), best.end()),
+          *std::max_element(best.begin(), best.end())};
+}
 
 }  // namespace
 
@@ -118,6 +179,16 @@ int main(int argc, char** argv) {
   if (sweepOk)
     table.addRow("BREW whole-sweep rewrite (ext.)", -1.0, sweepRewritten);
   table.print();
+  // Report-only: how much the same generated bytes depend on where they
+  // sit in a page.
+  if (const PlacementTimes p = measurePlacement(); p.fastest > 0) {
+    std::printf("34x34 whole-sweep rewrite at %d offsets in one page, %d "
+                "sweeps: fastest %.1f us, slowest %.1f us, slowest / "
+                "fastest = %.3f\n",
+                kPlacements, kSweeps, p.fastest * 1e6, p.slowest * 1e6,
+                p.slowest / p.fastest);
+    recordMetric("e4_sweep_placement_spread", p.slowest / p.fastest);
+  }
 
   ShapeChecks checks;
   checks.expect(std::abs(checksumFused - checksum) < 1e-9,

@@ -35,19 +35,22 @@ cmake --build build-tsan -j"$(nproc)" \
 cd build-tsan
 ctest -L concurrency --output-on-failure -j"$(nproc)"
 
-# The cross-iteration pass must also report itself: a BREW_STATS run over
-# the differential suite has to show its passes.* counter moving (a silent
-# pass is indistinguishable from a disabled one).
+# The cross-iteration pass and the loop register rules must also report
+# themselves: a BREW_STATS run over the differential suite (whose loop
+# subjects keep their loops) has to show their counters moving, and the
+# latch layout with them (a silent pass is indistinguishable from a
+# disabled one).
 stats_out=$(BREW_STATS=1 ./tests/passes_vectorize_test 2>&1)
-for counter in passes.loads_eliminated; do
+for counter in passes.loads_eliminated passes.copies_coalesced \
+    passes.consts_hoisted emit.loop_latches_placed; do
   if ! printf '%s\n' "$stats_out" | \
       grep -E "$counter[[:space:]]+[1-9][0-9]*" > /dev/null; then
     echo "FAIL: $counter missing or zero in BREW_STATS output" >&2
-    printf '%s\n' "$stats_out" | grep "passes\." >&2 || true
+    printf '%s\n' "$stats_out" | grep -E "passes\.|emit\." >&2 || true
     exit 1
   fi
 done
-echo "passes.* counters present in BREW_STATS"
+echo "passes.* and emit.loop_latches_placed present in BREW_STATS"
 
 # Same for the block-chained tier: its differential suite traces branchy
 # functions, so a BREW_STATS run must show the blocks.* counters moving —

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/passes/cross_iter.hpp"
+#include "core/passes/loop_regs.hpp"
 #include "core/rewriter.hpp"
 #include "ir/captured.hpp"
 #include "isa/instruction.hpp"
@@ -482,10 +483,15 @@ void runPasses(ir::CapturedFunction& fn, const PassOptions& options) {
         .record(v1 - v0);
     if (telemetry::tracingEnabled()) telemetry::recordSpan("vectorize", v0, v1);
   }
-  if (options.peephole) {  // cleanups may expose more
-    peephole += runPeephole(fn);
-    peephole += coalesceRetMoves(fn);
-  }
+  if (options.peephole) peephole += runPeephole(fn);  // cleanups expose more
+  // Loop functions get register liveness: copy coalescing rides on the
+  // peephole switch, constant hoisting on the cross-iteration one. The
+  // trailing return-copy swap covers loop-free functions.
+  const LoopRegisterStats loop =
+      runLoopRegisterRules(fn, options.peephole, options.crossIterLoads);
+  if (options.peephole && !loop.cyclic) peephole += coalesceRetMoves(fn);
+  counter(CounterId::PassCopiesCoalesced).add(loop.copiesCoalesced);
+  counter(CounterId::PassConstsHoisted).add(loop.constsHoisted);
   counter(CounterId::PassBlocksMerged).add(merged);
   counter(CounterId::PassPeepholeRemoved).add(peephole);
 }

@@ -57,6 +57,7 @@ void publishStats(const TraceStats& ts, const ir::EmitStats& es) {
   counter(CounterId::EmitInstructions).add(es.instructions);
   counter(CounterId::EmitCodeBytes).add(es.codeBytes);
   counter(CounterId::EmitPoolBytes).add(es.poolBytes);
+  counter(CounterId::EmitLoopLatches).add(es.loopLatches);
 }
 }  // namespace
 

@@ -150,7 +150,7 @@ class SpecManager {
     // support/persist_cache.hpp). Empty = persistence disabled; the
     // BREW_CACHE_DIR env fallback applies only through fromEnv(), so
     // ad-hoc `SpecManager m;` instances in tests/benches stay cold.
-    std::string cacheDir;
+    std::string cacheDir{};
     DispatchOptions dispatch{};
 
     // The ONE place environment fallbacks are parsed (each read once per

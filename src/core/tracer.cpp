@@ -95,6 +95,11 @@ Result<ir::CapturedFunction> Tracer::trace(uint64_t fn,
   auto entryVariant = getOrCreateVariant(fn, initial, fn);
   if (!entryVariant) return entryVariant.error();
   out_.setEntry(entryVariant->blockId);
+  // What a `ret` hands back, for the passes' register liveness.
+  const ReturnKind ret = config_.returnKind();
+  out_.setLiveAtRet(ir::liveAtRetMask(
+      ret != ReturnKind::Float && ret != ReturnKind::Void,
+      ret != ReturnKind::Int && ret != ReturnKind::Void));
 
   if (config_.injection().onEntry != nullptr) {
     // Instrumentation goes into the entry block before anything else.

@@ -97,16 +97,20 @@ std::string CapturedFunction::dump() const {
 namespace {
 
 // layoutOrder runs on every emit; the marker vectors keep their capacity
-// across calls on each thread instead of reallocating per rewrite.
-void layoutOrderInto(const CapturedFunction& fn, std::vector<int>& order) {
+// across calls on each thread instead of reallocating per rewrite. Returns
+// the number of latch stubs placed right before their loop header.
+size_t layoutOrderInto(const CapturedFunction& fn, std::vector<int>& order) {
   order.clear();
   static thread_local std::vector<uint8_t> placed, reachable;
-  static thread_local std::vector<int> work;
-  placed.assign(static_cast<size_t>(fn.blockCount()), 0);
-  order.reserve(static_cast<size_t>(fn.blockCount()));
+  static thread_local std::vector<int> work, preds, latch;
+  const size_t n = static_cast<size_t>(fn.blockCount());
+  placed.assign(n, 0);
+  order.reserve(n);
 
   // Reachability from the entry block: merged/dead blocks are not emitted.
-  reachable.assign(static_cast<size_t>(fn.blockCount()), 0);
+  // Edges out of reachable blocks are counted per target on the way.
+  reachable.assign(n, 0);
+  preds.assign(n, 0);
   {
     work.clear();
     work.push_back(fn.entry());
@@ -117,19 +121,48 @@ void layoutOrderInto(const CapturedFunction& fn, std::vector<int>& order) {
       reachable[static_cast<size_t>(id)] = 1;
       const Terminator& t = fn.block(id).term;
       if (t.kind == Terminator::Kind::Jmp ||
-          t.kind == Terminator::Kind::CondJmp)
+          t.kind == Terminator::Kind::CondJmp) {
         work.push_back(t.taken);
-      if (t.kind == Terminator::Kind::CondJmp) work.push_back(t.fall);
+        if (t.taken >= 0) ++preds[static_cast<size_t>(t.taken)];
+      }
+      if (t.kind == Terminator::Kind::CondJmp) {
+        work.push_back(t.fall);
+        if (t.fall >= 0) ++preds[static_cast<size_t>(t.fall)];
+      }
     }
+  }
+
+  // Latch stubs: S ends in `jmp B`, B is S's only predecessor and jumps to
+  // S as its taken branch. Chained after B, the loop would take B's jcc and
+  // S's jmp on every iteration; placed before B, S falls into B.
+  latch.assign(n, -1);
+  for (size_t s = 0; s < n; ++s) {
+    const Terminator& t = fn.block(static_cast<int>(s)).term;
+    if (reachable[s] == 0 || preds[s] != 1 || t.kind != Terminator::Kind::Jmp)
+      continue;
+    const int b = t.taken;
+    if (b < 0 || b == fn.entry() || b == static_cast<int>(s)) continue;
+    const Terminator& bt = fn.block(b).term;
+    if (bt.kind == Terminator::Kind::CondJmp &&
+        bt.taken == static_cast<int>(s) && bt.fall != static_cast<int>(s))
+      latch[static_cast<size_t>(b)] = static_cast<int>(s);
   }
 
   // Greedy fall-through chaining starting from the entry: after a CondJmp
   // place the fall-through successor next (so no extra jmp is needed);
-  // after a Jmp place its target next when still unplaced.
+  // after a Jmp place its target next when still unplaced. A loop header
+  // is preceded by its latch stub.
+  size_t latches = 0;
   auto placeChain = [&](int start) {
     int current = start;
     while (current >= 0 && reachable[static_cast<size_t>(current)] != 0 &&
            placed[static_cast<size_t>(current)] == 0) {
+      const int stub = latch[static_cast<size_t>(current)];
+      if (stub >= 0 && placed[static_cast<size_t>(stub)] == 0) {
+        placed[static_cast<size_t>(stub)] = 1;
+        order.push_back(stub);
+      }
+      if (stub >= 0 && order.back() == stub) ++latches;
       placed[static_cast<size_t>(current)] = 1;
       order.push_back(current);
       const Terminator& t = fn.block(current).term;
@@ -153,6 +186,7 @@ void layoutOrderInto(const CapturedFunction& fn, std::vector<int>& order) {
     if (reachable[static_cast<size_t>(i)] != 0 &&
         placed[static_cast<size_t>(i)] == 0)
       placeChain(i);
+  return latches;
 }
 
 }  // namespace
@@ -173,7 +207,7 @@ Result<ExecMemory> emit(const CapturedFunction& fn, size_t maxCodeBytes,
   uint64_t chainTicks = 0;
   const uint64_t tLayout0 = telemetry::fastTicks();
   static thread_local std::vector<int> order;
-  layoutOrderInto(fn, order);
+  const size_t latches = layoutOrderInto(fn, order);
   chainTicks += telemetry::fastTicks() - tLayout0;
 
   struct BlockFixup {
@@ -363,6 +397,7 @@ Result<ExecMemory> emit(const CapturedFunction& fn, size_t maxCodeBytes,
     stats->codeBytes = poolOffset;
     stats->poolBytes = fn.pool().size() * 16;
     stats->instructions = instructions;
+    stats->loopLatches = latches;
     stats->chainNs = telemetry::ticksToNs(chainTicks);
     stats->relocs = std::move(relocs);
     stats->portable = portable;

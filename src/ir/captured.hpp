@@ -53,6 +53,19 @@ struct Block {
   uint64_t stateDigest = 0;
 };
 
+// Registers a `ret` hands back to its caller as live (isa::regBit mask):
+// rsp and the callee-saved GPRs, plus rax/rdx when `intReturn` and xmm0
+// when `sseReturn`. Register liveness in the passes starts from this set.
+constexpr uint32_t liveAtRetMask(bool intReturn, bool sseReturn) {
+  uint32_t mask = 0;
+  for (unsigned i = 0; i < 16; ++i)
+    if (isa::abi::isCalleeSaved(isa::gprFromNum(i))) mask |= 1u << i;
+  if (intReturn)
+    mask |= isa::regBit(isa::Reg::rax) | isa::regBit(isa::Reg::rdx);
+  if (sseReturn) mask |= isa::regBit(isa::abi::kSseReturn);
+  return mask;
+}
+
 // 16-byte literal pool entry (low half carries scalar constants).
 struct PoolEntry {
   uint64_t lo = 0;
@@ -78,6 +91,12 @@ class CapturedFunction {
 
   size_t totalInstructions() const;
 
+  // Registers live at every `ret` (see liveAtRetMask). The tracer narrows
+  // it by Config::returnKind; hand-built functions keep the scalar-return
+  // default: rax, rdx and xmm0 may all carry the result.
+  uint32_t liveAtRet() const { return liveAtRet_; }
+  void setLiveAtRet(uint32_t mask) { liveAtRet_ = mask; }
+
   // The per-function instruction arena; newBlock() wires every block's
   // instruction vector to it. Lives (shared) as long as any copy of this
   // function, so cached captured IR stays valid after the rewrite ends.
@@ -91,6 +110,7 @@ class CapturedFunction {
   std::vector<Block> blocks_;
   std::vector<PoolEntry> pool_;
   int entry_ = 0;
+  uint32_t liveAtRet_ = liveAtRetMask(true, true);
 };
 
 // One absolute-address site in an emitted unit. The code itself is
@@ -109,6 +129,9 @@ struct EmitStats {
   size_t codeBytes = 0;
   size_t poolBytes = 0;
   size_t instructions = 0;
+  // Latch stubs the layout placed right before their loop header
+  // (telemetry "emit.loop_latches_placed").
+  size_t loopLatches = 0;
   // Time spent wiring blocks together: layout plus the block/pool
   // relocation passes (telemetry "phase.chain_ns").
   uint64_t chainNs = 0;
@@ -128,7 +151,10 @@ Result<ExecMemory> emit(const CapturedFunction& fn, size_t maxCodeBytes,
                         EmitStats* stats = nullptr);
 
 // Block ordering used by emit(): entry first, then fall-through chains
-// (§III-G "determination of the best order of generated blocks").
+// (§III-G "determination of the best order of generated blocks"). A loop's
+// latch stub — a block ending in `jmp B` whose only predecessor is B, the
+// taken target of B's conditional jump — is placed right before B, so the
+// loop runs with one taken branch per iteration.
 std::vector<int> layoutOrder(const CapturedFunction& fn);
 
 }  // namespace brew::ir

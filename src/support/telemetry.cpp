@@ -58,9 +58,12 @@ constexpr const char* kCounterNames[] = {
     "passes.dead_flags_removed",
     "passes.loads_forwarded",
     "passes.loads_eliminated",
+    "passes.copies_coalesced",
+    "passes.consts_hoisted",
     "emit.instructions",
     "emit.code_bytes",
     "emit.pool_bytes",
+    "emit.loop_latches_placed",
     "cache.hits",
     "cache.misses",
     "cache.evictions",

@@ -57,9 +57,12 @@ enum class CounterId : int {
   PassDeadFlagsRemoved,
   PassLoadsForwarded,
   PassLoadsEliminated,    // cross-iteration re-loads replaced by reg reuse
+  PassCopiesCoalesced,    // loop functions: XMM copies swapped/propagated away
+  PassConstsHoisted,      // loop functions: pool constants loaded at entry
   EmitInstructions,
   EmitCodeBytes,
   EmitPoolBytes,
+  EmitLoopLatches,        // latch stubs laid out right before their header
   CacheHits,
   CacheMisses,
   CacheEvictions,

@@ -2,10 +2,14 @@
 // relocation, literal pool placement and RIP-relative pool references.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <span>
+#include <vector>
 
 #include "emu/interpreter.hpp"
 #include "ir/captured.hpp"
+#include "isa/decoder.hpp"
 
 namespace brew::ir {
 namespace {
@@ -95,6 +99,72 @@ TEST(Emit, LoopBackedge) {
   auto f = mem->entry<int64_t (*)(int64_t)>();
   EXPECT_EQ(f(4), 4 + 3 + 2 + 1);
   EXPECT_EQ(f(1), 1);
+}
+
+TEST(Layout, LatchPlacedBeforeLoopHeader) {
+  // rax = 0; do { rax += rdi; rdi -= 1; if (rdi == 0) break; rax += 1; }
+  // The loop's tail (`rax += 1`) is a latch stub: it ends in `jmp body`
+  // and only the body's taken branch reaches it.
+  CapturedFunction fn;
+  const int head = fn.newBlock(1, 0);
+  const int body = fn.newBlock(2, 0);
+  const int exit = fn.newBlock(3, 0);
+  const int latch = fn.newBlock(4, 0);
+  fn.setEntry(head);
+  fn.block(head).instrs = {makeInstr(Mnemonic::Mov, 8,
+                                     Operand::makeReg(Reg::rax),
+                                     Operand::makeImm(0))};
+  fn.block(head).term = {Terminator::Kind::Jmp, Cond::O, body, -1};
+  fn.block(body).instrs = {
+      makeInstr(Mnemonic::Add, 8, Operand::makeReg(Reg::rax),
+                Operand::makeReg(Reg::rdi)),
+      makeInstr(Mnemonic::Sub, 8, Operand::makeReg(Reg::rdi),
+                Operand::makeImm(1)),
+  };
+  fn.block(body).term = {Terminator::Kind::CondJmp, Cond::NE, latch, exit};
+  fn.block(exit).term.kind = Terminator::Kind::Ret;
+  fn.block(latch).instrs = {makeInstr(Mnemonic::Add, 8,
+                                      Operand::makeReg(Reg::rax),
+                                      Operand::makeImm(1))};
+  fn.block(latch).term = {Terminator::Kind::Jmp, Cond::O, body, -1};
+
+  EXPECT_EQ(layoutOrder(fn), (std::vector<int>{head, latch, body, exit}));
+
+  EmitStats stats;
+  auto mem = emit(fn, 1 << 16, &stats);
+  ASSERT_TRUE(mem.ok()) << mem.error().message();
+  EXPECT_EQ(stats.loopLatches, 1u);
+  auto f = mem->entry<int64_t (*)(int64_t)>();
+  EXPECT_EQ(f(4), 4 + 3 + 2 + 1 + 3);
+  EXPECT_EQ(f(1), 1);
+
+  // Decode the emitted code: the backward branch closes the loop, and the
+  // range it jumps back over holds no other branch, so one iteration takes
+  // exactly one jump.
+  struct Branch {
+    uint64_t at, target;
+  };
+  std::vector<Branch> branches;
+  const auto* base = static_cast<const uint8_t*>(mem->data());
+  const uint64_t start = reinterpret_cast<uint64_t>(base);
+  for (size_t off = 0; off < stats.codeBytes;) {
+    auto in = isa::decodeOne(
+        std::span<const uint8_t>(base + off, stats.codeBytes - off),
+        start + off);
+    ASSERT_TRUE(in.ok()) << "offset " << off;
+    if (in->mnemonic == Mnemonic::Jmp || in->mnemonic == Mnemonic::Jcc)
+      branches.push_back(
+          {start + off, static_cast<uint64_t>(in->ops[0].imm)});
+    if (in->mnemonic == Mnemonic::Ret) break;
+    off += in->length;
+  }
+  const auto back = std::ranges::find_if(
+      branches, [](const Branch& b) { return b.target <= b.at; });
+  ASSERT_NE(back, branches.end());
+  const auto inLoop = std::ranges::count_if(branches, [&](const Branch& b) {
+    return b.at >= back->target && b.at <= back->at;
+  });
+  EXPECT_EQ(inLoop, 1);
 }
 
 TEST(Emit, PoolReferencesResolve) {

@@ -1,17 +1,22 @@
-// Differential tests for cross-iteration redundant-load elimination and the
-// final peephole's return-copy coalescing (§IV). The contract under test
-// is strict: the optimized capture must produce byte-identical results to
-// the capture with every pass off — FP addition is never reassociated —
-// over f64 and f32 accumulation chains and scalar store sequences.
+// Differential tests for cross-iteration redundant-load elimination, the
+// final peephole's return-copy coalescing and the register rules of loop
+// functions (§IV). The contract under test is strict: the optimized
+// capture must produce byte-identical results to the capture with every
+// pass off — FP addition is never reassociated — over f64 and f32
+// accumulation chains, scalar store sequences and traced loops.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "core/code_cache.hpp"
 #include "core/rewriter.hpp"
 #include "ir/captured.hpp"
+#include "jit/assembler.hpp"
 #include "support/prng.hpp"
 
 namespace brew {
@@ -300,6 +305,306 @@ TEST(Peephole, ReturnCopyCoalescesBySwap) {
   liveIn.block(id).term.kind = ir::Terminator::Kind::Ret;
   runPasses(liveIn, PassOptions{});
   EXPECT_TRUE(endsWithReturnCopy(liveIn)) << liveIn.dump();
+}
+
+// --- register rules of loop functions ---------------------------------------
+//
+// Subjects are built with jit::Assembler and keep their loop when traced
+// (the trip count is unknown):
+//
+//   double f(const double* src, double* dst, long n, const double* k,
+//            void (*clobber)(), double a, double b, double c)
+//
+// k is a known pointer to kCoeffs, so `[k]` operands fold into the literal
+// pool. Each subject is rewritten with every pass off and with the default
+// pipeline; both run over the same inputs and must agree bit for bit on
+// every stored double (and on the returned one for a float return).
+
+using loop_fn = double (*)(const double*, double*, long, const double*,
+                           void (*)(), double, double, double);
+
+constexpr double kCoeffs[2] = {0.25, 0.5};
+constexpr long kTrips = 37;
+
+MemOperand at(Reg base, int32_t disp) {
+  return MemOperand{.base = base, .disp = disp};
+}
+
+void emitLoopTail(jit::Assembler& as, jit::Label loop) {
+  as.aluRegImm(Mnemonic::Add, Reg::rdi, 8);
+  as.aluRegImm(Mnemonic::Add, Reg::rsi, 8);
+  as.aluRegImm(Mnemonic::Sub, Reg::rdx, 1);
+  as.jcc(isa::Cond::NE, loop);
+}
+
+ExecMemory finalize(jit::Assembler& as) {
+  auto mem = as.finalizeExecutable();
+  EXPECT_TRUE(mem.ok()) << mem.error().message();
+  return std::move(*mem);
+}
+
+// Zeroes xmm2: the `clobber` callee, as any ABI-conforming call may.
+ExecMemory buildClobber() {
+  jit::Assembler as;
+  as.emit(makeInstr(Mnemonic::Pxor, 16, xmm(2), xmm(2)));
+  as.ret();
+  return finalize(as);
+}
+
+struct LoopRewrite {
+  RewrittenFunction off, on;
+};
+
+LoopRewrite expectLoopBitExact(const ExecMemory& subject, ReturnKind kind) {
+  Config config;
+  config.setReturnKind(kind);
+  config.setParamKnownPtr(3, sizeof kCoeffs);
+  const ArgValue args[] = {
+      ArgValue::fromPtr(nullptr), ArgValue::fromPtr(nullptr),
+      ArgValue::fromInt(0), ArgValue::fromPtr(kCoeffs),
+      ArgValue::fromPtr(nullptr)};
+  Rewriter plain{config};
+  plain.passes() = allOff();
+  Rewriter optimized{config};
+  auto off = plain.rewrite(subject.data(), args);
+  auto on = optimized.rewrite(subject.data(), args);
+  EXPECT_TRUE(off.ok()) << off.error().message();
+  EXPECT_TRUE(on.ok()) << on.error().message();
+  if (!off.ok() || !on.ok()) return {};
+
+  static const ExecMemory clobber = buildClobber();
+  const auto clobberFn = clobber.entry<void (*)()>();
+  Prng rng(kind == ReturnKind::Void ? 5 : 6);
+  std::vector<double> src(kTrips + 8);
+  for (size_t i = 0; i < src.size(); ++i)
+    src[i] = i % 3 == 0 ? 0.0 : (rng.uniform() - 0.5) * 1e3;
+  std::vector<double> dstOff(kTrips + 2, -1.0), dstOn(kTrips + 2, -1.0);
+  const double a = 1.5, b = -2.75, c = 3.125;
+  const double retOff = off->as<loop_fn>()(src.data(), dstOff.data() + 1,
+                                           kTrips, kCoeffs, clobberFn, a, b,
+                                           c);
+  const double retOn = on->as<loop_fn>()(src.data(), dstOn.data() + 1,
+                                         kTrips, kCoeffs, clobberFn, a, b, c);
+  if (kind == ReturnKind::Float) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(retOff), std::bit_cast<uint64_t>(retOn))
+        << on->dumpCaptured();
+  }
+  EXPECT_EQ(std::memcmp(dstOff.data(), dstOn.data(),
+                        dstOff.size() * sizeof(double)),
+            0)
+      << "stored doubles diverge\npasses off:\n"
+      << off->dumpCaptured() << "\ndefault passes:\n" << on->dumpCaptured();
+  return {std::move(*off), std::move(*on)};
+}
+
+size_t countCopies(const RewrittenFunction& f) {
+  size_t n = 0;
+  for (const ir::Block& block : f.handle()->captured.blocks())
+    for (const isa::Instruction& in : block.instrs)
+      n += in.mnemonic == Mnemonic::Movapd && in.ops[0].isReg() &&
+           in.ops[1].isReg();
+  return n;
+}
+
+// acc += src[i]; dst[i] = acc, with the store going through a copy into
+// xmm0; the function returns acc's last copy in xmm0.
+ExecMemory buildRunningSum() {
+  jit::Assembler as;
+  jit::Label loop = as.newLabel();
+  as.emit(makeInstr(Mnemonic::Pxor, 16, xmm(1), xmm(1)));
+  as.bind(loop);
+  as.emit(makeInstr(Mnemonic::Addsd, 8, xmm(1),
+                    Operand::makeMem(at(Reg::rdi, 0))));
+  as.emit(makeInstr(Mnemonic::Movapd, 16, xmm(0), xmm(1)));
+  as.emit(makeInstr(Mnemonic::Movsd, 8, Operand::makeMem(at(Reg::rsi, 0)),
+                    xmm(0)));
+  emitLoopTail(as, loop);
+  as.ret();
+  return finalize(as);
+}
+
+TEST(LoopCoalesce, ForwardPropagatesIntoStoreForVoidReturn) {
+  // Nothing reads xmm0 after the store: the store reads xmm1 and the copy
+  // goes, in the first iteration's block and in the loop.
+  const ExecMemory subject = buildRunningSum();
+  const LoopRewrite r = expectLoopBitExact(subject, ReturnKind::Void);
+  ASSERT_TRUE(r.on);
+  EXPECT_EQ(countCopies(r.off), 2u) << r.off.dumpCaptured();
+  EXPECT_EQ(countCopies(r.on), 0u) << r.on.dumpCaptured();
+}
+
+TEST(LoopCoalesce, CopyReachingFloatReturnStays) {
+  // xmm0 is live at the ret, and xmm1 is carried around the loop: neither
+  // form applies.
+  const ExecMemory subject = buildRunningSum();
+  const LoopRewrite r = expectLoopBitExact(subject, ReturnKind::Float);
+  ASSERT_TRUE(r.on);
+  EXPECT_EQ(countCopies(r.on), 2u) << r.on.dumpCaptured();
+}
+
+TEST(LoopCoalesce, BackwardSwapAcrossBlockBoundary) {
+  // The stencil sweep's loop shape, rotated: a latch seeds each cell's
+  // accumulator through a copy (acc = src[0] * src[1]), then falls into the
+  // loop header, which adds src[2] and stores. The copy's source dies in
+  // the header, which overwrites xmm0 first: the product is computed in
+  // xmm1 and the copy goes, in the latch and in the entry block.
+  jit::Assembler as;
+  jit::Label top = as.newLabel(), body = as.newLabel();
+  auto seed = [&] {
+    as.emit(makeInstr(Mnemonic::Movsd, 8, xmm(0),
+                      Operand::makeMem(at(Reg::rdi, 0))));
+    as.emit(makeInstr(Mnemonic::Mulsd, 8, xmm(0),
+                      Operand::makeMem(at(Reg::rdi, 8))));
+    as.emit(makeInstr(Mnemonic::Movapd, 16, xmm(1), xmm(0)));
+  };
+  seed();
+  as.aluRegImm(Mnemonic::Cmp, Reg::rdx, 0);
+  as.jcc(isa::Cond::NE, body);
+  as.ret();
+  as.bind(top);
+  seed();
+  as.bind(body);
+  as.emit(makeInstr(Mnemonic::Movsd, 8, xmm(0),
+                    Operand::makeMem(at(Reg::rdi, 16))));
+  as.emit(makeInstr(Mnemonic::Addsd, 8, xmm(1), xmm(0)));
+  as.emit(makeInstr(Mnemonic::Movsd, 8, Operand::makeMem(at(Reg::rsi, 0)),
+                    xmm(1)));
+  emitLoopTail(as, top);
+  as.ret();
+  const ExecMemory subject = finalize(as);
+  const LoopRewrite r = expectLoopBitExact(subject, ReturnKind::Void);
+  ASSERT_TRUE(r.on);
+  EXPECT_EQ(countCopies(r.off), 2u) << r.off.dumpCaptured();
+  EXPECT_EQ(countCopies(r.on), 0u) << r.on.dumpCaptured();
+  // The latch is laid out right before the header it falls into.
+  EXPECT_EQ(r.on.emitStats().loopLatches, 1u) << r.on.dumpCaptured();
+}
+
+// The hoisting subject: every block of the loop multiplies by k[0] twice
+// and uses xmm0 and xmm1, so the cross-iteration pass loads k[0] into the
+// scratch register xmm2 in each block (a block with a call has no scratch
+// register and keeps its pool operands). One switch per negative case
+// breaks one hoisting condition.
+struct HoistShape {
+  bool call = false;      // the branch arm calls `clobber` (zeroes xmm2)
+  bool liveIn = false;    // the float parameter c (xmm2) is stored first
+  bool partial = false;   // the join block computes xmm2 = k[0] * acc
+  bool twoSlots = false;  // the branch arm multiplies by k[1] instead
+};
+
+ExecMemory buildHoistSubject(HoistShape shape) {
+  jit::Assembler as;
+  jit::Label loop = as.newLabel(), skip = as.newLabel();
+  auto scaleTwice = [&](int reg, int32_t coeff) {
+    for (int i = 0; i < 2; ++i)
+      as.emit(makeInstr(Mnemonic::Mulsd, 8, xmm(reg),
+                        Operand::makeMem(at(Reg::rbx, coeff))));
+  };
+  // rbx (callee-saved) carries k across the call.
+  as.emit(makeInstr(Mnemonic::Push, 8, Operand::makeReg(Reg::rbx)));
+  as.movRegReg(Reg::rbx, Reg::rcx);
+  if (shape.liveIn)
+    as.emit(makeInstr(Mnemonic::Movsd, 8, Operand::makeMem(at(Reg::rsi, -8)),
+                      xmm(2)));
+  as.bind(loop);
+  as.emit(makeInstr(Mnemonic::Movsd, 8, xmm(0),
+                    Operand::makeMem(at(Reg::rdi, 0))));
+  scaleTwice(0, 0);
+  as.emit(makeInstr(Mnemonic::Movsd, 8, xmm(1),
+                    Operand::makeMem(at(Reg::rdi, 8))));
+  as.emit(makeInstr(Mnemonic::Addsd, 8, xmm(0), xmm(1)));
+  as.emit(makeInstr(Mnemonic::Cmp, 8, Operand::makeMem(at(Reg::rdi, 16)),
+                    Operand::makeImm(0)));
+  as.jcc(isa::Cond::E, skip);
+  if (shape.call)
+    as.emit(makeInstr(Mnemonic::CallInd, 8, Operand::makeReg(Reg::r8)));
+  as.emit(makeInstr(Mnemonic::Movsd, 8, xmm(1),
+                    Operand::makeMem(at(Reg::rdi, 24))));
+  scaleTwice(1, shape.twoSlots ? 8 : 0);
+  as.emit(makeInstr(Mnemonic::Addsd, 8, xmm(0), xmm(1)));
+  as.bind(skip);
+  as.emit(makeInstr(Mnemonic::Movsd, 8, xmm(1),
+                    Operand::makeMem(at(Reg::rdi, 32))));
+  scaleTwice(1, 0);
+  as.emit(makeInstr(Mnemonic::Addsd, 8, xmm(0), xmm(1)));
+  if (shape.partial) {
+    as.emit(makeInstr(Mnemonic::Movsd, 8, xmm(2),
+                      Operand::makeMem(at(Reg::rbx, 0))));
+    as.emit(makeInstr(Mnemonic::Mulsd, 8, xmm(2), xmm(0)));
+    as.emit(makeInstr(Mnemonic::Addsd, 8, xmm(0), xmm(2)));
+  }
+  as.emit(makeInstr(Mnemonic::Movsd, 8, Operand::makeMem(at(Reg::rsi, 0)),
+                    xmm(0)));
+  emitLoopTail(as, loop);
+  as.emit(makeInstr(Mnemonic::Pop, 8, Operand::makeReg(Reg::rbx)));
+  as.ret();
+  return finalize(as);
+}
+
+// Loads of a pool constant into xmm2, and whether the first instruction of
+// the entry block is one.
+struct PoolLoads {
+  size_t count = 0;
+  bool atEntry = false;
+};
+
+PoolLoads xmm2PoolLoads(const RewrittenFunction& f) {
+  const ir::CapturedFunction& fn = f.handle()->captured;
+  auto isLoad = [](const isa::Instruction& in) {
+    return in.nops == 2 && in.ops[0].isReg() && in.ops[0].reg == Reg::xmm2 &&
+           in.ops[1].isMem() && in.ops[1].mem.poolSlot >= 0;
+  };
+  PoolLoads out;
+  for (const ir::Block& block : fn.blocks())
+    out.count += static_cast<size_t>(std::ranges::count_if(block.instrs,
+                                                           isLoad));
+  const ir::InstrVec& entry = fn.block(fn.entry()).instrs;
+  out.atEntry = !entry.empty() && isLoad(entry.front());
+  return out;
+}
+
+TEST(LoopHoist, PoolConstantLoadedOnceAtEntry) {
+  const ExecMemory subject = buildHoistSubject({});
+  const LoopRewrite r = expectLoopBitExact(subject, ReturnKind::Void);
+  ASSERT_TRUE(r.on);
+  const PoolLoads loads = xmm2PoolLoads(r.on);
+  EXPECT_EQ(loads.count, 1u) << r.on.dumpCaptured();
+  EXPECT_TRUE(loads.atEntry) << r.on.dumpCaptured();
+}
+
+TEST(LoopHoist, KeptCallBlocksHoisting) {
+  // The call may clobber xmm2 (here it does) between two iterations.
+  const ExecMemory subject = buildHoistSubject({.call = true});
+  const LoopRewrite r = expectLoopBitExact(subject, ReturnKind::Void);
+  ASSERT_TRUE(r.on);
+  EXPECT_GE(xmm2PoolLoads(r.on).count, 2u) << r.on.dumpCaptured();
+}
+
+TEST(LoopHoist, LiveInRegisterNotHoisted) {
+  // xmm2 holds the float parameter c on entry; a load at entry would store
+  // the constant in its place.
+  const ExecMemory subject = buildHoistSubject({.liveIn = true});
+  const LoopRewrite r = expectLoopBitExact(subject, ReturnKind::Void);
+  ASSERT_TRUE(r.on);
+  EXPECT_GE(xmm2PoolLoads(r.on).count, 2u) << r.on.dumpCaptured();
+  EXPECT_FALSE(xmm2PoolLoads(r.on).atEntry) << r.on.dumpCaptured();
+}
+
+TEST(LoopHoist, PartialWriteBlocksHoisting) {
+  // `mulsd xmm2, xmm0` leaves a product in xmm2 that the next iteration
+  // must not read as the constant.
+  const ExecMemory subject = buildHoistSubject({.partial = true});
+  const LoopRewrite r = expectLoopBitExact(subject, ReturnKind::Void);
+  ASSERT_TRUE(r.on);
+  EXPECT_GE(xmm2PoolLoads(r.on).count, 2u) << r.on.dumpCaptured();
+}
+
+TEST(LoopHoist, TwoPoolSlotsBlockHoisting) {
+  // xmm2 holds k[0] in some blocks and k[1] in others.
+  const ExecMemory subject = buildHoistSubject({.twoSlots = true});
+  const LoopRewrite r = expectLoopBitExact(subject, ReturnKind::Void);
+  ASSERT_TRUE(r.on);
+  EXPECT_GE(xmm2PoolLoads(r.on).count, 2u) << r.on.dumpCaptured();
 }
 
 }  // namespace
