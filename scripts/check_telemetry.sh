@@ -27,7 +27,7 @@ cmake -B build-tsan -S . -DBREW_SANITIZE=thread \
 cmake --build build-tsan -j"$(nproc)" \
   --target core_cache_test core_cache_shard_test support_telemetry_test \
   isa_decode_cache_test core_differential_fuzz_test core_dispatch_test \
-  support_profiler_test passes_vectorize_test \
+  support_profiler_test passes_vectorize_test passes_test \
   core_blocks_differential_test \
   support_persist_cache_test support_persist_process_test \
   > /dev/null
@@ -51,6 +51,20 @@ for counter in passes.loads_eliminated passes.copies_coalesced \
   fi
 done
 echo "passes.* and emit.loop_latches_placed present in BREW_STATS"
+
+# The dead-flag and load-forwarding passes must report themselves too: the
+# hand-built functions of the pass unit tests remove a compare nobody reads
+# and forward repeated loads.
+stats_out=$(BREW_STATS=1 ./tests/passes_test 2>&1)
+for counter in passes.dead_flags_removed passes.loads_forwarded; do
+  if ! printf '%s\n' "$stats_out" | \
+      grep -E "$counter[[:space:]]+[1-9][0-9]*" > /dev/null; then
+    echo "FAIL: $counter missing or zero in BREW_STATS output" >&2
+    printf '%s\n' "$stats_out" | grep -E "passes\." >&2 || true
+    exit 1
+  fi
+done
+echo "passes.dead_flags_removed and passes.loads_forwarded present in BREW_STATS"
 
 # Same for the block-chained tier: its differential suite traces branchy
 # functions, so a BREW_STATS run must show the blocks.* counters moving —

@@ -57,8 +57,8 @@ enum class CounterId : int {
   PassDeadFlagsRemoved,
   PassLoadsForwarded,
   PassLoadsEliminated,    // cross-iteration re-loads replaced by reg reuse
-  PassCopiesCoalesced,    // loop functions: XMM copies swapped/propagated away
-  PassConstsHoisted,      // loop functions: pool constants loaded at entry
+  PassCopiesCoalesced,    // XMM copies swapped/propagated away
+  PassConstsHoisted,      // registers whose pool constant loads at entry
   EmitInstructions,
   EmitCodeBytes,
   EmitPoolBytes,

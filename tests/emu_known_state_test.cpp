@@ -272,9 +272,10 @@ struct ShadowPair {
     const Value want = ref.read(offset, width);
     ASSERT_TRUE(got.sameContent(want))
         << "read(" << offset << ", " << width << ") diverged";
-    if (want.isKnown())
+    if (want.isKnown()) {
       ASSERT_EQ(got.materialized, want.materialized)
           << "materialization of read(" << offset << ", " << width << ")";
+    }
     ASSERT_EQ(real.isMaterialized(offset, width),
               ref.isMaterialized(offset, width))
         << "isMaterialized(" << offset << ", " << width << ") diverged";

@@ -7,6 +7,7 @@
 #include <limits>
 
 #include "core/code_cache.hpp"
+#include "core/passes/passes.hpp"
 #include "core/rewriter.hpp"
 #include "ir/captured.hpp"
 #include "jit/assembler.hpp"
@@ -201,10 +202,12 @@ size_t countMnemonic(const std::vector<isa::Instruction>& instrs,
 // Rewrites `subject` with both pointers unknown, then runs the original
 // and the rewrite on the same inputs; -0.0 and signaling NaNs are left
 // out, the fold's documented differences.
-RewrittenFunction rewriteAndCompare(const ExecMemory& subject) {
+RewrittenFunction rewriteAndCompare(const ExecMemory& subject,
+                                    const PassOptions& passes = {}) {
   Config config;
   config.setReturnKind(ReturnKind::Float);
   Rewriter rewriter{config};
+  rewriter.passes() = passes;
   const ArgValue args[] = {ArgValue::fromPtr(nullptr),
                            ArgValue::fromPtr(nullptr)};
   auto rewritten = rewriter.rewrite(subject.data(), args);
@@ -273,13 +276,22 @@ TEST(ZeroAdd, RegisterSourceBecomesMovq) {
   const ExecMemory subject = finalizeSubject(as);
   const RewrittenFunction f = rewriteAndCompare(subject);
   ASSERT_TRUE(f);
-  const std::vector<isa::Instruction> instrs = capturedInstrs(f);
-  EXPECT_EQ(countMnemonic(instrs, Mnemonic::Addsd), 0u) << f.dumpCaptured();
+  EXPECT_EQ(countMnemonic(capturedInstrs(f), Mnemonic::Addsd), 0u)
+      << f.dumpCaptured();
+  // The copy is the tracer's; copy coalescing (on the peephole switch)
+  // then folds it and the return copy away, so look before it runs.
+  PassOptions noCoalescing;
+  noCoalescing.peephole = false;
+  const RewrittenFunction folded = rewriteAndCompare(subject, noCoalescing);
+  ASSERT_TRUE(folded);
+  const std::vector<isa::Instruction> instrs = capturedInstrs(folded);
+  EXPECT_EQ(countMnemonic(instrs, Mnemonic::Addsd), 0u)
+      << folded.dumpCaptured();
   const auto copy = std::ranges::find_if(instrs, [](const auto& in) {
     return in.mnemonic == Mnemonic::Movapd && in.ops[1].isReg() &&
            in.ops[1].reg == Reg::xmm2;
   });
-  EXPECT_NE(copy, instrs.end()) << f.dumpCaptured();
+  EXPECT_NE(copy, instrs.end()) << folded.dumpCaptured();
 }
 
 TEST(ZeroAdd, InterveningUseBlocksTheFold) {
@@ -390,6 +402,137 @@ TEST(MergeBlocks, SharedSuccessorNotMerged) {
   auto f = mem->entry<int64_t (*)(int64_t)>();
   EXPECT_EQ(f(0), 0);
   EXPECT_EQ(f(5), 6);
+}
+
+// --- the register facts and the liveness every pass reads --------------------
+
+Operand xmmOp(int n) { return Operand::makeReg(isa::xmmFromNum(n)); }
+
+Operand memOp(Reg base, int32_t disp = 0) {
+  return Operand::makeMem(MemOperand{.base = base, .disp = disp});
+}
+
+RegSet xmmBit(int n) { return isa::regBit(isa::xmmFromNum(n)); }
+
+TEST(Liveness, CallUsesAndClobbersEveryXmmAndTheFlags) {
+  const RegFacts f =
+      factsOf(makeInstr(Mnemonic::CallInd, 8, Operand::makeReg(Reg::r11)));
+  EXPECT_EQ(f.use & kXmmRegs, kXmmRegs);
+  EXPECT_EQ(f.wr & kXmmRegs, kXmmRegs);
+  EXPECT_EQ(f.imp & kXmmRegs, kXmmRegs);
+  EXPECT_NE(f.use & kFlags, 0u);
+  EXPECT_EQ(f.def, 0u);  // the callee may leave any register as it was
+
+  // So every XMM register and the flags are live into a block that calls,
+  // even when the function returns nothing.
+  ir::CapturedFunction fn = singleBlock(
+      {makeInstr(Mnemonic::CallInd, 8, Operand::makeReg(Reg::r11))});
+  fn.setLiveAtRet(ir::liveAtRetMask(false, false));
+  const Liveness live(fn);
+  EXPECT_EQ(live.liveIn(0) & (kXmmRegs | kFlags), kXmmRegs | kFlags);
+}
+
+TEST(Liveness, PartialWriteIsAUse) {
+  for (const Mnemonic m : {Mnemonic::Movsd, Mnemonic::Addsd}) {
+    const RegFacts f = factsOf(makeInstr(m, 8, xmmOp(1), xmmOp(2)));
+    EXPECT_EQ(f.use & kXmmRegs, xmmBit(1) | xmmBit(2)) << static_cast<int>(m);
+    EXPECT_EQ(f.def & xmmBit(1), 0u) << static_cast<int>(m);
+  }
+  // A load replaces the whole register: a def, not a use.
+  const RegFacts load =
+      factsOf(makeInstr(Mnemonic::Movsd, 8, xmmOp(1), memOp(Reg::rdi)));
+  EXPECT_EQ(load.def & kXmmRegs, xmmBit(1));
+  EXPECT_EQ(load.use & kXmmRegs, 0u);
+
+  // movsd xmm1, xmm2 keeps xmm1's high lane: xmm1 is live into the block.
+  ir::CapturedFunction fn =
+      singleBlock({makeInstr(Mnemonic::Movsd, 8, xmmOp(1), xmmOp(2)),
+                   makeInstr(Mnemonic::Movapd, 16, xmmOp(0), xmmOp(1))});
+  fn.setLiveAtRet(ir::liveAtRetMask(false, true));
+  const Liveness live(fn);
+  EXPECT_EQ(live.liveIn(0) & kXmmRegs, xmmBit(1) | xmmBit(2));
+}
+
+TEST(Liveness, RetUsesLiveAtRetForEachReturnKind) {
+  // Unknown, Int, Float, Void.
+  for (const auto& [intReturn, sseReturn] :
+       {std::pair{true, true}, std::pair{true, false}, std::pair{false, true},
+        std::pair{false, false}}) {
+    ir::CapturedFunction fn = singleBlock({});
+    fn.setLiveAtRet(ir::liveAtRetMask(intReturn, sseReturn));
+    const Liveness live(fn);
+    EXPECT_EQ(live.liveIn(0), ir::liveAtRetMask(intReturn, sseReturn))
+        << intReturn << sseReturn;
+  }
+}
+
+TEST(Liveness, SideExitAndStopUseEverything) {
+  for (const auto kind :
+       {ir::Terminator::Kind::SideExit, ir::Terminator::Kind::Stop,
+        ir::Terminator::Kind::None}) {
+    ir::CapturedFunction fn = singleBlock({});
+    fn.block(0).term.kind = kind;
+    const Liveness live(fn);
+    EXPECT_EQ(live.liveIn(0), kEverything) << static_cast<int>(kind);
+    EXPECT_EQ(live.liveOut(0), kEverything) << static_cast<int>(kind);
+  }
+}
+
+// b0 -> (b1 | b2); b1 and b2 return nothing.
+ir::CapturedFunction diamond(std::vector<isa::Instruction> head) {
+  ir::CapturedFunction fn;
+  for (int i = 0; i < 3; ++i) fn.newBlock(0x1000 + 0x10 * i, 0);
+  fn.block(0).instrs.assign(head.begin(), head.end());
+  fn.block(0).term = {.kind = ir::Terminator::Kind::CondJmp,
+                      .cond = Cond::NE, .taken = 1, .fall = 2};
+  fn.block(1).term.kind = ir::Terminator::Kind::Ret;
+  fn.block(2).term.kind = ir::Terminator::Kind::Ret;
+  fn.setLiveAtRet(ir::liveAtRetMask(false, false));
+  return fn;
+}
+
+TEST(Liveness, FlagsLiveIntoCondJmp) {
+  ir::CapturedFunction bare = diamond({});
+  const Liveness bareLive(bare);
+  EXPECT_NE(bareLive.liveOut(0) & kFlags, 0u);
+  EXPECT_NE(bareLive.liveIn(0) & kFlags, 0u);
+  EXPECT_EQ(bareLive.liveIn(1) & kFlags, 0u);  // dead at a ret
+
+  // A compare defines them: the flags are dead above it, its operand live.
+  ir::CapturedFunction compared = diamond({makeInstr(
+      Mnemonic::Cmp, 8, Operand::makeReg(Reg::rdx), Operand::makeImm(0))});
+  const Liveness live(compared);
+  EXPECT_EQ(live.liveIn(0) & kFlags, 0u);
+  EXPECT_NE(live.liveIn(0) & isa::regBit(Reg::rdx), 0u);
+}
+
+TEST(Liveness, CarriedAroundBackEdge) {
+  // b0: xmm3 = [rdi]          -> b1
+  // b1: [rsi] = xmm3          -> b2
+  // b2: xmm4 = [rdi+8]; jne b1, else b3
+  // b3: ret
+  // xmm3 passes through b2 untouched and is read again in b1, so it is
+  // live into b2 only through the back edge.
+  ir::CapturedFunction fn;
+  for (int i = 0; i < 4; ++i) fn.newBlock(0x1000 + 0x10 * i, 0);
+  fn.block(0).instrs.push_back(
+      makeInstr(Mnemonic::Movsd, 8, xmmOp(3), memOp(Reg::rdi)));
+  fn.block(0).term = {.kind = ir::Terminator::Kind::Jmp, .taken = 1};
+  fn.block(1).instrs.push_back(
+      makeInstr(Mnemonic::Movsd, 8, memOp(Reg::rsi), xmmOp(3)));
+  fn.block(1).term = {.kind = ir::Terminator::Kind::Jmp, .taken = 2};
+  fn.block(2).instrs.push_back(
+      makeInstr(Mnemonic::Movsd, 8, xmmOp(4), memOp(Reg::rdi, 8)));
+  fn.block(2).term = {.kind = ir::Terminator::Kind::CondJmp,
+                      .cond = Cond::NE, .taken = 1, .fall = 3};
+  fn.block(3).term.kind = ir::Terminator::Kind::Ret;
+  fn.setLiveAtRet(ir::liveAtRetMask(false, false));
+  const Liveness live(fn);
+  EXPECT_NE(live.liveIn(2) & xmmBit(3), 0u);
+  EXPECT_NE(live.liveOut(2) & xmmBit(3), 0u);
+  EXPECT_NE(live.liveIn(1) & xmmBit(3), 0u);
+  EXPECT_EQ(live.liveIn(0) & xmmBit(3), 0u);  // defined before the loop
+  EXPECT_EQ(live.liveIn(2) & xmmBit(4), 0u);
 }
 
 }  // namespace

@@ -36,8 +36,12 @@ TEST(Grouping, ByCoefficient) {
   EXPECT_EQ(points, 5);
   // The group carrying 4 points has the 0.25 coefficient.
   for (int gi = 0; gi < g.ng; ++gi) {
-    if (g.g[gi].np == 4) EXPECT_DOUBLE_EQ(g.g[gi].f, 0.25);
-    if (g.g[gi].np == 1) EXPECT_DOUBLE_EQ(g.g[gi].f, -1.0);
+    if (g.g[gi].np == 4) {
+      EXPECT_DOUBLE_EQ(g.g[gi].f, 0.25);
+    }
+    if (g.g[gi].np == 1) {
+      EXPECT_DOUBLE_EQ(g.g[gi].f, -1.0);
+    }
   }
 }
 
