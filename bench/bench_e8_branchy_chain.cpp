@@ -2,12 +2,11 @@
 // extension (docs/BLOCKS.md). The paper's cold-rewrite numbers are
 // dominated by straight-line PGAS accessors; this experiment measures the
 // branchy case the block-chained tier exists for: functions of d
-// sequential unknown-branch diamonds (2^d paths) rewritten cold with the
-// tier on, with it off (whole-trace fork model), and with a tight
-// fork-depth cap (side-exit stubs). Shape checks pin the two structural
-// claims — traced blocks stay O(d), not O(2^d), and chaining wins on
-// branchy inputs without losing the straight-line case — and the
-// microbenchmark sweep lands in BENCH_results.json.
+// sequential unknown-branch diamonds (2^d paths) rewritten cold, and
+// once more with a tight fork-depth cap (side-exit stubs). Shape checks
+// pin the structural claims — traced blocks stay O(d), not O(2^d),
+// reconvergence merges forked states, and the rewrite agrees with the
+// original — and the microbenchmark sweep lands in BENCH_results.json.
 #include <cstdint>
 #include <vector>
 
@@ -70,14 +69,6 @@ ExecMemory buildBranchy(Prng& rng, int diamonds) {
 Config chainedConfig() {
   Config config;
   config.setReturnKind(ReturnKind::Int);
-  return config;  // chaining / reconvergence / side exits default on
-}
-
-Config chainOffConfig() {
-  Config config = chainedConfig();
-  config.setChainBlocks(false);
-  config.setReconvergeJoins(false);
-  config.setSideExitFallback(false);
   return config;
 }
 
@@ -123,17 +114,6 @@ void BM_BranchyChainCold(benchmark::State& state) {
   state.SetLabel("diamonds=" + std::to_string(s.diamonds));
 }
 
-void BM_BranchyChainOffCold(benchmark::State& state) {
-  const Subject& s = subjects()[static_cast<size_t>(state.range(0))];
-  const Config config = chainOffConfig();
-  for (auto _ : state) {
-    Rewriter rewriter{config};
-    benchmark::DoNotOptimize(
-        rewriter.rewrite(s.code.data(), uint64_t{1}, uint64_t{2}));
-  }
-  state.SetLabel("diamonds=" + std::to_string(s.diamonds));
-}
-
 void BM_BranchySideExitCold(benchmark::State& state) {
   const Subject& s = subjects()[static_cast<size_t>(state.range(0))];
   const Config config = sideExitConfig();
@@ -155,18 +135,16 @@ int main(int argc, char** argv) {
 
   ShapeChecks checks;
 
-  // Correctness across the sweep: both tiers must agree with the original
-  // on random inputs (the differential suite fuzzes this harder; here it
-  // guards the exact subjects being timed).
+  // Correctness across the sweep: the rewrite must agree with the
+  // original on random inputs (the differential suite fuzzes this harder;
+  // here it guards the exact subjects being timed).
   Prng inputs(4242);
   for (const Subject& s : subjects()) {
     auto original = s.code.entry<fn_t>();
     Rewriter chained{chainedConfig()};
     auto viaChained =
         chained.rewrite(s.code.data(), uint64_t{1}, uint64_t{2});
-    Rewriter off{chainOffConfig()};
-    auto viaOff = off.rewrite(s.code.data(), uint64_t{1}, uint64_t{2});
-    if (!viaChained.ok() || !viaOff.ok()) {
+    if (!viaChained.ok()) {
       std::fprintf(stderr, "FATAL: rewrite failed at d=%d\n", s.diamonds);
       return 2;
     }
@@ -175,17 +153,15 @@ int main(int argc, char** argv) {
       const uint64_t a = inputs.next();
       const uint64_t b = inputs.next();
       const uint64_t want = original(a, b);
-      agree = agree && viaChained->as<fn_t>()(a, b) == want &&
-              viaOff->as<fn_t>()(a, b) == want;
+      agree = agree && viaChained->as<fn_t>()(a, b) == want;
     }
     checks.expect(agree, "d=" + std::to_string(s.diamonds) +
-                             ": chained and chain-off agree with original");
+                             ": chained rewrite agrees with original");
   }
 
   // Structural claim: traced blocks grow linearly in branch count.
   PaperTable table("E8", "cold rewrite vs branch density (extension)");
   constexpr int kReps = 400;
-  double chainedSec16 = 0, offSec16 = 0, chainedSec0 = 0, offSec0 = 0;
   for (const Subject& s : subjects()) {
     const TraceStats ts = coldRewrite(s, chainedConfig());
     if (s.diamonds >= 8) {
@@ -198,46 +174,20 @@ int main(int argc, char** argv) {
                         ": reconvergence merging engaged");
     }
     const Config chainedCfg = chainedConfig();
-    const Config offCfg = chainOffConfig();
     const double chainedSec = bestOf(5, [&] {
       for (int i = 0; i < kReps; ++i) coldRewrite(s, chainedCfg);
     });
-    const double offSec = bestOf(5, [&] {
-      for (int i = 0; i < kReps; ++i) coldRewrite(s, offCfg);
-    });
-    if (s.diamonds == 16) {
-      chainedSec16 = chainedSec;
-      offSec16 = offSec;
-    }
-    if (s.diamonds == 0) {
-      chainedSec0 = chainedSec;
-      offSec0 = offSec;
-    }
     table.addRow("d=" + std::to_string(s.diamonds) + " chained", -1,
                  chainedSec / kReps);
-    table.addRow("d=" + std::to_string(s.diamonds) + " chain off", -1,
-                 offSec / kReps);
   }
   table.print();
 
-  // Perf claims: the tier wins where branches multiply and costs nothing
-  // where they don't. Margins are generous — this runs on shared CI boxes.
-  checks.expectFaster(chainedSec16, offSec16, 1.10,
-                      "d=16: chained cold rewrite >=1.1x faster than the "
-                      "whole-trace fork model");
-  checks.expect(chainedSec0 <= offSec0 * 1.25,
-                "d=0: straight-line cold rewrite not hurt by the tier");
-  recordMetric("chain_speedup_branchy16",
-               offSec16 / (chainedSec16 > 0 ? chainedSec16 : 1));
   const TraceStats sideExit = coldRewrite(subjects().back(), sideExitConfig());
   checks.expect(sideExit.sideExits > 0,
                 "d=16 with maxForkDepth=2 emits side-exit stubs");
 
   for (size_t i = 0; i < subjects().size(); ++i) {
     benchmark::RegisterBenchmark("BM_BranchyChainCold", BM_BranchyChainCold)
-        ->Arg(static_cast<int>(i));
-    benchmark::RegisterBenchmark("BM_BranchyChainOffCold",
-                                 BM_BranchyChainOffCold)
         ->Arg(static_cast<int>(i));
   }
   benchmark::RegisterBenchmark("BM_BranchySideExitCold",

@@ -1,22 +1,37 @@
 #!/bin/sh
-# Polices the C API surface: the persistence symbols must be declared and
-# implemented, and BREW_CACHE_DIR must be parsed in exactly one place.
+# Polices the C API surface: every brew_* function declared in brew.h is
+# defined in brew_c.cpp and the reverse, and BREW_CACHE_DIR is parsed in
+# exactly one place.
 set -eu
 cd "$(dirname "$0")/.."
 
-# Persistence C API: the declared surface is exactly
-# brew_options_set_cache_dir + brew_persist_stats/brew_getpersiststats.
-# Both sides must exist (header promise, shim implementation) — a symbol
-# declared in brew.h but dropped from brew_c.cpp links everywhere until a
-# user actually calls it.
-for sym in brew_options_set_cache_dir brew_getpersiststats; do
-  for f in src/core/brew.h src/core/brew_c.cpp; do
-    if ! grep -qE "(^|[^_[:alnum:]])$sym[[:space:]]*\(" "$f"; then
-      echo "$f is missing the persistence API symbol $sym" >&2
-      exit 1
-    fi
-  done
-done
+# A function declared in brew.h but dropped from brew_c.cpp links
+# everywhere until a user actually calls it; one defined but not declared
+# is surface no header offers. A function's name is the brew_* name right
+# before the first "(" of an unindented line that is neither a comment nor
+# a preprocessor line: a declaration in the header, a definition in the
+# shim (calls sit indented in bodies).
+functions() {
+  sed -nE 's/^[^[:space:]#/][^(]*[^_[:alnum:]](brew_[[:alnum:]_]+)[[:space:]]*\(.*/\1/p' \
+    "$1" | sort -u
+}
+declared=$(functions src/core/brew.h)
+defined=$(functions src/core/brew_c.cpp)
+if [ -z "$declared" ]; then
+  echo "no brew_* function declarations found in src/core/brew.h" >&2
+  exit 1
+fi
+missing=$(printf '%s\n' "$declared" | grep -vxF "$defined" || true)
+undeclared=$(printf '%s\n' "$defined" | grep -vxF "$declared" || true)
+if [ -n "$missing" ]; then
+  echo "declared in src/core/brew.h, not defined in src/core/brew_c.cpp:" >&2
+  echo "$missing" >&2
+fi
+if [ -n "$undeclared" ]; then
+  echo "defined in src/core/brew_c.cpp, not declared in src/core/brew.h:" >&2
+  echo "$undeclared" >&2
+fi
+[ -z "$missing" ] && [ -z "$undeclared" ] || exit 1
 
 # BREW_CACHE_DIR is parsed in exactly one place (SpecManager::Options::
 # fromEnv); a second getenv would reintroduce the scattered-env-parsing
@@ -33,5 +48,6 @@ if [ -n "$cache_env_offenders" ]; then
   exit 1
 fi
 
-echo "persistence API surface intact (set_cache_dir/getpersiststats)"
+count=$(printf '%s\n' "$declared" | wc -l)
+echo "C API surface intact: $count brew_* functions declared and defined"
 echo "BREW_CACHE_DIR parsed only in SpecManager::Options::fromEnv"

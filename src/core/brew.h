@@ -100,20 +100,10 @@ void brew_setret(brew_conf* conf, int kind);
 /* Per-function rewriting options, keyed by function address (§III-C). */
 void brew_setfn(brew_conf* conf, const void* fn, int flags);
 
-/* Block-chained translation tier knobs (docs/BLOCKS.md). All default on;
- * each takes 0 (off) / nonzero (on) and is part of the cache key, so
- * flipping one never aliases a cached rewrite. */
-/* Continue resolved forward edges inline in the current output block
- * instead of round-tripping the fork queue. */
-void brew_set_chain_blocks(brew_conf* conf, int enabled);
-/* Merge forked known-world states into a compatible still-pending block
- * variant at the post-branch join (reconvergence). */
-void brew_set_reconverge_joins(brew_conf* conf, int enabled);
-/* At the fork-depth cap, emit a side-exit stub back into the original
- * code instead of forking further. */
-void brew_set_side_exit_fallback(brew_conf* conf, int enabled);
-/* Unknown-branch nesting depth beyond which side exits (or, with the
- * fallback off, unbounded forking) kick in. depth < 1 is clamped to 1. */
+/* Unknown-branch nesting depth beyond which the tracer stops forking and
+ * emits side-exit stubs back into the original code (docs/BLOCKS.md). A
+ * large depth never side-exits; depth < 1 is clamped to 1. Part of the
+ * cache key, so a different depth never aliases a cached rewrite. */
 void brew_set_max_fork_depth(brew_conf* conf, int depth);
 
 /* Instrumentation injection (§III-D). Handlers receive the guest address. */

@@ -200,18 +200,6 @@ void brew_setret(brew_conf* conf, int kind) {
   }
 }
 
-void brew_set_chain_blocks(brew_conf* conf, int enabled) {
-  if (conf != nullptr) conf->config.setChainBlocks(enabled != 0);
-}
-
-void brew_set_reconverge_joins(brew_conf* conf, int enabled) {
-  if (conf != nullptr) conf->config.setReconvergeJoins(enabled != 0);
-}
-
-void brew_set_side_exit_fallback(brew_conf* conf, int enabled) {
-  if (conf != nullptr) conf->config.setSideExitFallback(enabled != 0);
-}
-
 void brew_set_max_fork_depth(brew_conf* conf, int depth) {
   if (conf != nullptr) conf->config.limits().maxForkDepth =
       depth < 1 ? 1 : depth;

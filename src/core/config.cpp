@@ -72,10 +72,7 @@ uint8_t* Config::writeKeySection(uint8_t* out, uint64_t passBits) const {
   }
   putWord(functionOptionBits(defaults_) |
           static_cast<uint64_t>(returnKind_) << 8 |
-          static_cast<uint64_t>(foldZeroAccumulator_) << 16 |
-          static_cast<uint64_t>(chainBlocks_) << 17 |
-          static_cast<uint64_t>(reconvergeJoins_) << 18 |
-          static_cast<uint64_t>(sideExitFallback_) << 19 | passBits << 24);
+          static_cast<uint64_t>(foldZeroAccumulator_) << 16 | passBits << 24);
   putWord(limits_.maxTraceSteps);
   putWord(limits_.maxCodeBytes);
   putWord(limits_.maxBlocks);

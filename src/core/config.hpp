@@ -57,7 +57,7 @@ struct Limits {
   int maxInlineDepth = 64;
   // Unknown-branch nesting depth beyond which the tracer stops forking
   // and emits a side-exit stub back into the original code instead
-  // (docs/BLOCKS.md). Requires sideExitFallback.
+  // (docs/BLOCKS.md). A large value never side-exits.
   int maxForkDepth = 32;
 };
 
@@ -129,30 +129,6 @@ class Config {
   }
   ReturnKind returnKind() const { return returnKind_; }
 
-  // --- block-chained translation tier (docs/BLOCKS.md) ---
-  // Continue tracing forward branch targets inline in the current output
-  // block instead of snapshotting state and round-tripping the fork queue.
-  Config& setChainBlocks(bool enabled) {
-    chainBlocks_ = enabled;
-    return *this;
-  }
-  bool chainBlocks() const { return chainBlocks_; }
-  // Merge a forked state into a compatible still-pending block variant at
-  // the post-branch join (intersecting known facts) instead of tracing a
-  // second variant of the join.
-  Config& setReconvergeJoins(bool enabled) {
-    reconvergeJoins_ = enabled;
-    return *this;
-  }
-  bool reconvergeJoins() const { return reconvergeJoins_; }
-  // At maxForkDepth, emit a side-exit stub back into the original code
-  // instead of forking further (off: deep nests keep forking).
-  Config& setSideExitFallback(bool enabled) {
-    sideExitFallback_ = enabled;
-    return *this;
-  }
-  bool sideExitFallback() const { return sideExitFallback_; }
-
   Limits& limits() { return limits_; }
   const Limits& limits() const { return limits_; }
 
@@ -198,9 +174,6 @@ class Config {
   FunctionOptions defaults_;
   ReturnKind returnKind_ = ReturnKind::Unknown;
   bool foldZeroAccumulator_ = true;
-  bool chainBlocks_ = true;
-  bool reconvergeJoins_ = true;
-  bool sideExitFallback_ = true;
   Limits limits_;
   Injection injection_;
 };

@@ -203,7 +203,7 @@ Result<Tracer::VariantRef> Tracer::getOrCreateVariant(
   // fact it drops is already realized on the edge that knew it; the
   // incoming edge's unrealized facts get compensation code here (valid for
   // this edge only — it goes into the current block).
-  if (config_.reconvergeJoins() && pendingCount_ > 0 && curId_ >= 0) {
+  if (pendingCount_ > 0 && curId_ >= 0) {
     for (Variant& v : list) {
       if (!v.pending) continue;
       const emu::IntersectPlan plan = emu::planIntersect(*v.state, st_);
@@ -562,8 +562,7 @@ Status Tracer::continueAt(uint64_t address) {
   // the later arm reaches them. Fork-free traces chain unrestricted.
   const bool ordered = queue_.empty() || address < queue_.front().address;
 
-  if (config_.chainBlocks() && ordered && address > traceAddr_ &&
-      !isBlockStart(address)) {
+  if (ordered && address > traceAddr_ && !isBlockStart(address)) {
     // Chain: the edge is strictly forward in program order (terminates)
     // and the target was never a block start, so keep tracing inline in
     // the current output block — no snapshot, no digest, no queue.
@@ -575,8 +574,7 @@ Status Tracer::continueAt(uint64_t address) {
     return Status::okStatus();
   }
 
-  const OnMiss mode =
-      ordered && config_.chainBlocks() ? OnMiss::Inline : OnMiss::Queue;
+  const OnMiss mode = ordered ? OnMiss::Inline : OnMiss::Queue;
   auto v = getOrCreateVariant(address, st_, currentFunction_, mode,
                               forkDepth_);
   if (!v) return v.error();
@@ -727,8 +725,7 @@ Status Tracer::traceBranch(const Instruction& in, uint64_t next) {
       if (!known && !st_.flags().materialized)
         return Error{ErrorCode::UnsupportedInstruction, in.address,
                      "branch on flags of an elided instruction"};
-      if (config_.sideExitFallback() &&
-          forkDepth_ >= config_.limits().maxForkDepth && trySideExit(in))
+      if (forkDepth_ >= config_.limits().maxForkDepth && trySideExit(in))
         return Status::okStatus();
       return endBlockCond(in.cond, static_cast<uint64_t>(in.ops[0].imm),
                           next);

@@ -1,10 +1,10 @@
 // Block-chained translation tier differential tests (docs/BLOCKS.md):
 // randomized branchy functions must compute identical results through the
-// chained tier and through the generic fork-queue path (chaining and
-// reconvergence off), the fork-bomb shape (a run of sequential unknown
-// branches) must produce O(blocks) variants rather than O(paths), and the
-// fork-depth cap must degrade into correct side-exit stubs instead of
-// wrong code.
+// default rewrite and through one capped at fork depth 1 (side-exit stubs
+// back into the original code), the fork-bomb shape (a run of sequential
+// unknown branches) must produce O(blocks) variants rather than O(paths),
+// and the fork-depth cap must degrade into correct side-exit stubs instead
+// of wrong code.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -80,25 +80,25 @@ ExecMemory buildBranchyFunction(Prng& rng, int diamonds) {
 Config chainedConfig() {
   Config config;
   config.setReturnKind(ReturnKind::Int);
-  return config;  // chaining / reconvergence / side exits default on
-}
-
-Config genericConfig() {
-  Config config;
-  config.setReturnKind(ReturnKind::Int);
-  config.setChainBlocks(false);
-  config.setReconvergeJoins(false);
-  config.setSideExitFallback(false);
   return config;
 }
 
-// The chained tier is an optimization of how blocks are discovered and
-// stitched, not of what they compute: for any input, the chained rewrite,
-// the generic-path rewrite and the original must agree bit for bit.
+// Side-exits at every unknown branch below the first fork.
+Config depthCappedConfig() {
+  Config config = chainedConfig();
+  config.limits().maxForkDepth = 1;
+  return config;
+}
+
+// How blocks are discovered and stitched, and where the trace side-exits
+// back into the original code, must not change what they compute: for any
+// input, the default rewrite, the depth-capped rewrite and the original
+// must agree bit for bit.
 class BlocksDifferential : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(BlocksDifferential, ChainedMatchesGenericAndOriginal) {
   Prng rng(GetParam());
+  size_t sideExits = 0;
   for (int trial = 0; trial < 20; ++trial) {
     const int diamonds = 1 + static_cast<int>(rng.below(6));
     ExecMemory code = buildBranchyFunction(rng, diamonds);
@@ -110,11 +110,12 @@ TEST_P(BlocksDifferential, ChainedMatchesGenericAndOriginal) {
         << "seed " << GetParam() << " trial " << trial << ": "
         << viaChained.error().message();
 
-    Rewriter generic{genericConfig()};
-    auto viaGeneric = generic.rewrite(code.data(), uint64_t{1}, uint64_t{2});
-    ASSERT_TRUE(viaGeneric.ok())
+    Rewriter capped{depthCappedConfig()};
+    auto viaCapped = capped.rewrite(code.data(), uint64_t{1}, uint64_t{2});
+    ASSERT_TRUE(viaCapped.ok())
         << "seed " << GetParam() << " trial " << trial << ": "
-        << viaGeneric.error().message();
+        << viaCapped.error().message();
+    sideExits += viaCapped->traceStats().sideExits;
 
     for (int call = 0; call < 16; ++call) {
       const uint64_t a = rng.next();
@@ -127,11 +128,15 @@ TEST_P(BlocksDifferential, ChainedMatchesGenericAndOriginal) {
                               reinterpret_cast<uint64_t>(code.data()))
           << "\nrewritten:\n"
           << viaChained->disassembly();
-      ASSERT_EQ(viaGeneric->as<fn_t>()(a, b), want)
-          << "generic path diverged: seed " << GetParam() << " trial "
-          << trial << " a=" << a << " b=" << b;
+      ASSERT_EQ(viaCapped->as<fn_t>()(a, b), want)
+          << "depth-capped rewrite diverged: seed " << GetParam()
+          << " trial " << trial << " a=" << a << " b=" << b
+          << "\nrewritten:\n"
+          << viaCapped->disassembly();
     }
   }
+  EXPECT_GT(sideExits, 0u)
+      << "seed " << GetParam() << ": fork-depth cap never side-exited";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BlocksDifferential,

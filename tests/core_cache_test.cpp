@@ -113,12 +113,6 @@ TEST(ConfigFingerprint, DeterministicAndShapeSensitive) {
        [](Config& c, PassOptions&) { c.setFoldZeroAccumulator(false); }},
       {"return float",
        [](Config& c, PassOptions&) { c.setReturnKind(ReturnKind::Float); }},
-      {"chain blocks off",
-       [](Config& c, PassOptions&) { c.setChainBlocks(false); }},
-      {"reconverge joins off",
-       [](Config& c, PassOptions&) { c.setReconvergeJoins(false); }},
-      {"side exit fallback off",
-       [](Config& c, PassOptions&) { c.setSideExitFallback(false); }},
       {"maxTraceSteps",
        [](Config& c, PassOptions&) { ++c.limits().maxTraceSteps; }},
       {"maxCodeBytes",

@@ -99,32 +99,32 @@ TEST(CApi, Figure5StencilSpecialization) {
   brew_freeConf(conf);
 }
 
-// The block-chained tier knobs (docs/BLOCKS.md) are words of the cache
-// key: flipping one must produce a distinct cached specialization, and
-// both settings must compute the same results.
+// The block-chained tier's knob (docs/BLOCKS.md), the fork-depth cap, is
+// a word of the cache key: two confs that differ only in it must get
+// distinct cached specializations that compute the same results.
 TEST(CApi, BlockTierKnobs) {
-  brew_conf* chained = brew_initConf();
-  brew_setnpar(chained, 2);
-  brew_setret(chained, BREW_RET_INT);
+  brew_conf* deep = brew_initConf();
+  brew_setnpar(deep, 2);
+  brew_setret(deep, BREW_RET_INT);
 
-  brew_conf* generic = brew_initConf();
-  brew_setnpar(generic, 2);
-  brew_setret(generic, BREW_RET_INT);
-  brew_set_chain_blocks(generic, 0);
-  brew_set_reconverge_joins(generic, 0);
-  brew_set_side_exit_fallback(generic, 0);
-  brew_set_max_fork_depth(generic, 4);
+  brew_conf* shallow = brew_initConf();
+  brew_setnpar(shallow, 2);
+  brew_setret(shallow, BREW_RET_INT);
+  brew_set_max_fork_depth(shallow, 4);
 
-  brew_func* a = brew_rewrite2(chained, (void*)addmul, 3, 4);
-  brew_func* b = brew_rewrite2(generic, (void*)addmul, 3, 4);
-  ASSERT_NE(a, nullptr) << brew_lastError(chained);
-  ASSERT_NE(b, nullptr) << brew_lastError(generic);
+  brew_func* a = brew_rewrite2(deep, (void*)addmul, 3, 4);
+  brew_func* b = brew_rewrite2(shallow, (void*)addmul, 3, 4);
+  ASSERT_NE(a, nullptr) << brew_lastError(deep);
+  ASSERT_NE(b, nullptr) << brew_lastError(shallow);
+  EXPECT_NE(brew_func_entry(a), brew_func_entry(b));
+  for (int x : {-5, 0, 3, 11})
+    EXPECT_EQ(((addmul_t)brew_func_entry(a))(x, 4),
+              ((addmul_t)brew_func_entry(b))(x, 4));
   EXPECT_EQ(((addmul_t)brew_func_entry(a))(3, 4), addmul(3, 4));
-  EXPECT_EQ(((addmul_t)brew_func_entry(b))(3, 4), addmul(3, 4));
   brew_release_h(a);
   brew_release_h(b);
-  brew_freeConf(chained);
-  brew_freeConf(generic);
+  brew_freeConf(deep);
+  brew_freeConf(shallow);
 }
 
 // Each parameter setter leaves exactly the state it names: a parameter
