@@ -71,10 +71,21 @@ struct ChurnResult {
   uint64_t demotionsDuringShifts = 0;
   uint64_t demotionsSteady = 0;
   size_t maxVariantsSeen = 0;
+  std::vector<uint64_t> adaptCalls;  // per shift: calls until hot set is live
   double p50Ns = 0;
   double p99Ns = 0;
   double p999Ns = 0;
 };
+
+// True when every key of the hot window starting at `window` has a variant.
+bool hotSetLive(const VariantDispatcher& d, int window) {
+  int live = 0;
+  for (const VariantInfo& v : d.variants())
+    if (v.key >= static_cast<uint64_t>(window) &&
+        v.key < static_cast<uint64_t>(window + kHotSetSize))
+      ++live;
+  return live == kHotSetSize;
+}
 
 // Drives `kPhases` phases; each phase hammers a rotated hot window of
 // kHotSetSize keys (94% of calls) plus a uniform cold tail. The final
@@ -97,6 +108,8 @@ ChurnResult runChurn(VariantDispatcher& d) {
     const int window = (phase == kPhases - 1 ? phase - 1 : phase) *
                        kHotSetSize % kKeys;
     if (phase == kPhases - 1) demotionsBeforeSteady = d.stats().demotions;
+    // Phases 1 .. kPhases-2 start with a shift of the hot window.
+    bool adapted = phase == 0 || phase == kPhases - 1;
     for (int i = 0; i < kCallsPerPhase; ++i) {
       rng = rng * 1664525u + 1013904223u;
       // 94% hot window, 6% uniform cold tail.
@@ -121,6 +134,8 @@ ChurnResult runChurn(VariantDispatcher& d) {
       }
       ++out.calls;
       out.maxVariantsSeen = std::max(out.maxVariantsSeen, d.variantCount());
+      if (!adapted && (adapted = hotSetLive(d, window)))
+        out.adaptCalls.push_back(static_cast<uint64_t>(i) + 1);
     }
   }
 
@@ -226,6 +241,15 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(res.demotionsDuringShifts),
               static_cast<unsigned long long>(res.demotionsSteady),
               res.maxVariantsSeen);
+  // Report only: how fast the table follows a shift of the hot set.
+  std::vector<uint64_t> adapt = res.adaptCalls;
+  std::sort(adapt.begin(), adapt.end());
+  std::printf("  adaptation: median %llu calls from a shift until all %d new "
+              "hot keys have variants (%zu of %d shifts adapted)\n",
+              adapt.empty() ? 0ULL
+                            : static_cast<unsigned long long>(
+                                  adapt[adapt.size() / 2]),
+              kHotSetSize, adapt.size(), kPhases - 2);
 
   checks.expect(res.maxVariantsSeen <= churnOptions().maxVariants,
                 "live variants never exceed the configured budget");

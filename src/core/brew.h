@@ -153,8 +153,9 @@ void brew_options_set_max_variants(brew_options* options, size_t variants);
 void brew_options_set_dispatch_ways(brew_options* options, size_t ways);
 /* Miss-path observations before a dispatcher starts promoting. */
 void brew_options_set_sample_calls(brew_options* options, size_t calls);
-/* Resolver events between decay rounds (score halvings). */
-void brew_options_set_decay_interval(brew_options* options, uint64_t events);
+/* Calls between decay rounds (score halvings), stub hits included
+ * (default 256). */
+void brew_options_set_decay_interval(brew_options* options, uint64_t calls);
 /* Compile promotion candidates on the worker pool instead of inline. */
 void brew_options_set_async_specialize(brew_options* options, int enabled);
 /* Sampling-profiler frequency in Hz (clamped to [1, 10000]; 0 disables).

@@ -262,9 +262,9 @@ void brew_options_set_sample_calls(brew_options* options, size_t calls) {
   if (options != nullptr) options->impl.dispatch.sampleCalls = calls;
 }
 
-void brew_options_set_decay_interval(brew_options* options, uint64_t events) {
-  if (options != nullptr && events > 0)
-    options->impl.dispatch.decayInterval = events;
+void brew_options_set_decay_interval(brew_options* options, uint64_t calls) {
+  if (options != nullptr && calls > 0)
+    options->impl.dispatch.decayInterval = calls;
 }
 
 void brew_options_set_async_specialize(brew_options* options, int enabled) {

@@ -50,6 +50,14 @@ constexpr uint64_t kSentinelKey = 0x6272657764697370ULL;  // "brewdisp"
 // way victim.
 constexpr uint64_t kMaxSeedScore = UINT64_MAX / 2;
 
+// Hit scores gained since the last round: stub hits plus table hits. The
+// stub's unlocked `inc` can land just after a round's store and undo it, so
+// a score below its base counts as no gain.
+uint64_t gainedSinceRound(const IcRecord& rec) {
+  const uint64_t hits = rec.hits.load(std::memory_order_relaxed);
+  return hits > rec.hitsAtRound ? hits - rec.hitsAtRound : 0;
+}
+
 // Emits an ABI-transparent call to `hook(uint64_t key, void* context)` into
 // `as`: preserves the integer argument registers, rax and xmm0-7 on the
 // stack (keeping the call aligned), moves `keyReg` into rdi and `context`
@@ -136,7 +144,6 @@ VariantDispatcher::VariantDispatcher(SpecManager& manager, const void* fn,
   if (options_.decayInterval == 0) options_.decayInterval = 1;
   if (options_.profileWeight == 0) options_.profileWeight = 1;
   if (options_.profileGuided) prof::setSampleSink(&dispatchProfileSink);
-  nextDecay_ = options_.decayInterval;
   stats_.epoch = 0;
 
   sentinel_.key = kSentinelKey;
@@ -281,8 +288,11 @@ const void* VariantDispatcher::resolve(uint64_t key) {
       target = rec->target;
     } else {
       ++stats_.misses;
+      ++windowMisses_;
       telemetry::counter(telemetry::CounterId::DispatchMisses).add();
-      if (failed_.count(key) == 0) {
+      auto failed = failed_.find(key);
+      if (failed == failed_.end() ||
+          stats_.decayRounds >= failed->second.retryRound) {
         const uint64_t score = ++missScore_[key];
         maybeSpecializeLocked(key, score);
         auto installed = variants_.find(key);
@@ -308,9 +318,11 @@ bool VariantDispatcher::absorbProfileSamples(const void* regionBase,
     const uint64_t size = std::max<uint64_t>(rec->handle.codeSize(), 1);
     if (base < entry || base >= entry + size) continue;
     // Weighted credit onto the same score the call-count path feeds, so
-    // decay, hysteresis and way promotion all see one combined signal.
-    rec->hits.fetch_add(samples * options_.profileWeight,
-                        std::memory_order_relaxed);
+    // decay, hysteresis and way promotion all see one combined signal. The
+    // credit is score, not calls: it joins the round's base, off the clock.
+    const uint64_t credit = samples * options_.profileWeight;
+    rec->hits.fetch_add(credit, std::memory_order_relaxed);
+    rec->hitsAtRound += credit;
     stats_.profileSamples += samples;
     promoteWayLocked(rec.get());
     return true;
@@ -339,12 +351,15 @@ void VariantDispatcher::maybeSpecializeLocked(uint64_t key, uint64_t score) {
   if (variants_.size() >= options_.maxVariants) {
     // Hysteresis: the challenger must clearly beat the coldest variant's
     // decayed hit score, or the table would thrash under a shifting
-    // distribution.
+    // distribution. A score decayed below promoteThreshold still counts as
+    // the threshold, so a cold key's one-off burst past it cannot churn
+    // the slot of a variant that has gone cold.
     auto coldest = coldestLocked();
     if (coldest == variants_.end()) return;
-    const uint64_t coldScore =
-        coldest->second->hits.load(std::memory_order_relaxed);
-    if (coldScore > 0 && score / options_.demoteMargin < coldScore) return;
+    const uint64_t coldScore = std::max(
+        coldest->second->hits.load(std::memory_order_relaxed),
+        options_.promoteThreshold);
+    if (score / options_.demoteMargin < coldScore) return;
     demoteLocked(coldest);
   }
   if (options_.asyncSpecialize) {
@@ -360,7 +375,12 @@ void VariantDispatcher::maybeSpecializeLocked(uint64_t key, uint64_t score) {
 }
 
 void VariantDispatcher::failLocked(uint64_t key, const Error& error) {
-  failed_.insert(key);
+  // Back off: after its k-th failure a key is retried only 2^k decay rounds
+  // later, so a hot key that never rewrites is not retraced every round.
+  Failure& failure = failed_[key];
+  ++failure.count;
+  failure.retryRound = stats_.decayRounds +
+                       (uint64_t{1} << std::min<uint64_t>(failure.count, 62));
   missScore_.erase(key);
   telemetry::counter(telemetry::CounterId::DispatchVariantFailures).add();
   flight::record(flight::Event::DispatchVariantFail,
@@ -402,12 +422,13 @@ void VariantDispatcher::installLocked(uint64_t key, CodeHandle handle,
   rec->epoch = stats_.epoch;
   rec->handle = std::move(handle);
   // Seed the hit score so a fresh variant is not instantly the coldest.
-  rec->hits.store(
-      std::min(std::max(seedScore, options_.promoteThreshold), kMaxSeedScore),
-      std::memory_order_relaxed);
+  rec->hitsAtRound =
+      std::min(std::max(seedScore, options_.promoteThreshold), kMaxSeedScore);
+  rec->hits.store(rec->hitsAtRound, std::memory_order_relaxed);
   IcRecord* raw = rec.get();
   variants_[key] = std::move(rec);
   missScore_.erase(key);
+  failed_.erase(key);
   ++stats_.promotions;
   telemetry::counter(telemetry::CounterId::DispatchPromotions).add();
   flight::record(flight::Event::DispatchInstall,
@@ -459,18 +480,33 @@ void VariantDispatcher::demoteLocked(
 }
 
 void VariantDispatcher::maybeDecayLocked() {
-  if (events_ < nextDecay_) return;
-  nextDecay_ = events_ + options_.decayInterval;
-  for (auto& [key, rec] : variants_)
-    rec->hits.store(rec->hits.load(std::memory_order_relaxed) / 2,
-                    std::memory_order_relaxed);
-  for (auto it = missScore_.begin(); it != missScore_.end();) {
-    it->second /= 2;
-    it = it->second == 0 ? missScore_.erase(it) : std::next(it);
+  // The window counts calls: the misses since the last round plus every
+  // live variant's hits since then, so hit and miss scores share a clock.
+  uint64_t calls = windowMisses_;
+  for (const auto& [key, rec] : variants_) calls += gainedSinceRound(*rec);
+  if (calls < options_.decayInterval) return;
+  // Stub hits alone never reach the resolver, so one round may stand for
+  // many elapsed windows: age the scores as that many rounds would have,
+  // spreading each variant's gain evenly over them.
+  const uint64_t rounds = calls / options_.decayInterval;
+  const uint64_t shift = std::min<uint64_t>(rounds, 63);
+  for (auto& [key, rec] : variants_) {
+    const uint64_t perRound = gainedSinceRound(*rec) / rounds;
+    rec->hitsAtRound =
+        (rec->hitsAtRound >> shift) + perRound - (perRound >> shift);
+    rec->hits.store(rec->hitsAtRound, std::memory_order_relaxed);
   }
-  failed_.clear();  // allow failed keys another attempt next round
-  ++stats_.decayRounds;
-  telemetry::counter(telemetry::CounterId::DispatchDecayRounds).add();
+  // A key decayed to zero keeps its entry, so a cold key that misses about
+  // once a window does not allocate and free a node every round. A window
+  // holds at most decayInterval misses; past that many keys, prune the idle.
+  const bool prune = missScore_.size() > options_.decayInterval;
+  for (auto it = missScore_.begin(); it != missScore_.end();) {
+    it->second >>= shift;
+    it = prune && it->second == 0 ? missScore_.erase(it) : std::next(it);
+  }
+  windowMisses_ = 0;
+  stats_.decayRounds += rounds;
+  telemetry::counter(telemetry::CounterId::DispatchDecayRounds).add(rounds);
 }
 
 void VariantDispatcher::pollPendingLocked() {
@@ -506,7 +542,6 @@ void VariantDispatcher::seedHot(std::span<const uint64_t> hotKeys,
   std::lock_guard<std::mutex> lock(mu_);
   events_ = std::max({events_, observedCalls,
                       static_cast<uint64_t>(options_.sampleCalls)});
-  nextDecay_ = events_ + options_.decayInterval;
   for (const uint64_t key : hotKeys) {
     if (variants_.size() >= options_.maxVariants) break;
     if (variants_.count(key) != 0) continue;

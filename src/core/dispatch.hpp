@@ -45,7 +45,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <span>
 #include <vector>
 
@@ -62,6 +61,7 @@ struct IcRecord {
   uint64_t key = 0;
   const void* target = nullptr;
   std::atomic<uint64_t> hits{0};
+  uint64_t hitsAtRound = 0;  // score after the last decay round (resolver)
   uint64_t epoch = 0;
   CodeHandle handle;  // owns the variant's code (empty for the sentinel)
 };
@@ -75,7 +75,7 @@ struct DispatchStats {
   uint64_t misses = 0;       // miss-path calls with no live variant
   uint64_t promotions = 0;
   uint64_t demotions = 0;
-  uint64_t decayRounds = 0;
+  uint64_t decayRounds = 0;  // decay windows elapsed
   uint64_t epochBumps = 0;
   uint64_t pendingAsync = 0; // candidate rewrites in flight on the pool
   uint64_t epoch = 0;
@@ -186,6 +186,11 @@ class VariantDispatcher {
     std::unique_ptr<IcRecord> record;
     uint64_t retiredAt = 0;  // events_ stamp at demotion
   };
+  // A key whose rewrite failed `count` times; retried from `retryRound`.
+  struct Failure {
+    uint64_t count = 0;
+    uint64_t retryRound = 0;  // stats_.decayRounds stamp
+  };
 
   void buildStub();
   std::vector<ArgValue> argsFor(uint64_t key) const;
@@ -217,11 +222,11 @@ class VariantDispatcher {
   IcRecord sentinel_;
 
   mutable std::mutex mu_;
-  uint64_t events_ = 0;     // resolver calls (miss-path only)
-  uint64_t nextDecay_ = 0;
+  uint64_t events_ = 0;       // resolver calls (miss-path only)
+  uint64_t windowMisses_ = 0; // misses since the last decay round
   std::map<uint64_t, std::unique_ptr<IcRecord>> variants_;
   std::map<uint64_t, uint64_t> missScore_;
-  std::set<uint64_t> failed_;  // keys whose rewrite failed; cleared by decay
+  std::map<uint64_t, Failure> failed_;  // cleared by bumpEpoch
   std::vector<Pending> pending_;
   std::deque<Retired> quarantine_;
   DispatchStats stats_;

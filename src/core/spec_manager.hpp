@@ -132,7 +132,11 @@ struct DispatchOptions {
   size_t inlineWays = 2;      // inline-cache ways in the dispatch stub [1,4]
   size_t sampleCalls = 64;    // resolver observations before promoting
   uint64_t promoteThreshold = 8;  // miss score a key needs to specialize
-  uint64_t decayInterval = 1024;  // resolver events between score halvings
+  // Calls per decay window, stub hits included; every window halves the hit
+  // and miss scores. At 256 a key needs ~1.5% of calls to reach the default
+  // promoteThreshold, and a hot challenger outscores a stale variant within
+  // a window or two.
+  uint64_t decayInterval = 256;
   uint64_t demoteMargin = 2;  // challenger must beat the coldest by this x
   bool asyncSpecialize = false;   // compile candidates on the worker pool
   bool profileGuided = false;     // feed SIGPROF samples into hit scores

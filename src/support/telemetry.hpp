@@ -79,7 +79,7 @@ enum class CounterId : int {
   DispatchMisses,         // resolver calls with no live variant for the key
   DispatchPromotions,     // hot value specialized into a live variant
   DispatchDemotions,      // cold variant retired by decay/hysteresis
-  DispatchDecayRounds,    // periodic halvings of the variant/miss scores
+  DispatchDecayRounds,    // decay windows elapsed (variant/miss score halvings)
   DispatchEpochBumps,     // predicate-epoch changes retiring all variants
   DispatchStubsBuilt,     // inline-cache dispatch stubs emitted
   DispatchVariantFailures, // candidate rewrite failed; key is blacklisted

@@ -14,6 +14,7 @@
 
 #include "core/dispatch.hpp"
 #include "jit/assembler.hpp"
+#include "support/telemetry.hpp"
 
 namespace brew {
 namespace {
@@ -628,9 +629,13 @@ TEST(Dispatch, ProfileGuidedPromotionBoostsCpuHotVariant) {
   auto fn = d.as<kernel_t>();
 
   // Key 3 is call-hot and owns the way; key 8 is promoted to a variant but
-  // stays call-cold, so it cannot displace the incumbent by calls.
+  // stays call-cold (one call in five), so it cannot displace the incumbent
+  // by calls.
   for (int i = 0; i < 200; ++i) ASSERT_EQ(fn(3, i), 3000 + i);
-  for (int i = 0; i < 40; ++i) ASSERT_EQ(fn(8, i), 8000 + i);
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_EQ(fn(8, i), 8000 + i);
+    for (int j = 0; j < 4; ++j) ASSERT_EQ(fn(3, j), 3000 + j);
+  }
   ASSERT_EQ(d.variantCount(), 2u);
 
   const void* coldEntry = nullptr;
@@ -658,6 +663,15 @@ TEST(Dispatch, ProfileGuidedPromotionBoostsCpuHotVariant) {
     }
   }
 
+  // The credit is score, not calls: the next resolver event must not age
+  // it as if 16000 calls had passed.
+  ASSERT_EQ(fn(5, 1), 5001);
+  for (const VariantInfo& v : d.variants()) {
+    if (v.key == 8u) {
+      EXPECT_GE(v.hits, 1000 * opt.profileWeight / 2);
+    }
+  }
+
   // A PC outside every variant is not absorbed.
   EXPECT_FALSE(d.absorbProfileSamples(&kernel, 10));
 }
@@ -672,7 +686,10 @@ TEST(Dispatch, ProfileSamplesIgnoredWithoutProfileGuided) {
   ASSERT_TRUE(d.valid());
   auto fn = d.as<kernel_t>();
   for (int i = 0; i < 200; ++i) ASSERT_EQ(fn(3, i), 3000 + i);
-  for (int i = 0; i < 40; ++i) ASSERT_EQ(fn(8, i), 8000 + i);
+  for (int i = 0; i < 40; ++i) {  // key 8 stays call-cold, as above
+    ASSERT_EQ(fn(8, i), 8000 + i);
+    for (int j = 0; j < 4; ++j) ASSERT_EQ(fn(3, j), 3000 + j);
+  }
   ASSERT_EQ(d.variantCount(), 2u);
 
   const void* coldEntry = nullptr;
@@ -688,6 +705,130 @@ TEST(Dispatch, ProfileSamplesIgnoredWithoutProfileGuided) {
       EXPECT_FALSE(v.inlineCached);
     }
   }
+}
+
+// Decay windows count calls, stub hits included. With the default options
+// the stale variants' scores age within a window of a hot-set shift, so each
+// new hot key out-scores them by demoteMargin inside two windows.
+TEST(Dispatch, HotSetShiftAdaptsWithinTwoWindows) {
+  SpecManager manager{SpecManager::Options{.workers = 1}};
+  ExecMemory kernel = buildCountingKernel();
+  const DispatchOptions opt;
+  VariantDispatcher d(manager, kernel.data(), 0, protoArgs(),
+                      countingConfig(), opt);
+  ASSERT_TRUE(d.valid());
+  auto fn = d.as<kernel_t>();
+
+  // 12 keys: 94% of calls on a hot set of 3, the rest uniform over all.
+  constexpr uint64_t kKeys = 12;
+  constexpr uint64_t kHot = 3;
+  uint32_t rng = 0x9e3779b9;
+  auto draw = [&](uint64_t hotBase) -> uint64_t {
+    rng = rng * 1664525u + 1013904223u;
+    return (rng >> 8) % 100 < 94 ? hotBase + (rng >> 24) % kHot : rng % kKeys;
+  };
+  auto hotSetLive = [&](uint64_t hotBase) {
+    uint64_t live = 0;
+    for (const VariantInfo& v : d.variants())
+      if (v.key >= hotBase && v.key < hotBase + kHot) ++live;
+    return live == kHot;
+  };
+  int64_t x = 0;
+  auto call = [&](uint64_t key) {
+    const int64_t got = fn(static_cast<int64_t>(key), x);
+    return got == expectKernel(key, x++);
+  };
+
+  for (uint64_t i = 0; i < 20 * opt.decayInterval; ++i)
+    ASSERT_TRUE(call(draw(0)));
+  ASSERT_TRUE(hotSetLive(0));
+
+  // Shift the hot set to keys 6-8.
+  uint64_t calls = 0;
+  while (!hotSetLive(6) && calls < 20 * opt.decayInterval) {
+    ASSERT_TRUE(call(draw(6)));
+    ++calls;
+  }
+  EXPECT_LE(calls, 2 * opt.decayInterval);
+
+  // The new hot keys run their variants, not the original.
+  CountOriginalCalls counting;
+  for (uint64_t key = 6; key < 6 + kHot; ++key) ASSERT_TRUE(call(key));
+  EXPECT_EQ(g_originalCalls, 0);
+}
+
+// A run served entirely by the stub passes many windows with no resolver
+// event. The first miss after it must age the incumbents' scores as that
+// many rounds would have, or their stub hits would defend the slots.
+TEST(Dispatch, StubOnlyRunAgesScores) {
+  SpecManager manager{SpecManager::Options{.workers = 1}};
+  ExecMemory kernel = buildKernel(1000);
+  DispatchOptions opt;
+  opt.maxVariants = 2;
+  opt.inlineWays = 2;
+  VariantDispatcher d(manager, kernel.data(), 0, protoArgs(), Config{}, opt);
+  ASSERT_TRUE(d.valid());
+  auto fn = d.as<kernel_t>();
+
+  for (int i = 0; i < static_cast<int>(opt.sampleCalls); ++i) {
+    ASSERT_EQ(fn(1, i), 1000 + i);
+    ASSERT_EQ(fn(2, i), 2000 + i);
+  }
+  ASSERT_EQ(d.variantCount(), 2u);
+  for (const VariantInfo& v : d.variants()) ASSERT_TRUE(v.inlineCached);
+
+  // 100k calls on the two inline ways: no resolver event at all.
+  const DispatchStats before = d.stats();
+  for (int i = 0; i < 50000; ++i) {
+    ASSERT_EQ(fn(1, i), 1000 + i);
+    ASSERT_EQ(fn(2, i), 2000 + i);
+  }
+  const DispatchStats after = d.stats();
+  ASSERT_EQ(after.tableHits + after.misses, before.tableHits + before.misses);
+
+  // Shift to keys 5 and 6: both go live within two windows.
+  auto shifted = [&] {
+    std::set<uint64_t> keys;
+    for (const VariantInfo& v : d.variants()) keys.insert(v.key);
+    return keys == std::set<uint64_t>{5, 6};
+  };
+  uint64_t calls = 0;
+  for (int i = 0; !shifted() && calls < 100000; ++i, calls += 2) {
+    ASSERT_EQ(fn(5, i), 5000 + i);
+    ASSERT_EQ(fn(6, i), 6000 + i);
+  }
+  EXPECT_LE(calls, 2 * opt.decayInterval);
+}
+
+// A hot key whose rewrite always fails is retried only after 2^k decay
+// rounds, not traced again every round.
+TEST(Dispatch, FailingKeyRetriesBackOff) {
+  // "rdtsc; mov rax, rdi; ret": the tracer rejects rdtsc, so every rewrite
+  // fails; the original returns its key.
+  static const uint8_t rdtsc[] = {0x0f, 0x31};
+  jit::Assembler as;
+  as.emitBytes(rdtsc);
+  as.movRegReg(Reg::rax, Reg::rdi);
+  as.ret();
+  auto subject = as.finalizeExecutable();
+  ASSERT_TRUE(subject.ok());
+  using telemetry::counter;
+  using telemetry::CounterId;
+  const uint64_t failures0 =
+      counter(CounterId::DispatchVariantFailures).value();
+
+  SpecManager manager{SpecManager::Options{.workers = 1}};
+  VariantDispatcher d(manager, subject->data(), 0, {ArgValue::fromInt(0)},
+                      Config{}, DispatchOptions{});
+  ASSERT_TRUE(d.valid());
+  auto fn = d.as<int64_t (*)(int64_t)>();
+  for (int i = 0; i < 100000; ++i) ASSERT_EQ(fn(5), 5);
+
+  const uint64_t failures =
+      counter(CounterId::DispatchVariantFailures).value() - failures0;
+  EXPECT_GE(failures, 1u);
+  EXPECT_LE(failures, 20u);
+  EXPECT_EQ(d.variantCount(), 0u);
 }
 
 TEST(DispatchRegistry, FindAggregateAndRankHot) {
