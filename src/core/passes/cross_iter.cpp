@@ -31,37 +31,6 @@ using isa::Mnemonic;
 using isa::Operand;
 using isa::Reg;
 
-bool scalarSdArith(Mnemonic m) {
-  switch (m) {
-    case Mnemonic::Addsd: case Mnemonic::Subsd: case Mnemonic::Mulsd:
-    case Mnemonic::Divsd: case Mnemonic::Minsd: case Mnemonic::Maxsd:
-    case Mnemonic::Sqrtsd:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool scalarSsArith(Mnemonic m) {
-  switch (m) {
-    case Mnemonic::Addss: case Mnemonic::Subss: case Mnemonic::Mulss:
-    case Mnemonic::Divss: case Mnemonic::Sqrtss:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool scalarCompare(Mnemonic m) {
-  switch (m) {
-    case Mnemonic::Ucomisd: case Mnemonic::Comisd:
-    case Mnemonic::Ucomiss: case Mnemonic::Comiss:
-      return true;
-    default:
-      return false;
-  }
-}
-
 // After `from`, register r's high 64-bit lane differs from the scalar run.
 // True when that lane can never be observed: every later reference reads
 // the low lane only, the register is fully overwritten, or the block
@@ -81,12 +50,12 @@ bool hiLaneUnobserved(const ir::Block& block, std::span<const RegFacts> fx,
       if (((fx[k].use | fx[k].wr) & bit) != 0) return false;  // implicit use
       continue;
     }
-    if (dst && !src &&
-        (scalarSdArith(in.mnemonic) || scalarSsArith(in.mnemonic)))
+    const isa::Family family = isa::row(in.mnemonic).family;
+    if (dst && !src && family == isa::Family::SseScalar)
       continue;  // read-modify-write of the low lane; hi preserved, unread
     if (src && !dst) {
-      if (scalarSdArith(in.mnemonic) || scalarSsArith(in.mnemonic) ||
-          scalarCompare(in.mnemonic))
+      if (family == isa::Family::SseScalar ||
+          family == isa::Family::SseCompare)
         continue;  // low-lane source
       if (in.mnemonic == Mnemonic::Movsd || in.mnemonic == Mnemonic::Movss ||
           in.mnemonic == Mnemonic::Movq || in.mnemonic == Mnemonic::Movd)
@@ -128,10 +97,8 @@ bool plainBaseMem(const isa::MemOperand& m) {
 }
 
 bool touchesMemoryState(const Instruction& in) {
-  return isa::writesMemory(in) || in.mnemonic == Mnemonic::Call ||
-         in.mnemonic == Mnemonic::CallInd || in.mnemonic == Mnemonic::Push ||
-         in.mnemonic == Mnemonic::Pushfq || in.mnemonic == Mnemonic::Pop ||
-         in.mnemonic == Mnemonic::Popfq;
+  return isa::writesMemory(in) ||
+         (isa::row(in.mnemonic).implicitWrites & isa::kRsp) != 0;
 }
 
 Operand poolMem(int slot) {
@@ -214,24 +181,17 @@ CrossIterScratch& crossIterScratch() {
   return s;
 }
 
+// An SSE op whose source is a pool constant: a double-lane scalar op
+// (arithmetic or compare) reads 8 bytes, a packed arithmetic op 16.
 bool poolOperandArith(const Instruction& in, bool* wide) {
   if (in.nops != 2 || !in.ops[0].isReg() || !in.ops[1].isMem() ||
       in.ops[1].mem.poolSlot < 0)
     return false;
-  switch (in.mnemonic) {
-    case Mnemonic::Addsd: case Mnemonic::Subsd: case Mnemonic::Mulsd:
-    case Mnemonic::Divsd: case Mnemonic::Minsd: case Mnemonic::Maxsd:
-    case Mnemonic::Sqrtsd: case Mnemonic::Ucomisd: case Mnemonic::Comisd:
-      *wide = false;
-      return true;
-    case Mnemonic::Addpd: case Mnemonic::Subpd: case Mnemonic::Mulpd:
-    case Mnemonic::Divpd: case Mnemonic::Addps: case Mnemonic::Subps:
-    case Mnemonic::Mulps: case Mnemonic::Divps: case Mnemonic::Paddd:
-      *wide = true;
-      return true;
-    default:
-      return false;
-  }
+  const isa::MnemonicInfo& row = isa::row(in.mnemonic);
+  *wide = row.family == isa::Family::SsePacked;
+  return *wide || ((row.family == isa::Family::SseScalar ||
+                    row.family == isa::Family::SseCompare) &&
+                   row.enc.arg == 8);
 }
 
 }  // namespace

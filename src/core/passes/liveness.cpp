@@ -14,44 +14,6 @@ using isa::Instruction;
 using isa::Mnemonic;
 using isa::Reg;
 
-// Does this instruction replace every bit of XMM register r?
-bool fullXmmOverwrite(const Instruction& in, Reg r) {
-  if (in.nops < 2 || !in.ops[0].isReg() || in.ops[0].reg != r) return false;
-  switch (in.mnemonic) {
-    case Mnemonic::Movsd:
-    case Mnemonic::Movss:
-      return in.ops[1].isMem();  // the load forms zero the upper lanes
-    case Mnemonic::Movapd: case Mnemonic::Movaps:
-    case Mnemonic::Movupd: case Mnemonic::Movups:
-    case Mnemonic::Movdqa: case Mnemonic::Movdqu:
-    case Mnemonic::Movq:   // zeroes the upper lane
-      return true;
-    default:
-      return false;
-  }
-}
-
-// Flag effects depend on the mnemonic alone (a condition code picks which
-// flags a jcc/setcc/cmovcc reads, never whether it reads any), so they are
-// read from the isa tables once per mnemonic.
-struct FlagTable {
-  static constexpr size_t kCount = static_cast<size_t>(Mnemonic::Count_);
-  bool reads[kCount];
-  bool writesAll[kCount];
-  FlagTable() {
-    for (size_t m = 0; m < kCount; ++m) {
-      const Instruction in = isa::makeInstr(static_cast<Mnemonic>(m), 8);
-      reads[m] = isa::flagsRead(in) != 0 || in.mnemonic == Mnemonic::Pushfq;
-      writesAll[m] = isa::flagsWritten(in) == isa::kAllFlags;
-    }
-  }
-};
-
-const FlagTable& flagTable() {
-  static const FlagTable t;
-  return t;
-}
-
 struct Tables {
   std::vector<RegFacts> facts;
   std::vector<Liveness::BlockSets> blocks;
@@ -85,18 +47,24 @@ RegFacts factsOf(const Instruction& in) {
     f.use = read | kXmmRegs | kFlags;
     return f;
   }
+  const isa::MnemonicInfo& row = isa::row(in.mnemonic);
   if (in.nops > 0 && in.ops[0].isReg()) {
+    // A write defines the register only when it replaces every bit.
     const Reg d = in.ops[0].reg;
     const bool whole =
-        isa::isXmm(d) ? fullXmmOverwrite(in, d) : in.width >= 4;
+        isa::isXmm(d)
+            ? in.nops >= 2 && (row.has(isa::kXmmWhole) ||
+                               (row.has(isa::kXmmWholeIfLoad) &&
+                                in.ops[1].isMem()))
+            : in.width >= 4;
     if (whole) f.def = f.wr & isa::regBit(d);
   }
   f.use = read | (f.wr & ~f.def);
-  const FlagTable& flags = flagTable();
-  const size_t m = static_cast<size_t>(in.mnemonic);
-  if (flags.reads[m])
+  // A condition code picks which flags a jcc/setcc/cmovcc reads, never
+  // whether it reads any.
+  if (row.flagsRead != 0 || row.has(isa::kCondFlags))
     f.use |= kFlags;
-  else if (flags.writesAll[m])
+  else if (row.flagsWritten == isa::kAllFlags)
     f.def |= kFlags;
   return f;
 }

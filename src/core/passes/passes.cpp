@@ -23,20 +23,6 @@ using isa::Mnemonic;
 using isa::Operand;
 using isa::Reg;
 
-bool isPureFlagWriter(const Instruction& in) {
-  switch (in.mnemonic) {
-    case Mnemonic::Cmp:
-    case Mnemonic::Test:
-    case Mnemonic::Ucomisd:
-    case Mnemonic::Comisd:
-    case Mnemonic::Ucomiss:
-    case Mnemonic::Comiss:
-      return true;
-    default:
-      return false;
-  }
-}
-
 bool hasMemOperand(const Instruction& in) {
   for (unsigned i = 0; i < in.nops; ++i)
     if (in.ops[i].isMem()) return true;
@@ -107,7 +93,8 @@ size_t runDeadFlagWriters(Liveness& live) {
     for (size_t k = v.size(); k-- > 0;) {
       // Memory-operand compares are kept so that an injected onLoad
       // handler still sees every captured load.
-      if (flags == 0 && isPureFlagWriter(v[k]) && !hasMemOperand(v[k])) {
+      if (flags == 0 && isa::row(v[k].mnemonic).has(isa::kCompare) &&
+          !hasMemOperand(v[k])) {
         fx[k] = RegFacts{.dead = true};
         ++dead;
         continue;
@@ -219,11 +206,7 @@ size_t runRedundantLoads(Liveness& live) {
 
       // Invalidate facts the instruction kills.
       const uint32_t written = fx[k].wr;
-      const bool storesMem = isa::writesMemory(in) ||
-                             in.mnemonic == Mnemonic::Call ||
-                             in.mnemonic == Mnemonic::CallInd ||
-                             in.mnemonic == Mnemonic::Push ||
-                             in.mnemonic == Mnemonic::Pushfq;
+      const bool storesMem = isa::writesMemory(in);
       for (size_t i = 0; i < available.size();) {
         const LoadKey& lk = available[i].first;
         const uint32_t addrRegs =

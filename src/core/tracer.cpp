@@ -15,6 +15,7 @@ namespace brew {
 using emu::Tag;
 using emu::Value;
 using isa::Cond;
+using isa::Family;
 using isa::Instruction;
 using isa::makeInstr;
 using isa::MemOperand;
@@ -457,77 +458,24 @@ Status Tracer::traceBlock(Pending pending) {
 }
 
 Status Tracer::traceOne(const Instruction& in, uint64_t next) {
-  switch (in.mnemonic) {
-    case Mnemonic::Nop:
-    case Mnemonic::Endbr64:
-      return Status::okStatus();
-
-    case Mnemonic::Mov:
-    case Mnemonic::Movsxd:
-    case Mnemonic::Movsx:
-    case Mnemonic::Movzx:
-      return traceMov(in, next);
-    case Mnemonic::Lea:
-      return traceLea(in, next);
-    case Mnemonic::Push:
-      return tracePush(in, next);
-    case Mnemonic::Pop:
-      return tracePop(in, next);
-
-    case Mnemonic::Add: case Mnemonic::Adc: case Mnemonic::Sub:
-    case Mnemonic::Sbb: case Mnemonic::Cmp: case Mnemonic::And:
-    case Mnemonic::Or: case Mnemonic::Xor: case Mnemonic::Test:
-    case Mnemonic::Not: case Mnemonic::Neg: case Mnemonic::Inc:
-    case Mnemonic::Dec: case Mnemonic::Imul:
-    case Mnemonic::Shl: case Mnemonic::Shr: case Mnemonic::Sar:
-    case Mnemonic::Rol: case Mnemonic::Ror:
-      return traceGprArith(in, next);
-
-    case Mnemonic::ImulWide: case Mnemonic::MulWide:
-    case Mnemonic::Idiv: case Mnemonic::Div:
-    case Mnemonic::Cdq: case Mnemonic::Cdqe:
-      return traceWideMulDiv(in, next);
-
-    case Mnemonic::Cmovcc:
-    case Mnemonic::Setcc:
-      return traceCmovSetcc(in, next);
-
-    case Mnemonic::Jmp: case Mnemonic::JmpInd: case Mnemonic::Jcc:
-    case Mnemonic::Call: case Mnemonic::CallInd: case Mnemonic::Ret:
-    case Mnemonic::Leave:
-      return traceBranch(in, next);
-
-    case Mnemonic::Movlpd: case Mnemonic::Movhpd:
-    case Mnemonic::Movsd: case Mnemonic::Movss:
-    case Mnemonic::Movapd: case Mnemonic::Movaps:
-    case Mnemonic::Movupd: case Mnemonic::Movups:
-    case Mnemonic::Movdqa: case Mnemonic::Movdqu:
-    case Mnemonic::Movq: case Mnemonic::Movd:
-    case Mnemonic::Addsd: case Mnemonic::Subsd: case Mnemonic::Mulsd:
-    case Mnemonic::Divsd: case Mnemonic::Minsd: case Mnemonic::Maxsd:
-    case Mnemonic::Sqrtsd:
-    case Mnemonic::Addss: case Mnemonic::Subss: case Mnemonic::Mulss:
-    case Mnemonic::Divss: case Mnemonic::Sqrtss:
-    case Mnemonic::Addpd: case Mnemonic::Subpd: case Mnemonic::Mulpd:
-    case Mnemonic::Divpd:
-    case Mnemonic::Addps: case Mnemonic::Subps: case Mnemonic::Mulps:
-    case Mnemonic::Divps: case Mnemonic::Paddd:
-    case Mnemonic::Pxor: case Mnemonic::Xorpd: case Mnemonic::Xorps:
-    case Mnemonic::Andpd: case Mnemonic::Andps: case Mnemonic::Orpd:
-    case Mnemonic::Orps:
-    case Mnemonic::Unpcklpd: case Mnemonic::Unpckhpd: case Mnemonic::Shufpd:
-    case Mnemonic::Unpcklps: case Mnemonic::Unpckhps: case Mnemonic::Shufps:
-    case Mnemonic::Ucomisd: case Mnemonic::Comisd:
-    case Mnemonic::Ucomiss: case Mnemonic::Comiss:
-    case Mnemonic::Cvtsi2sd: case Mnemonic::Cvtsi2ss:
-    case Mnemonic::Cvttsd2si: case Mnemonic::Cvttss2si:
-    case Mnemonic::Cvtsd2ss: case Mnemonic::Cvtss2sd:
+  switch (isa::row(in.mnemonic).family) {
+    case Family::Nop: return Status::okStatus();
+    case Family::Mov: return traceMov(in, next);
+    case Family::Lea: return traceLea(in, next);
+    case Family::Push: return tracePush(in, next);
+    case Family::Pop: return tracePop(in, next);
+    case Family::GprArith: return traceGprArith(in, next);
+    case Family::WideMulDiv: return traceWideMulDiv(in, next);
+    case Family::CmovSetcc: return traceCmovSetcc(in, next);
+    case Family::Branch: return traceBranch(in, next);
+    case Family::SseMove: case Family::SseScalar: case Family::SsePacked:
+    case Family::SseLogic: case Family::SseShuffle: case Family::SseCompare:
+    case Family::SseConvert:
       return traceSse(in, next);
-
-    default:
-      return Error{ErrorCode::UnsupportedInstruction, in.address,
-                   isa::mnemonicName(in.mnemonic)};
+    case Family::None: break;
   }
+  return Error{ErrorCode::UnsupportedInstruction, in.address,
+               isa::row(in.mnemonic).name};
 }
 
 // ---------------------------------------------------------------------------
@@ -940,8 +888,8 @@ void Tracer::capture(Instruction instr) {
   // reads are not data accesses; the injected sequences themselves are
   // excluded via the reentrancy flag.
   if (!injecting_) {
-    const bool isStore =
-        isa::writesMemory(instr) && instr.mnemonic != Mnemonic::Push;
+    const bool isStore = instr.nops > 0 && instr.ops[0].isMem() &&
+                         isa::row(instr.mnemonic).writesOp0();
     bool readsData = false;
     for (unsigned i = 0; i < instr.nops; ++i)
       if (instr.ops[i].isMem() && instr.ops[i].mem.poolSlot < 0 &&
@@ -1264,8 +1212,8 @@ Status Tracer::captureGeneric(Instruction in, uint64_t next, bool resultKnown,
   // Partial-width register writes preserve the remaining bytes, so the
   // destination is effectively an input that must be runtime-correct —
   // including for setcc (its one-byte write merges into the register).
-  const bool destIsRead = isa::readsDestination(in) ||
-                          in.mnemonic == Mnemonic::Cmovcc ||
+  const isa::MnemonicInfo& row = isa::row(in.mnemonic);
+  const bool destIsRead = row.has(isa::kReadsDst) ||
                           (in.width < 4 && in.nops > 0 && in.ops[0].isReg());
   const bool destReadsAsInput =
       destIsRead && !(in.mnemonic == Mnemonic::Imul && in.nops == 3);
@@ -1286,13 +1234,10 @@ Status Tracer::captureGeneric(Instruction in, uint64_t next, bool resultKnown,
     } else if (in.ops[0].isReg() && isa::isGpr(in.ops[0].reg)) {
       const bool isPureDest =
           !destReadsAsInput &&
-          (in.mnemonic == Mnemonic::Mov || in.mnemonic == Mnemonic::Movsxd ||
-           in.mnemonic == Mnemonic::Movsx || in.mnemonic == Mnemonic::Movzx ||
-           in.mnemonic == Mnemonic::Lea || in.mnemonic == Mnemonic::Pop ||
+          (row.family == Family::Mov || row.family == Family::Lea ||
+           row.family == Family::Pop ||
            (in.mnemonic == Mnemonic::Imul && in.nops == 3));
-      const bool isCompare =
-          in.mnemonic == Mnemonic::Cmp || in.mnemonic == Mnemonic::Test;
-      if (!isPureDest || isCompare) {
+      if (!isPureDest || row.has(isa::kCompare)) {
         if (Status s = prepareRegOperand(in.ops[0], in.width,
                                          /*canFoldImm=*/false);
             !s)
@@ -1316,14 +1261,10 @@ Status Tracer::captureGeneric(Instruction in, uint64_t next, bool resultKnown,
         return s;
       }
     } else if (in.ops[1].isReg() && isa::isGpr(in.ops[1].reg)) {
-      const bool foldable =
-          in.mnemonic == Mnemonic::Mov || in.mnemonic == Mnemonic::Add ||
-          in.mnemonic == Mnemonic::Sub || in.mnemonic == Mnemonic::Cmp ||
-          in.mnemonic == Mnemonic::And || in.mnemonic == Mnemonic::Or ||
-          in.mnemonic == Mnemonic::Xor || in.mnemonic == Mnemonic::Adc ||
-          in.mnemonic == Mnemonic::Sbb || in.mnemonic == Mnemonic::Test;
       const unsigned w = in.srcWidth != 0 ? in.srcWidth : in.width;
-      if (Status s = prepareRegOperand(in.ops[1], w, foldable); !s) return s;
+      if (Status s = prepareRegOperand(in.ops[1], w, row.has(isa::kImm32Src));
+          !s)
+        return s;
     }
   }
 
@@ -1333,7 +1274,7 @@ Status Tracer::captureGeneric(Instruction in, uint64_t next, bool resultKnown,
   // become unknown unless the caller proved the result.
   if (isa::flagsWritten(in) != 0) st_.flags().setAll(0, 0, true);
   if (in.nops > 0 && in.ops[0].isReg() && isa::isGpr(in.ops[0].reg) &&
-      in.mnemonic != Mnemonic::Cmp && in.mnemonic != Mnemonic::Test) {
+      !row.has(isa::kCompare)) {
     Value v = resultKnown && !policy().forceUnknownResults
                   ? Value::known(knownResult.bits, true)
                   : Value::unknown();
@@ -1360,14 +1301,10 @@ Status Tracer::traceGprArith(const Instruction& in, uint64_t next) {
   const unsigned w = in.width;
   const bool force = policy().forceUnknownResults;
   const bool isUnary = (in.nops == 1);
-  const bool isCompare =
-      in.mnemonic == Mnemonic::Cmp || in.mnemonic == Mnemonic::Test;
-  const bool isShift =
-      in.mnemonic == Mnemonic::Shl || in.mnemonic == Mnemonic::Shr ||
-      in.mnemonic == Mnemonic::Sar || in.mnemonic == Mnemonic::Rol ||
-      in.mnemonic == Mnemonic::Ror;
-  const bool needsCf =
-      in.mnemonic == Mnemonic::Adc || in.mnemonic == Mnemonic::Sbb;
+  const isa::MnemonicInfo& row = isa::row(in.mnemonic);
+  const bool isCompare = row.has(isa::kCompare);
+  const bool isShift = row.has(isa::kCountInCl);
+  const bool needsCf = (row.flagsRead & isa::kFlagCF) != 0;
 
   auto a = readOperand(in, in.ops[0], w, next);
   if (!a) return a.error();
@@ -1642,6 +1579,11 @@ Status Tracer::traceWideMulDiv(const Instruction& in, uint64_t next) {
   const bool force = policy().forceUnknownResults;
   const Value rax = st_.gpr(Reg::rax);
   const Value rdx = st_.gpr(Reg::rdx);
+  // cbw and cwd write only ax and dx; the handlers below model the 32- and
+  // 64-bit forms.
+  if (w == 2 && (in.mnemonic == Mnemonic::Cdqe || in.mnemonic == Mnemonic::Cdq))
+    return Error{ErrorCode::UnsupportedInstruction, in.address,
+                 in.mnemonic == Mnemonic::Cdqe ? "cbw" : "cwd"};
 
   switch (in.mnemonic) {
     case Mnemonic::Cdqe: {
@@ -1884,6 +1826,129 @@ Status Tracer::traceSse(const Instruction& in, uint64_t next) {
     return materializeXmmLanes(reg);
   };
 
+  const isa::MnemonicInfo& row = isa::row(in.mnemonic);
+  switch (row.family) {
+    // --- scalar arithmetic ---
+    case Family::SseScalar: {
+      const unsigned w = row.enc.arg;
+      const bool isSqrt = !row.has(isa::kReadsDst);  // reads its source only
+      auto a = laneOf(dst, false, w);
+      auto b = laneOf(src, false, w);
+      if (!a) return a.error();
+      if (!b) return b.error();
+      if (!force && b->isKnown() && (isSqrt || a->isKnown())) {
+        ++stats_.elidedInstructions;
+        const uint64_t r = emu::evalFpScalar(
+            in.mnemonic, w, a->isKnown() ? a->bits : 0, b->bits);
+        emu::XmmValue& x = st_.xmm(dst.reg);
+        x.lo = (w == 4)
+                   ? Value::known(
+                         emu::mergeWrite(x.lo.isKnown() ? x.lo.bits : 0, r, 4),
+                         false)
+                   : Value::known(r, false);
+        if (w == 4 && !x.lo.isKnown()) x.lo = Value::unknown();
+        return Status::okStatus();
+      }
+      // Zero-seeded accumulator: "addsd acc(+0.0), y" is a copy of y.
+      // Exactness needs both accumulator lanes to be (unmaterialized)
+      // +0.0 — the pxor idiom — and, for the register form, the source's
+      // high lane to really hold 0 at runtime.
+      if (!force && in.mnemonic == Mnemonic::Addsd &&
+          config_.foldZeroAccumulator() && a->isKnown() && a->bits == 0) {
+        emu::XmmValue& x = st_.xmm(dst.reg);
+        const bool accIsZeroSeed = !x.lo.materialized && x.hi.isKnown() &&
+                                   x.hi.bits == 0;
+        if (accIsZeroSeed && src.isMem()) {
+          Instruction repl = makeInstr(Mnemonic::Movsd, 8, in.ops[0],
+                                       in.ops[1]);
+          if (Status s = prepareSseSrc(repl, 8, false); !s) return s;
+          capture(repl);
+          x.lo = Value::unknown();
+          x.hi = Value::known(0, true);  // the load zeroes the high lane
+          return Status::okStatus();
+        }
+        if (accIsZeroSeed && src.isReg() && isa::isXmm(src.reg)) {
+          const emu::XmmValue& sx = st_.xmm(src.reg);
+          const bool srcReal =
+              (sx.lo.isUnknown() || sx.lo.materialized) &&
+              sx.hi.isKnown() && sx.hi.bits == 0 && sx.hi.materialized;
+          if (srcReal) {
+            capture(makeInstr(Mnemonic::Movapd, 16, in.ops[0], in.ops[1]));
+            x.lo = sx.lo;
+            x.hi = Value::known(0, true);
+            return Status::okStatus();
+          }
+        }
+      }
+      Instruction kept = in;
+      if (!isSqrt)
+        if (Status s = materializeDstLo(dst.reg); !s) return s;
+      if (Status s = prepareSseSrc(kept, w, false); !s) return s;
+      capture(kept);
+      st_.xmm(dst.reg).lo = Value::unknown();
+      return Status::okStatus();
+    }
+
+    // --- packed arithmetic / logicals ---
+    case Family::SsePacked: case Family::SseLogic: case Family::SseShuffle: {
+      const bool zeroIdiom = row.laneOp == Mnemonic::Xor && src.isReg() &&
+                             dst.reg == src.reg;
+      if (zeroIdiom && !force) {
+        ++stats_.elidedInstructions;
+        st_.xmm(dst.reg).lo = Value::known(0, false);
+        st_.xmm(dst.reg).hi = Value::known(0, false);
+        return Status::okStatus();
+      }
+      auto alo = laneOf(dst, false, 8);
+      auto ahi = laneOf(dst, true, 8);
+      auto blo = laneOf(src, false, 8);
+      auto bhi = laneOf(src, true, 8);
+      if (!alo || !ahi || !blo || !bhi)
+        return (!alo ? alo.error()
+                     : !ahi ? ahi.error() : !blo ? blo.error() : bhi.error());
+      if (!force && alo->isKnown() && ahi->isKnown() && blo->isKnown() &&
+          bhi->isKnown()) {
+        ++stats_.elidedInstructions;
+        const emu::Lanes r = emu::evalPacked(
+            in.mnemonic, {alo->bits, ahi->bits}, {blo->bits, bhi->bits},
+            in.nops > 2 ? static_cast<uint8_t>(in.ops[2].imm) : 0);
+        st_.xmm(dst.reg).lo = Value::known(r.lo, false);
+        st_.xmm(dst.reg).hi = Value::known(r.hi, false);
+        return Status::okStatus();
+      }
+      Instruction kept = in;
+      if (Status s = materializeDstFull(dst.reg); !s) return s;
+      if (Status s = prepareSseSrc(kept, 16, true); !s) return s;
+      capture(kept);
+      st_.xmm(dst.reg) = emu::XmmValue::unknown();
+      return Status::okStatus();
+    }
+
+    // --- compares ---
+    case Family::SseCompare: {
+      const unsigned w = row.enc.arg;
+      auto a = laneOf(dst, false, w);
+      auto b = laneOf(src, false, w);
+      if (!a) return a.error();
+      if (!b) return b.error();
+      if (!force && a->isKnown() && b->isKnown()) {
+        ++stats_.elidedInstructions;
+        const emu::OpResult r = emu::evalFpCompare(w, a->bits, b->bits);
+        st_.flags().setAll(r.flagsKnown, r.flagsValue, false);
+        return Status::okStatus();
+      }
+      Instruction kept = in;
+      if (Status s = materializeDstLo(dst.reg); !s) return s;
+      if (Status s = prepareSseSrc(kept, w, false); !s) return s;
+      capture(kept);
+      st_.flags().setAll(0, 0, true);
+      return Status::okStatus();
+    }
+
+    default:
+      break;
+  }
+
   switch (in.mnemonic) {
     case Mnemonic::Movlpd:
     case Mnemonic::Movhpd: {
@@ -2074,252 +2139,6 @@ Status Tracer::traceSse(const Instruction& in, uint64_t next) {
       return storeAbstract(addr, w, *v, in.address);
     }
 
-    // --- scalar arithmetic ---
-    case Mnemonic::Addsd: case Mnemonic::Subsd: case Mnemonic::Mulsd:
-    case Mnemonic::Divsd: case Mnemonic::Minsd: case Mnemonic::Maxsd:
-    case Mnemonic::Sqrtsd:
-    case Mnemonic::Addss: case Mnemonic::Subss: case Mnemonic::Mulss:
-    case Mnemonic::Divss: case Mnemonic::Sqrtss: {
-      const unsigned w =
-          (in.mnemonic == Mnemonic::Addss || in.mnemonic == Mnemonic::Subss ||
-           in.mnemonic == Mnemonic::Mulss || in.mnemonic == Mnemonic::Divss ||
-           in.mnemonic == Mnemonic::Sqrtss)
-              ? 4
-              : 8;
-      const bool isSqrt = in.mnemonic == Mnemonic::Sqrtsd ||
-                          in.mnemonic == Mnemonic::Sqrtss;
-      auto a = laneOf(dst, false, w);
-      auto b = laneOf(src, false, w);
-      if (!a) return a.error();
-      if (!b) return b.error();
-      if (!force && b->isKnown() && (isSqrt || a->isKnown())) {
-        ++stats_.elidedInstructions;
-        const uint64_t r = emu::evalFpScalar(
-            in.mnemonic, w, a->isKnown() ? a->bits : 0, b->bits);
-        emu::XmmValue& x = st_.xmm(dst.reg);
-        x.lo = (w == 4)
-                   ? Value::known(
-                         emu::mergeWrite(x.lo.isKnown() ? x.lo.bits : 0, r, 4),
-                         false)
-                   : Value::known(r, false);
-        if (w == 4 && !x.lo.isKnown()) x.lo = Value::unknown();
-        return Status::okStatus();
-      }
-      // Zero-seeded accumulator: "addsd acc(+0.0), y" is a copy of y.
-      // Exactness needs both accumulator lanes to be (unmaterialized)
-      // +0.0 — the pxor idiom — and, for the register form, the source's
-      // high lane to really hold 0 at runtime.
-      if (!force && in.mnemonic == Mnemonic::Addsd &&
-          config_.foldZeroAccumulator() && a->isKnown() && a->bits == 0) {
-        emu::XmmValue& x = st_.xmm(dst.reg);
-        const bool accIsZeroSeed = !x.lo.materialized && x.hi.isKnown() &&
-                                   x.hi.bits == 0;
-        if (accIsZeroSeed && src.isMem()) {
-          Instruction repl = makeInstr(Mnemonic::Movsd, 8, in.ops[0],
-                                       in.ops[1]);
-          if (Status s = prepareSseSrc(repl, 8, false); !s) return s;
-          capture(repl);
-          x.lo = Value::unknown();
-          x.hi = Value::known(0, true);  // the load zeroes the high lane
-          return Status::okStatus();
-        }
-        if (accIsZeroSeed && src.isReg() && isa::isXmm(src.reg)) {
-          const emu::XmmValue& sx = st_.xmm(src.reg);
-          const bool srcReal =
-              (sx.lo.isUnknown() || sx.lo.materialized) &&
-              sx.hi.isKnown() && sx.hi.bits == 0 && sx.hi.materialized;
-          if (srcReal) {
-            capture(makeInstr(Mnemonic::Movapd, 16, in.ops[0], in.ops[1]));
-            x.lo = sx.lo;
-            x.hi = Value::known(0, true);
-            return Status::okStatus();
-          }
-        }
-      }
-      Instruction kept = in;
-      if (!isSqrt)
-        if (Status s = materializeDstLo(dst.reg); !s) return s;
-      if (Status s = prepareSseSrc(kept, w, false); !s) return s;
-      capture(kept);
-      st_.xmm(dst.reg).lo = Value::unknown();
-      return Status::okStatus();
-    }
-
-    // --- packed arithmetic / logicals ---
-    case Mnemonic::Addpd: case Mnemonic::Subpd: case Mnemonic::Mulpd:
-    case Mnemonic::Divpd:
-    case Mnemonic::Addps: case Mnemonic::Subps: case Mnemonic::Mulps:
-    case Mnemonic::Divps: case Mnemonic::Paddd:
-    case Mnemonic::Pxor: case Mnemonic::Xorpd: case Mnemonic::Xorps:
-    case Mnemonic::Andpd: case Mnemonic::Andps: case Mnemonic::Orpd:
-    case Mnemonic::Orps:
-    case Mnemonic::Unpcklpd: case Mnemonic::Unpckhpd:
-    case Mnemonic::Unpcklps: case Mnemonic::Unpckhps:
-    case Mnemonic::Shufps:
-    case Mnemonic::Shufpd: {
-      const bool zeroIdiom =
-          (in.mnemonic == Mnemonic::Pxor || in.mnemonic == Mnemonic::Xorpd ||
-           in.mnemonic == Mnemonic::Xorps) &&
-          src.isReg() && dst.reg == src.reg;
-      if (zeroIdiom && !force) {
-        ++stats_.elidedInstructions;
-        st_.xmm(dst.reg).lo = Value::known(0, false);
-        st_.xmm(dst.reg).hi = Value::known(0, false);
-        return Status::okStatus();
-      }
-      auto alo = laneOf(dst, false, 8);
-      auto ahi = laneOf(dst, true, 8);
-      auto blo = laneOf(src, false, 8);
-      auto bhi = laneOf(src, true, 8);
-      if (!alo || !ahi || !blo || !bhi)
-        return (!alo ? alo.error()
-                     : !ahi ? ahi.error() : !blo ? blo.error() : bhi.error());
-      if (!force && alo->isKnown() && ahi->isKnown() && blo->isKnown() &&
-          bhi->isKnown()) {
-        ++stats_.elidedInstructions;
-        uint64_t rlo = 0, rhi = 0;
-        // Packed-single helpers: each 64-bit lane holds two f32 sub-lanes.
-        const auto ps2 = [](Mnemonic ss, uint64_t a, uint64_t b) {
-          const uint64_t lo =
-              emu::evalFpScalar(ss, 4, a & 0xffffffffu, b & 0xffffffffu) &
-              0xffffffffu;
-          const uint64_t hi =
-              emu::evalFpScalar(ss, 4, a >> 32, b >> 32) & 0xffffffffu;
-          return lo | (hi << 32);
-        };
-        const auto f32lane = [](uint64_t lo, uint64_t hi, unsigned i) {
-          const uint64_t lane = (i < 2) ? lo : hi;
-          return (i & 1) ? (lane >> 32) : (lane & 0xffffffffu);
-        };
-        switch (in.mnemonic) {
-          case Mnemonic::Addpd:
-            rlo = emu::evalFpScalar(Mnemonic::Addsd, 8, alo->bits, blo->bits);
-            rhi = emu::evalFpScalar(Mnemonic::Addsd, 8, ahi->bits, bhi->bits);
-            break;
-          case Mnemonic::Subpd:
-            rlo = emu::evalFpScalar(Mnemonic::Subsd, 8, alo->bits, blo->bits);
-            rhi = emu::evalFpScalar(Mnemonic::Subsd, 8, ahi->bits, bhi->bits);
-            break;
-          case Mnemonic::Mulpd:
-            rlo = emu::evalFpScalar(Mnemonic::Mulsd, 8, alo->bits, blo->bits);
-            rhi = emu::evalFpScalar(Mnemonic::Mulsd, 8, ahi->bits, bhi->bits);
-            break;
-          case Mnemonic::Divpd:
-            rlo = emu::evalFpScalar(Mnemonic::Divsd, 8, alo->bits, blo->bits);
-            rhi = emu::evalFpScalar(Mnemonic::Divsd, 8, ahi->bits, bhi->bits);
-            break;
-          case Mnemonic::Addps:
-            rlo = ps2(Mnemonic::Addss, alo->bits, blo->bits);
-            rhi = ps2(Mnemonic::Addss, ahi->bits, bhi->bits);
-            break;
-          case Mnemonic::Subps:
-            rlo = ps2(Mnemonic::Subss, alo->bits, blo->bits);
-            rhi = ps2(Mnemonic::Subss, ahi->bits, bhi->bits);
-            break;
-          case Mnemonic::Mulps:
-            rlo = ps2(Mnemonic::Mulss, alo->bits, blo->bits);
-            rhi = ps2(Mnemonic::Mulss, ahi->bits, bhi->bits);
-            break;
-          case Mnemonic::Divps:
-            rlo = ps2(Mnemonic::Divss, alo->bits, blo->bits);
-            rhi = ps2(Mnemonic::Divss, ahi->bits, bhi->bits);
-            break;
-          case Mnemonic::Paddd: {
-            const auto add32 = [](uint64_t a, uint64_t b) {
-              const uint64_t lo = (a + b) & 0xffffffffu;
-              const uint64_t hi = ((a >> 32) + (b >> 32)) & 0xffffffffu;
-              return lo | (hi << 32);
-            };
-            rlo = add32(alo->bits, blo->bits);
-            rhi = add32(ahi->bits, bhi->bits);
-            break;
-          }
-          case Mnemonic::Pxor: case Mnemonic::Xorpd: case Mnemonic::Xorps:
-            rlo = alo->bits ^ blo->bits;
-            rhi = ahi->bits ^ bhi->bits;
-            break;
-          case Mnemonic::Andpd: case Mnemonic::Andps:
-            rlo = alo->bits & blo->bits;
-            rhi = ahi->bits & bhi->bits;
-            break;
-          case Mnemonic::Orpd: case Mnemonic::Orps:
-            rlo = alo->bits | blo->bits;
-            rhi = ahi->bits | bhi->bits;
-            break;
-          case Mnemonic::Unpcklpd:
-            rlo = alo->bits;
-            rhi = blo->bits;
-            break;
-          case Mnemonic::Unpckhpd:
-            rlo = ahi->bits;
-            rhi = bhi->bits;
-            break;
-          case Mnemonic::Shufpd: {
-            const uint8_t sel = static_cast<uint8_t>(in.ops[2].imm);
-            rlo = (sel & 1) ? ahi->bits : alo->bits;
-            rhi = ((sel >> 1) & 1) ? bhi->bits : blo->bits;
-            break;
-          }
-          case Mnemonic::Unpcklps:
-            rlo = f32lane(alo->bits, ahi->bits, 0) |
-                  (f32lane(blo->bits, bhi->bits, 0) << 32);
-            rhi = f32lane(alo->bits, ahi->bits, 1) |
-                  (f32lane(blo->bits, bhi->bits, 1) << 32);
-            break;
-          case Mnemonic::Unpckhps:
-            rlo = f32lane(alo->bits, ahi->bits, 2) |
-                  (f32lane(blo->bits, bhi->bits, 2) << 32);
-            rhi = f32lane(alo->bits, ahi->bits, 3) |
-                  (f32lane(blo->bits, bhi->bits, 3) << 32);
-            break;
-          case Mnemonic::Shufps: {
-            const uint8_t sel = static_cast<uint8_t>(in.ops[2].imm);
-            rlo = f32lane(alo->bits, ahi->bits, sel & 3) |
-                  (f32lane(alo->bits, ahi->bits, (sel >> 2) & 3) << 32);
-            rhi = f32lane(blo->bits, bhi->bits, (sel >> 4) & 3) |
-                  (f32lane(blo->bits, bhi->bits, (sel >> 6) & 3) << 32);
-            break;
-          }
-          default:
-            break;
-        }
-        st_.xmm(dst.reg).lo = Value::known(rlo, false);
-        st_.xmm(dst.reg).hi = Value::known(rhi, false);
-        return Status::okStatus();
-      }
-      Instruction kept = in;
-      if (Status s = materializeDstFull(dst.reg); !s) return s;
-      if (Status s = prepareSseSrc(kept, 16, true); !s) return s;
-      capture(kept);
-      st_.xmm(dst.reg) = emu::XmmValue::unknown();
-      return Status::okStatus();
-    }
-
-    // --- compares ---
-    case Mnemonic::Ucomisd: case Mnemonic::Comisd:
-    case Mnemonic::Ucomiss: case Mnemonic::Comiss: {
-      const unsigned w = (in.mnemonic == Mnemonic::Ucomisd ||
-                          in.mnemonic == Mnemonic::Comisd)
-                             ? 8
-                             : 4;
-      auto a = laneOf(dst, false, w);
-      auto b = laneOf(src, false, w);
-      if (!a) return a.error();
-      if (!b) return b.error();
-      if (!force && a->isKnown() && b->isKnown()) {
-        ++stats_.elidedInstructions;
-        const emu::OpResult r = emu::evalFpCompare(w, a->bits, b->bits);
-        st_.flags().setAll(r.flagsKnown, r.flagsValue, false);
-        return Status::okStatus();
-      }
-      Instruction kept = in;
-      if (Status s = materializeDstLo(dst.reg); !s) return s;
-      if (Status s = prepareSseSrc(kept, w, false); !s) return s;
-      capture(kept);
-      st_.flags().setAll(0, 0, true);
-      return Status::okStatus();
-    }
-
     // --- conversions ---
     case Mnemonic::Cvtsi2sd: case Mnemonic::Cvtsi2ss: {
       const unsigned fpW = (in.mnemonic == Mnemonic::Cvtsi2sd) ? 8 : 4;
@@ -2392,7 +2211,7 @@ Status Tracer::traceSse(const Instruction& in, uint64_t next) {
 
     default:
       return Error{ErrorCode::UnsupportedInstruction, in.address,
-                   isa::mnemonicName(in.mnemonic)};
+                   isa::row(in.mnemonic).name};
   }
 }
 

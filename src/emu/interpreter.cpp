@@ -128,6 +128,42 @@ Status Interpreter::step() {
 
   rip_ = next;
 
+  const isa::MnemonicInfo& row = isa::row(in.mnemonic);
+  switch (row.family) {
+    case isa::Family::SseScalar: {
+      uint64_t* d = xmm_[isa::regNum(in.ops[0].reg)];
+      const unsigned fw = row.enc.arg;
+      d[0] = mergeWrite(
+          d[0], evalFpScalar(in.mnemonic, fw, d[0], readXmmLo(in.ops[1], fw)),
+          fw);
+      return Status::okStatus();
+    }
+    case isa::Family::SsePacked: case isa::Family::SseLogic:
+    case isa::Family::SseShuffle: {
+      uint64_t* d = xmm_[isa::regNum(in.ops[0].reg)];
+      Lanes src;
+      if (in.ops[1].isReg()) {
+        src = {xmm_[isa::regNum(in.ops[1].reg)][0],
+               xmm_[isa::regNum(in.ops[1].reg)][1]};
+      } else {
+        const uint64_t addr = effAddr(in.ops[1].mem);
+        src = {loadMem(addr, 8), loadMem(addr + 8, 8)};
+      }
+      const Lanes r =
+          evalPacked(in.mnemonic, {d[0], d[1]}, src,
+                     in.nops > 2 ? static_cast<uint8_t>(in.ops[2].imm) : 0);
+      d[0] = r.lo;
+      d[1] = r.hi;
+      return Status::okStatus();
+    }
+    case isa::Family::SseCompare:
+      applyFlags(evalFpCompare(row.enc.arg, xmm_[isa::regNum(in.ops[0].reg)][0],
+                               readXmmLo(in.ops[1], row.enc.arg)));
+      return Status::okStatus();
+    default:
+      break;
+  }
+
   switch (in.mnemonic) {
     case Mnemonic::Nop:
     case Mnemonic::Endbr64:
@@ -229,11 +265,8 @@ Status Interpreter::step() {
       gpr_[2] = mergeWrite(gpr_[2], r.remainder, w);
       return Status::okStatus();
     }
-    case Mnemonic::Cdqe:
-      if (w == 8)
-        gpr_[0] = signExtend(gpr_[0], 4);
-      else
-        gpr_[0] = mergeWrite(gpr_[0], signExtend(gpr_[0], 2), 4);
+    case Mnemonic::Cdqe:  // cbw/cwde/cdqe: the low half, sign-extended
+      gpr_[0] = mergeWrite(gpr_[0], signExtend(gpr_[0], w / 2), w);
       return Status::okStatus();
     case Mnemonic::Cdq: {
       const uint64_t sign =
@@ -351,198 +384,6 @@ Status Interpreter::step() {
       return Status::okStatus();
     }
 
-    case Mnemonic::Addsd: case Mnemonic::Subsd: case Mnemonic::Mulsd:
-    case Mnemonic::Divsd: case Mnemonic::Minsd: case Mnemonic::Maxsd:
-    case Mnemonic::Sqrtsd: {
-      uint64_t* d = xmm_[isa::regNum(in.ops[0].reg)];
-      d[0] = evalFpScalar(in.mnemonic, 8, d[0], readXmmLo(in.ops[1], 8));
-      return Status::okStatus();
-    }
-    case Mnemonic::Addss: case Mnemonic::Subss: case Mnemonic::Mulss:
-    case Mnemonic::Divss: case Mnemonic::Sqrtss: {
-      uint64_t* d = xmm_[isa::regNum(in.ops[0].reg)];
-      d[0] = mergeWrite(
-          d[0], evalFpScalar(in.mnemonic, 4, d[0], readXmmLo(in.ops[1], 4)),
-          4);
-      return Status::okStatus();
-    }
-
-    case Mnemonic::Addpd: case Mnemonic::Subpd: case Mnemonic::Mulpd:
-    case Mnemonic::Divpd: {
-      static const auto scalarOf = [](Mnemonic mn) {
-        switch (mn) {
-          case Mnemonic::Addpd: return Mnemonic::Addsd;
-          case Mnemonic::Subpd: return Mnemonic::Subsd;
-          case Mnemonic::Mulpd: return Mnemonic::Mulsd;
-          default: return Mnemonic::Divsd;
-        }
-      };
-      uint64_t* d = xmm_[isa::regNum(in.ops[0].reg)];
-      uint64_t slo, shi;
-      if (in.ops[1].isReg()) {
-        slo = xmm_[isa::regNum(in.ops[1].reg)][0];
-        shi = xmm_[isa::regNum(in.ops[1].reg)][1];
-      } else {
-        const uint64_t addr = effAddr(in.ops[1].mem);
-        slo = loadMem(addr, 8);
-        shi = loadMem(addr + 8, 8);
-      }
-      d[0] = evalFpScalar(scalarOf(in.mnemonic), 8, d[0], slo);
-      d[1] = evalFpScalar(scalarOf(in.mnemonic), 8, d[1], shi);
-      return Status::okStatus();
-    }
-
-    case Mnemonic::Addps: case Mnemonic::Subps: case Mnemonic::Mulps:
-    case Mnemonic::Divps: case Mnemonic::Paddd: {
-      uint64_t* d = xmm_[isa::regNum(in.ops[0].reg)];
-      uint64_t slo, shi;
-      if (in.ops[1].isReg()) {
-        slo = xmm_[isa::regNum(in.ops[1].reg)][0];
-        shi = xmm_[isa::regNum(in.ops[1].reg)][1];
-      } else {
-        const uint64_t addr = effAddr(in.ops[1].mem);
-        slo = loadMem(addr, 8);
-        shi = loadMem(addr + 8, 8);
-      }
-      // Each 64-bit half holds two 32-bit sub-lanes.
-      const auto lane2 = [&](uint64_t a, uint64_t b) {
-        if (in.mnemonic == Mnemonic::Paddd) {
-          const uint64_t lo = (a + b) & 0xffffffffu;
-          const uint64_t hi = ((a >> 32) + (b >> 32)) & 0xffffffffu;
-          return lo | (hi << 32);
-        }
-        Mnemonic ss;
-        switch (in.mnemonic) {
-          case Mnemonic::Addps: ss = Mnemonic::Addss; break;
-          case Mnemonic::Subps: ss = Mnemonic::Subss; break;
-          case Mnemonic::Mulps: ss = Mnemonic::Mulss; break;
-          default: ss = Mnemonic::Divss; break;
-        }
-        const uint64_t lo =
-            evalFpScalar(ss, 4, a & 0xffffffffu, b & 0xffffffffu) &
-            0xffffffffu;
-        const uint64_t hi = evalFpScalar(ss, 4, a >> 32, b >> 32) &
-                            0xffffffffu;
-        return lo | (hi << 32);
-      };
-      d[0] = lane2(d[0], slo);
-      d[1] = lane2(d[1], shi);
-      return Status::okStatus();
-    }
-
-    case Mnemonic::Unpcklps: case Mnemonic::Unpckhps:
-    case Mnemonic::Shufps: {
-      uint64_t* d = xmm_[isa::regNum(in.ops[0].reg)];
-      uint64_t s[2];
-      if (in.ops[1].isReg()) {
-        s[0] = xmm_[isa::regNum(in.ops[1].reg)][0];
-        s[1] = xmm_[isa::regNum(in.ops[1].reg)][1];
-      } else {
-        const uint64_t addr = effAddr(in.ops[1].mem);
-        s[0] = loadMem(addr, 8);
-        s[1] = loadMem(addr + 8, 8);
-      }
-      const auto lane = [](const uint64_t* x, unsigned i) {
-        const uint64_t half = x[i >> 1];
-        return (i & 1) ? (half >> 32) : (half & 0xffffffffu);
-      };
-      uint64_t r[4];
-      if (in.mnemonic == Mnemonic::Unpcklps) {
-        r[0] = lane(d, 0); r[1] = lane(s, 0);
-        r[2] = lane(d, 1); r[3] = lane(s, 1);
-      } else if (in.mnemonic == Mnemonic::Unpckhps) {
-        r[0] = lane(d, 2); r[1] = lane(s, 2);
-        r[2] = lane(d, 3); r[3] = lane(s, 3);
-      } else {
-        const uint8_t sel = static_cast<uint8_t>(in.ops[2].imm);
-        r[0] = lane(d, sel & 3);
-        r[1] = lane(d, (sel >> 2) & 3);
-        r[2] = lane(s, (sel >> 4) & 3);
-        r[3] = lane(s, (sel >> 6) & 3);
-      }
-      d[0] = r[0] | (r[1] << 32);
-      d[1] = r[2] | (r[3] << 32);
-      return Status::okStatus();
-    }
-
-    case Mnemonic::Pxor: case Mnemonic::Xorpd: case Mnemonic::Xorps:
-    case Mnemonic::Andpd: case Mnemonic::Andps: case Mnemonic::Orpd:
-    case Mnemonic::Orps: {
-      uint64_t* d = xmm_[isa::regNum(in.ops[0].reg)];
-      uint64_t slo, shi;
-      if (in.ops[1].isReg()) {
-        slo = xmm_[isa::regNum(in.ops[1].reg)][0];
-        shi = xmm_[isa::regNum(in.ops[1].reg)][1];
-      } else {
-        const uint64_t addr = effAddr(in.ops[1].mem);
-        slo = loadMem(addr, 8);
-        shi = loadMem(addr + 8, 8);
-      }
-      switch (in.mnemonic) {
-        case Mnemonic::Pxor: case Mnemonic::Xorpd: case Mnemonic::Xorps:
-          d[0] ^= slo;
-          d[1] ^= shi;
-          break;
-        case Mnemonic::Andpd: case Mnemonic::Andps:
-          d[0] &= slo;
-          d[1] &= shi;
-          break;
-        default:
-          d[0] |= slo;
-          d[1] |= shi;
-          break;
-      }
-      return Status::okStatus();
-    }
-
-    case Mnemonic::Unpcklpd: case Mnemonic::Unpckhpd: {
-      uint64_t* d = xmm_[isa::regNum(in.ops[0].reg)];
-      uint64_t slo, shi;
-      if (in.ops[1].isReg()) {
-        slo = xmm_[isa::regNum(in.ops[1].reg)][0];
-        shi = xmm_[isa::regNum(in.ops[1].reg)][1];
-      } else {
-        const uint64_t addr = effAddr(in.ops[1].mem);
-        slo = loadMem(addr, 8);
-        shi = loadMem(addr + 8, 8);
-      }
-      if (in.mnemonic == Mnemonic::Unpcklpd) {
-        d[1] = slo;
-      } else {
-        d[0] = d[1];
-        d[1] = shi;
-      }
-      return Status::okStatus();
-    }
-    case Mnemonic::Shufpd: {
-      uint64_t* d = xmm_[isa::regNum(in.ops[0].reg)];
-      uint64_t s[2];
-      if (in.ops[1].isReg()) {
-        s[0] = xmm_[isa::regNum(in.ops[1].reg)][0];
-        s[1] = xmm_[isa::regNum(in.ops[1].reg)][1];
-      } else {
-        const uint64_t addr = effAddr(in.ops[1].mem);
-        s[0] = loadMem(addr, 8);
-        s[1] = loadMem(addr + 8, 8);
-      }
-      const uint8_t sel = static_cast<uint8_t>(in.ops[2].imm);
-      const uint64_t newLo = d[sel & 1];
-      d[1] = s[(sel >> 1) & 1];
-      d[0] = newLo;
-      return Status::okStatus();
-    }
-
-    case Mnemonic::Ucomisd: case Mnemonic::Comisd: {
-      applyFlags(evalFpCompare(8, xmm_[isa::regNum(in.ops[0].reg)][0],
-                               readXmmLo(in.ops[1], 8)));
-      return Status::okStatus();
-    }
-    case Mnemonic::Ucomiss: case Mnemonic::Comiss: {
-      applyFlags(evalFpCompare(4, xmm_[isa::regNum(in.ops[0].reg)][0],
-                               readXmmLo(in.ops[1], 4)));
-      return Status::okStatus();
-    }
-
     case Mnemonic::Cvtsi2sd: case Mnemonic::Cvtsi2ss: {
       uint64_t* d = xmm_[isa::regNum(in.ops[0].reg)];
       const unsigned fpW = (in.mnemonic == Mnemonic::Cvtsi2sd) ? 8 : 4;
@@ -574,7 +415,7 @@ Status Interpreter::step() {
                    "trap instruction reached"};
     default:
       return Error{ErrorCode::UnsupportedInstruction, in.address,
-                   isa::mnemonicName(in.mnemonic)};
+                   row.name};
   }
 }
 

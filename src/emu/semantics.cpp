@@ -313,20 +313,31 @@ DivResult evalDiv(bool isSigned, unsigned width, uint64_t hi, uint64_t lo,
 }
 
 uint64_t evalFpScalar(Mnemonic mn, unsigned width, uint64_t a, uint64_t b) {
+  // Unordered or equal operands (a NaN, or +0 against -0) make min and max
+  // return the source as it is. The arithmetic returns a NaN operand
+  // quieted, the destination's first; C++ `x + y` may leave that choice
+  // to the compiler's operand order.
   if (width == 8) {
     const double x = asDouble(a), y = asDouble(b);
+    constexpr uint64_t kQuiet = uint64_t{1} << 51;
+    if (mn == Mnemonic::Minsd) return x < y ? a : b;
+    if (mn == Mnemonic::Maxsd) return x > y ? a : b;
+    if (mn != Mnemonic::Sqrtsd && std::isnan(x)) return a | kQuiet;
+    if (std::isnan(y)) return b | kQuiet;
     switch (mn) {
       case Mnemonic::Addsd: return fromDouble(x + y);
       case Mnemonic::Subsd: return fromDouble(x - y);
       case Mnemonic::Mulsd: return fromDouble(x * y);
       case Mnemonic::Divsd: return fromDouble(x / y);
-      case Mnemonic::Minsd: return fromDouble(y < x ? y : x);
-      case Mnemonic::Maxsd: return fromDouble(y > x ? y : x);
       case Mnemonic::Sqrtsd: return fromDouble(std::sqrt(y));
       default: return 0;
     }
   }
   const float x = asFloat(a), y = asFloat(b);
+  constexpr uint64_t kQuiet = uint64_t{1} << 22;
+  if (mn != Mnemonic::Sqrtss && std::isnan(x))
+    return zeroExtend(a, 4) | kQuiet;
+  if (std::isnan(y)) return zeroExtend(b, 4) | kQuiet;
   switch (mn) {
     case Mnemonic::Addss: return fromFloat(x + y);
     case Mnemonic::Subss: return fromFloat(x - y);
@@ -334,6 +345,47 @@ uint64_t evalFpScalar(Mnemonic mn, unsigned width, uint64_t a, uint64_t b) {
     case Mnemonic::Divss: return fromFloat(x / y);
     case Mnemonic::Sqrtss: return fromFloat(std::sqrt(y));
     default: return 0;
+  }
+}
+
+Lanes evalPacked(Mnemonic mn, Lanes a, Lanes b, uint8_t imm) {
+  const isa::MnemonicInfo& row = isa::row(mn);
+  if (row.laneOp != Mnemonic::Invalid) {
+    const unsigned lw = row.laneWidth;
+    const bool fp = isa::row(row.laneOp).family == isa::Family::SseScalar;
+    const auto lanes = [&](uint64_t x, uint64_t y) {
+      uint64_t out = 0;
+      for (unsigned shift = 0; shift < 64; shift += lw * 8) {
+        const uint64_t xs = zeroExtend(x >> shift, lw);
+        const uint64_t ys = zeroExtend(y >> shift, lw);
+        const uint64_t r = fp ? evalFpScalar(row.laneOp, lw, xs, ys)
+                              : evalAlu(row.laneOp, lw, xs, ys).value;
+        out |= zeroExtend(r, lw) << shift;
+      }
+      return out;
+    };
+    return {lanes(a.lo, b.lo), lanes(a.hi, b.hi)};
+  }
+  // Shuffles, over the 32-bit elements 0..3 of a register.
+  const auto el = [](Lanes x, unsigned i) {
+    const uint64_t half = (i & 2) ? x.hi : x.lo;
+    return (i & 1) ? (half >> 32) : (half & 0xffffffffu);
+  };
+  const auto join = [](uint64_t lo, uint64_t hi) { return lo | (hi << 32); };
+  switch (mn) {
+    case Mnemonic::Unpcklpd: return {a.lo, b.lo};
+    case Mnemonic::Unpckhpd: return {a.hi, b.hi};
+    case Mnemonic::Shufpd:
+      return {(imm & 1) ? a.hi : a.lo, (imm & 2) ? b.hi : b.lo};
+    case Mnemonic::Unpcklps:
+      return {join(el(a, 0), el(b, 0)), join(el(a, 1), el(b, 1))};
+    case Mnemonic::Unpckhps:
+      return {join(el(a, 2), el(b, 2)), join(el(a, 3), el(b, 3))};
+    case Mnemonic::Shufps:
+      return {join(el(a, imm & 3), el(a, (imm >> 2) & 3)),
+              join(el(b, (imm >> 4) & 3), el(b, (imm >> 6) & 3))};
+    default:
+      return a;
   }
 }
 

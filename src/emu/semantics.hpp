@@ -56,6 +56,16 @@ DivResult evalDiv(bool isSigned, unsigned width, uint64_t hi, uint64_t lo,
 uint64_t evalFpScalar(isa::Mnemonic mn, unsigned width, uint64_t a,
                       uint64_t b);
 
+// An XMM register as its two 64-bit lanes.
+struct Lanes {
+  uint64_t lo = 0, hi = 0;
+};
+
+// The packed ops (isa::Family SsePacked, SseLogic and SseShuffle): `a` is
+// the destination's old value, `b` the source, `imm` the shufpd/shufps
+// selector. Lane-wise ops apply their row's laneOp to each lane.
+Lanes evalPacked(isa::Mnemonic mn, Lanes a, Lanes b, uint8_t imm = 0);
+
 // Conversions.
 uint64_t evalCvtIntToFp(unsigned fpWidth, unsigned intWidth, uint64_t bits);
 uint64_t evalCvtFpToInt(unsigned intWidth, unsigned fpWidth, uint64_t bits);

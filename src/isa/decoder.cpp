@@ -60,6 +60,27 @@ struct ModRM {
   uint8_t mod, reg, rm;
 };
 
+// SSE mandatory prefix, as an index into SseForms.
+enum class SsePfx : uint8_t { None, P66, PF3, PF2 };
+
+// The `op xmm, xmm/m` forms by 0F opcode and mandatory prefix, built from
+// the encoding column of the instruction table.
+struct SseForms {
+  Mnemonic byOpcode[256][4] = {};
+  constexpr SseForms() {
+    for (size_t m = 0; m < static_cast<size_t>(Mnemonic::Count_); ++m) {
+      const Encoding& e = row(static_cast<Mnemonic>(m)).enc;
+      if (e.kind != Encoding::Kind::Sse) continue;
+      const SsePfx p = e.prefix == 0x66   ? SsePfx::P66
+                       : e.prefix == 0xF3 ? SsePfx::PF3
+                       : e.prefix == 0xF2 ? SsePfx::PF2
+                                          : SsePfx::None;
+      byOpcode[e.opcode][static_cast<size_t>(p)] = static_cast<Mnemonic>(m);
+    }
+  }
+};
+constexpr SseForms kSseForms;
+
 Error fail(uint64_t address, const char* what) {
   return Error{ErrorCode::UndecodableInstruction, address, what};
 }
@@ -368,13 +389,9 @@ Result<Instruction> decodeImpl(std::span<const uint8_t> bytes,
       instr.mnemonic = Mnemonic::Popfq;
       return finish();
 
-    case 0x98:  // cdqe (REX.W) / cwde
-      instr.mnemonic = Mnemonic::Cdqe;
-      instr.width = pfx.rexW ? 8 : 4;
-      return finish();
-    case 0x99:  // cqo (REX.W) / cdq
-      instr.mnemonic = Mnemonic::Cdq;
-      instr.width = pfx.rexW ? 8 : 4;
+    case 0x98: case 0x99:  // cdqe/cwde/cbw, cqo/cdq/cwd
+      instr.mnemonic = (op == 0x98) ? Mnemonic::Cdqe : Mnemonic::Cdq;
+      instr.width = width;
       return finish();
 
     case 0xA8: case 0xA9: {  // test al/eAX, imm
@@ -582,7 +599,6 @@ Result<Instruction> decodeImpl(std::span<const uint8_t> bytes,
   const uint8_t op2 = cur.u8();
 
   // SSE op selection by mandatory prefix.
-  enum class SsePfx { None, P66, PF3, PF2 };
   const SsePfx sse = pfx.repF2   ? SsePfx::PF2
                      : pfx.repF3 ? SsePfx::PF3
                      : pfx.opSize ? SsePfx::P66
@@ -601,6 +617,10 @@ Result<Instruction> decodeImpl(std::span<const uint8_t> bytes,
       instr.setOps(mrm->rm, regOp);
     return finish();
   };
+
+  if (const Mnemonic mn = kSseForms.byOpcode[op2][static_cast<size_t>(sse)];
+      mn != Mnemonic::Invalid)
+    return xmmRM(mn, row(mn).enc.arg);
 
   switch (op2) {
     case 0x0B:
@@ -627,15 +647,6 @@ Result<Instruction> decodeImpl(std::span<const uint8_t> bytes,
       if (sse == SsePfx::P66)
         return xmmRM(Mnemonic::Movhpd, 8, /*regIsDest=*/op2 == 0x16);
       return fail(address, "movhps unsupported");
-
-    case 0x14:
-      if (sse == SsePfx::P66) return xmmRM(Mnemonic::Unpcklpd, 16);
-      if (sse == SsePfx::None) return xmmRM(Mnemonic::Unpcklps, 16);
-      return fail(address, "0F 14 with rep prefix");
-    case 0x15:
-      if (sse == SsePfx::P66) return xmmRM(Mnemonic::Unpckhpd, 16);
-      if (sse == SsePfx::None) return xmmRM(Mnemonic::Unpckhps, 16);
-      return fail(address, "0F 15 with rep prefix");
 
     case 0x1E:
       if (sse == SsePfx::PF3 && cur.peek() == 0xFA) {
@@ -686,21 +697,6 @@ Result<Instruction> decodeImpl(std::span<const uint8_t> bytes,
       }
       return fail(address, "cvttps2pi unsupported");
 
-    case 0x2E: case 0x2F: {  // ucomis/comis
-      Mnemonic mn;
-      uint8_t w;
-      if (sse == SsePfx::P66) {
-        mn = (op2 == 0x2E) ? Mnemonic::Ucomisd : Mnemonic::Comisd;
-        w = 8;
-      } else if (sse == SsePfx::None) {
-        mn = (op2 == 0x2E) ? Mnemonic::Ucomiss : Mnemonic::Comiss;
-        w = 4;
-      } else {
-        return fail(address, "0F 2E/2F with rep prefix");
-      }
-      return xmmRM(mn, w);
-    }
-
     // cmovcc
     case 0x40: case 0x41: case 0x42: case 0x43:
     case 0x44: case 0x45: case 0x46: case 0x47:
@@ -713,75 +709,6 @@ Result<Instruction> decodeImpl(std::span<const uint8_t> bytes,
       instr.width = width;
       instr.setOps(Operand::makeReg(gprFromNum(mrm->regNum)), mrm->rm);
       return finish();
-    }
-
-    case 0x51: {
-      if (sse == SsePfx::PF2) return xmmRM(Mnemonic::Sqrtsd, 8);
-      if (sse == SsePfx::PF3) return xmmRM(Mnemonic::Sqrtss, 4);
-      return fail(address, "sqrtps/pd unsupported");
-    }
-
-    case 0x54:
-      if (sse == SsePfx::P66) return xmmRM(Mnemonic::Andpd, 16);
-      if (sse == SsePfx::None) return xmmRM(Mnemonic::Andps, 16);
-      return fail(address, "0F 54");
-    case 0x56:
-      if (sse == SsePfx::P66) return xmmRM(Mnemonic::Orpd, 16);
-      if (sse == SsePfx::None) return xmmRM(Mnemonic::Orps, 16);
-      return fail(address, "0F 56 with rep prefix");
-    case 0x57:
-      if (sse == SsePfx::P66) return xmmRM(Mnemonic::Xorpd, 16);
-      if (sse == SsePfx::None) return xmmRM(Mnemonic::Xorps, 16);
-      return fail(address, "0F 57");
-
-    case 0x58: case 0x59: case 0x5C: case 0x5D: case 0x5E: case 0x5F: {
-      struct Row {
-        Mnemonic sd, ss, pd, ps;
-      };
-      Row row;
-      switch (op2) {
-        case 0x58: row = {Mnemonic::Addsd, Mnemonic::Addss, Mnemonic::Addpd,
-                          Mnemonic::Addps};
-          break;
-        case 0x59: row = {Mnemonic::Mulsd, Mnemonic::Mulss, Mnemonic::Mulpd,
-                          Mnemonic::Mulps};
-          break;
-        case 0x5C: row = {Mnemonic::Subsd, Mnemonic::Subss, Mnemonic::Subpd,
-                          Mnemonic::Subps};
-          break;
-        case 0x5D: row = {Mnemonic::Minsd, Mnemonic::Invalid,
-                          Mnemonic::Invalid, Mnemonic::Invalid};
-          break;
-        case 0x5E: row = {Mnemonic::Divsd, Mnemonic::Divss, Mnemonic::Divpd,
-                          Mnemonic::Divps};
-          break;
-        default:   row = {Mnemonic::Maxsd, Mnemonic::Invalid,
-                          Mnemonic::Invalid, Mnemonic::Invalid};
-          break;
-      }
-      Mnemonic mn = Mnemonic::Invalid;
-      uint8_t w = 8;
-      if (sse == SsePfx::PF2) {
-        mn = row.sd;
-        w = 8;
-      } else if (sse == SsePfx::PF3) {
-        mn = row.ss;
-        w = 4;
-      } else if (sse == SsePfx::P66) {
-        mn = row.pd;
-        w = 16;
-      } else {
-        mn = row.ps;
-        w = 16;
-      }
-      if (mn == Mnemonic::Invalid) return fail(address, "SSE arith form");
-      return xmmRM(mn, w);
-    }
-
-    case 0x5A: {
-      if (sse == SsePfx::PF2) return xmmRM(Mnemonic::Cvtsd2ss, 4);
-      if (sse == SsePfx::PF3) return xmmRM(Mnemonic::Cvtss2sd, 8);
-      return fail(address, "cvtps2pd unsupported");
     }
 
     case 0x6E: {  // movd/movq xmm, r/m
@@ -886,16 +813,6 @@ Result<Instruction> decodeImpl(std::span<const uint8_t> bytes,
       instr.setOps(Operand::makeReg(xmmFromNum(mrm->regNum)), mrm->rm,
                    Operand::makeImm(imm));
       return finish();
-    }
-
-    case 0xEF: {  // pxor
-      if (sse != SsePfx::P66) return fail(address, "mmx pxor unsupported");
-      return xmmRM(Mnemonic::Pxor, 16);
-    }
-
-    case 0xFE: {  // paddd
-      if (sse != SsePfx::P66) return fail(address, "mmx paddd unsupported");
-      return xmmRM(Mnemonic::Paddd, 16);
     }
 
     default:

@@ -8,7 +8,7 @@ namespace {
 
 Error efail(const Instruction& instr, const char* what) {
   return Error{ErrorCode::UnencodableInstruction, instr.address,
-               std::string(what) + " (" + mnemonicName(instr.mnemonic) + ")"};
+               std::string(what) + " (" + row(instr.mnemonic).name + ")"};
 }
 
 bool fitsS8(int64_t v) { return v >= -128 && v <= 127; }
@@ -211,74 +211,6 @@ Status emitForm(Emitter& em, const Instruction& instr, const Form& form,
   return Status::okStatus();
 }
 
-struct AluEncoding {
-  uint8_t mrOpcode;   // r/m, r  (wide form; byte form is -1)
-  uint8_t groupExt;   // /ext for 80/81/83
-};
-
-bool aluEncoding(Mnemonic m, AluEncoding& out) {
-  switch (m) {
-    case Mnemonic::Add: out = {0x01, 0}; return true;
-    case Mnemonic::Or:  out = {0x09, 1}; return true;
-    case Mnemonic::Adc: out = {0x11, 2}; return true;
-    case Mnemonic::Sbb: out = {0x19, 3}; return true;
-    case Mnemonic::And: out = {0x21, 4}; return true;
-    case Mnemonic::Sub: out = {0x29, 5}; return true;
-    case Mnemonic::Xor: out = {0x31, 6}; return true;
-    case Mnemonic::Cmp: out = {0x39, 7}; return true;
-    default: return false;
-  }
-}
-
-struct SseForm {
-  uint8_t mandatory;
-  uint8_t opcode;
-};
-
-bool sseArithForm(Mnemonic m, SseForm& f) {
-  switch (m) {
-    case Mnemonic::Addsd: f = {0xF2, 0x58}; return true;
-    case Mnemonic::Mulsd: f = {0xF2, 0x59}; return true;
-    case Mnemonic::Subsd: f = {0xF2, 0x5C}; return true;
-    case Mnemonic::Minsd: f = {0xF2, 0x5D}; return true;
-    case Mnemonic::Divsd: f = {0xF2, 0x5E}; return true;
-    case Mnemonic::Maxsd: f = {0xF2, 0x5F}; return true;
-    case Mnemonic::Sqrtsd: f = {0xF2, 0x51}; return true;
-    case Mnemonic::Addss: f = {0xF3, 0x58}; return true;
-    case Mnemonic::Mulss: f = {0xF3, 0x59}; return true;
-    case Mnemonic::Subss: f = {0xF3, 0x5C}; return true;
-    case Mnemonic::Divss: f = {0xF3, 0x5E}; return true;
-    case Mnemonic::Sqrtss: f = {0xF3, 0x51}; return true;
-    case Mnemonic::Addpd: f = {0x66, 0x58}; return true;
-    case Mnemonic::Mulpd: f = {0x66, 0x59}; return true;
-    case Mnemonic::Subpd: f = {0x66, 0x5C}; return true;
-    case Mnemonic::Divpd: f = {0x66, 0x5E}; return true;
-    case Mnemonic::Addps: f = {0x00, 0x58}; return true;
-    case Mnemonic::Mulps: f = {0x00, 0x59}; return true;
-    case Mnemonic::Subps: f = {0x00, 0x5C}; return true;
-    case Mnemonic::Divps: f = {0x00, 0x5E}; return true;
-    case Mnemonic::Paddd: f = {0x66, 0xFE}; return true;
-    case Mnemonic::Pxor: f = {0x66, 0xEF}; return true;
-    case Mnemonic::Xorpd: f = {0x66, 0x57}; return true;
-    case Mnemonic::Xorps: f = {0x00, 0x57}; return true;
-    case Mnemonic::Andpd: f = {0x66, 0x54}; return true;
-    case Mnemonic::Andps: f = {0x00, 0x54}; return true;
-    case Mnemonic::Orpd: f = {0x66, 0x56}; return true;
-    case Mnemonic::Orps: f = {0x00, 0x56}; return true;
-    case Mnemonic::Unpcklpd: f = {0x66, 0x14}; return true;
-    case Mnemonic::Unpckhpd: f = {0x66, 0x15}; return true;
-    case Mnemonic::Unpcklps: f = {0x00, 0x14}; return true;
-    case Mnemonic::Unpckhps: f = {0x00, 0x15}; return true;
-    case Mnemonic::Ucomisd: f = {0x66, 0x2E}; return true;
-    case Mnemonic::Comisd: f = {0x66, 0x2F}; return true;
-    case Mnemonic::Ucomiss: f = {0x00, 0x2E}; return true;
-    case Mnemonic::Comiss: f = {0x00, 0x2F}; return true;
-    case Mnemonic::Cvtss2sd: f = {0xF3, 0x5A}; return true;
-    case Mnemonic::Cvtsd2ss: f = {0xF2, 0x5A}; return true;
-    default: return false;
-  }
-}
-
 Status encodeImpl(const Instruction& instr, uint64_t instrAddress,
                   Emitter& em) {
   const Mnemonic mn = instr.mnemonic;
@@ -306,6 +238,59 @@ Status encodeImpl(const Instruction& instr, uint64_t instrAddress,
       poolSlot = instr.ops[i].mem.poolSlot;
       ripTarget = instr.ops[i].mem.ripTarget;
     }
+  }
+
+  // The ALU group and the SSE `op xmm, xmm/m` forms encode from their row.
+  const Encoding& enc = row(mn).enc;
+  if (enc.kind == Encoding::Kind::Sse) {
+    Form f{.mandatory = enc.prefix, .escape0F = true, .opcode = enc.opcode};
+    return emitForm(em, instr, f, regNum(instr.ops[0].reg), instr.ops[1], 0,
+                    0, poolSlot, ripTarget, instrAddress);
+  }
+  if (enc.kind == Encoding::Kind::Alu) {
+    const Operand& dst = instr.ops[0];
+    const Operand& src = instr.ops[1];
+    if (src.isImm()) {
+      int64_t imm = src.imm;
+      if (w == 8 && !fitsS32(imm)) return efail(instr, "alu imm64");
+      uint8_t opc;
+      int immSize;
+      if (w == 1) {
+        opc = 0x80;
+        immSize = 1;
+      } else if (fitsS8(imm)) {
+        opc = 0x83;
+        immSize = 1;
+      } else {
+        opc = 0x81;
+        immSize = (w == 2) ? 2 : 4;
+      }
+      Form f{.opSize66 = w66, .opcode = opc, .rexW = wRex};
+      if (w == 1 && dst.isReg() && byteRegNeedsRex(dst.reg)) f.forceRex = true;
+      return emitForm(em, instr, f, enc.arg, dst, imm, immSize,
+                      poolSlot, ripTarget, instrAddress);
+    }
+    const bool byteForce =
+        (w == 1) && ((dst.isReg() && byteRegNeedsRex(dst.reg)) ||
+                     (src.isReg() && byteRegNeedsRex(src.reg)));
+    if (dst.isReg() && src.isMem()) {  // RM form: opcode+2
+      Form f{.opSize66 = w66,
+             .opcode = static_cast<uint8_t>(w == 1 ? enc.opcode + 1
+                                                   : enc.opcode + 2),
+             .rexW = wRex,
+             .forceRex = byteForce};
+      return emitForm(em, instr, f, regNum(dst.reg), src, 0, 0, poolSlot,
+                      ripTarget, instrAddress);
+    }
+    // MR form (covers reg,reg and mem,reg)
+    Form f{.opSize66 = w66,
+           .opcode = static_cast<uint8_t>(w == 1 ? enc.opcode - 1
+                                                 : enc.opcode),
+           .rexW = wRex,
+           .forceRex = byteForce};
+    if (!src.isReg()) return efail(instr, "alu operand form");
+    return emitForm(em, instr, f, regNum(src.reg), dst, 0, 0, poolSlot,
+                    ripTarget, instrAddress);
   }
 
   switch (mn) {
@@ -343,13 +328,10 @@ Status encodeImpl(const Instruction& instr, uint64_t instrAddress,
       em.u8(0xFA);
       return Status::okStatus();
 
-    case Mnemonic::Cdqe:
-      if (w == 8) em.u8(0x48);
-      em.u8(0x98);
-      return Status::okStatus();
-    case Mnemonic::Cdq:
-      if (w == 8) em.u8(0x48);
-      em.u8(0x99);
+    case Mnemonic::Cdqe: case Mnemonic::Cdq:
+      if (w66) em.u8(0x66);
+      if (wRex) em.u8(0x48);
+      em.u8(mn == Mnemonic::Cdqe ? 0x98 : 0x99);
       return Status::okStatus();
 
     case Mnemonic::Jmp:
@@ -492,57 +474,6 @@ Status encodeImpl(const Instruction& instr, uint64_t instrAddress,
       Form f{.opSize66 = w66, .opcode = 0x8D, .rexW = wRex};
       return emitForm(em, instr, f, regNum(instr.ops[0].reg), instr.ops[1],
                       0, 0, poolSlot, ripTarget, instrAddress);
-    }
-
-    case Mnemonic::Add: case Mnemonic::Or: case Mnemonic::Adc:
-    case Mnemonic::Sbb: case Mnemonic::And: case Mnemonic::Sub:
-    case Mnemonic::Xor: case Mnemonic::Cmp: {
-      AluEncoding alu;
-      aluEncoding(mn, alu);
-      const Operand& dst = instr.ops[0];
-      const Operand& src = instr.ops[1];
-      if (src.isImm()) {
-        int64_t imm = src.imm;
-        if (w == 8 && !fitsS32(imm)) return efail(instr, "alu imm64");
-        uint8_t opc;
-        int immSize;
-        if (w == 1) {
-          opc = 0x80;
-          immSize = 1;
-        } else if (fitsS8(imm)) {
-          opc = 0x83;
-          immSize = 1;
-        } else {
-          opc = 0x81;
-          immSize = (w == 2) ? 2 : 4;
-        }
-        Form f{.opSize66 = w66, .opcode = opc, .rexW = wRex};
-        if (w == 1 && dst.isReg() && byteRegNeedsRex(dst.reg)) f.forceRex = true;
-        return emitForm(em, instr, f, alu.groupExt, dst, imm, immSize,
-                        poolSlot, ripTarget, instrAddress);
-      }
-      const bool byteForce =
-          (w == 1) && ((dst.isReg() && byteRegNeedsRex(dst.reg)) ||
-                       (src.isReg() && byteRegNeedsRex(src.reg)));
-      if (dst.isReg() && src.isMem()) {  // RM form: opcode+2
-        Form f{.opSize66 = w66,
-               .opcode = static_cast<uint8_t>(w == 1 ? alu.mrOpcode + 1
-                                                     : alu.mrOpcode + 2),
-               .rexW = wRex,
-               .forceRex = byteForce};
-        if (w == 1) f.opcode = static_cast<uint8_t>(alu.mrOpcode + 1);
-        return emitForm(em, instr, f, regNum(dst.reg), src, 0, 0, poolSlot,
-                        ripTarget, instrAddress);
-      }
-      // MR form (covers reg,reg and mem,reg)
-      Form f{.opSize66 = w66,
-             .opcode = static_cast<uint8_t>(w == 1 ? alu.mrOpcode - 1
-                                                   : alu.mrOpcode),
-             .rexW = wRex,
-             .forceRex = byteForce};
-      if (!src.isReg()) return efail(instr, "alu operand form");
-      return emitForm(em, instr, f, regNum(src.reg), dst, 0, 0, poolSlot,
-                      ripTarget, instrAddress);
     }
 
     case Mnemonic::Test: {
@@ -772,16 +703,8 @@ Status encodeImpl(const Instruction& instr, uint64_t instrAddress,
                       instr.ops[2].imm, 1, poolSlot, ripTarget, instrAddress);
     }
 
-    default: {
-      SseForm sf;
-      if (sseArithForm(mn, sf)) {
-        Form f{.mandatory = sf.mandatory, .escape0F = true,
-               .opcode = sf.opcode};
-        return emitForm(em, instr, f, regNum(instr.ops[0].reg), instr.ops[1],
-                        0, 0, poolSlot, ripTarget, instrAddress);
-      }
+    default:
       return efail(instr, "mnemonic has no encoder");
-    }
   }
 }
 

@@ -2,117 +2,6 @@
 
 namespace brew::isa {
 
-const char* mnemonicName(Mnemonic m) noexcept {
-  switch (m) {
-    case Mnemonic::Invalid: return "(invalid)";
-    case Mnemonic::Mov: return "mov";
-    case Mnemonic::Movsxd: return "movsxd";
-    case Mnemonic::Movsx: return "movsx";
-    case Mnemonic::Movzx: return "movzx";
-    case Mnemonic::Lea: return "lea";
-    case Mnemonic::Push: return "push";
-    case Mnemonic::Pop: return "pop";
-    case Mnemonic::Add: return "add";
-    case Mnemonic::Adc: return "adc";
-    case Mnemonic::Sub: return "sub";
-    case Mnemonic::Sbb: return "sbb";
-    case Mnemonic::Cmp: return "cmp";
-    case Mnemonic::And: return "and";
-    case Mnemonic::Or: return "or";
-    case Mnemonic::Xor: return "xor";
-    case Mnemonic::Test: return "test";
-    case Mnemonic::Not: return "not";
-    case Mnemonic::Neg: return "neg";
-    case Mnemonic::Inc: return "inc";
-    case Mnemonic::Dec: return "dec";
-    case Mnemonic::Imul: return "imul";
-    case Mnemonic::ImulWide: return "imul";
-    case Mnemonic::MulWide: return "mul";
-    case Mnemonic::Idiv: return "idiv";
-    case Mnemonic::Div: return "div";
-    case Mnemonic::Shl: return "shl";
-    case Mnemonic::Shr: return "shr";
-    case Mnemonic::Sar: return "sar";
-    case Mnemonic::Rol: return "rol";
-    case Mnemonic::Ror: return "ror";
-    case Mnemonic::Cdq: return "cdq";
-    case Mnemonic::Cdqe: return "cdqe";
-    case Mnemonic::Cmovcc: return "cmov";
-    case Mnemonic::Setcc: return "set";
-    case Mnemonic::Jmp: return "jmp";
-    case Mnemonic::JmpInd: return "jmp";
-    case Mnemonic::Jcc: return "j";
-    case Mnemonic::Call: return "call";
-    case Mnemonic::CallInd: return "call";
-    case Mnemonic::Ret: return "ret";
-    case Mnemonic::Leave: return "leave";
-    case Mnemonic::Pushfq: return "pushfq";
-    case Mnemonic::Popfq: return "popfq";
-    case Mnemonic::Nop: return "nop";
-    case Mnemonic::Endbr64: return "endbr64";
-    case Mnemonic::Ud2: return "ud2";
-    case Mnemonic::Int3: return "int3";
-    case Mnemonic::Movsd: return "movsd";
-    case Mnemonic::Movss: return "movss";
-    case Mnemonic::Movlpd: return "movlpd";
-    case Mnemonic::Movhpd: return "movhpd";
-    case Mnemonic::Movapd: return "movapd";
-    case Mnemonic::Movaps: return "movaps";
-    case Mnemonic::Movupd: return "movupd";
-    case Mnemonic::Movups: return "movups";
-    case Mnemonic::Movdqa: return "movdqa";
-    case Mnemonic::Movdqu: return "movdqu";
-    case Mnemonic::Movq: return "movq";
-    case Mnemonic::Movd: return "movd";
-    case Mnemonic::Addsd: return "addsd";
-    case Mnemonic::Subsd: return "subsd";
-    case Mnemonic::Mulsd: return "mulsd";
-    case Mnemonic::Divsd: return "divsd";
-    case Mnemonic::Minsd: return "minsd";
-    case Mnemonic::Maxsd: return "maxsd";
-    case Mnemonic::Sqrtsd: return "sqrtsd";
-    case Mnemonic::Addss: return "addss";
-    case Mnemonic::Subss: return "subss";
-    case Mnemonic::Mulss: return "mulss";
-    case Mnemonic::Divss: return "divss";
-    case Mnemonic::Sqrtss: return "sqrtss";
-    case Mnemonic::Addpd: return "addpd";
-    case Mnemonic::Subpd: return "subpd";
-    case Mnemonic::Mulpd: return "mulpd";
-    case Mnemonic::Divpd: return "divpd";
-    case Mnemonic::Addps: return "addps";
-    case Mnemonic::Subps: return "subps";
-    case Mnemonic::Mulps: return "mulps";
-    case Mnemonic::Divps: return "divps";
-    case Mnemonic::Paddd: return "paddd";
-    case Mnemonic::Ucomisd: return "ucomisd";
-    case Mnemonic::Comisd: return "comisd";
-    case Mnemonic::Ucomiss: return "ucomiss";
-    case Mnemonic::Comiss: return "comiss";
-    case Mnemonic::Pxor: return "pxor";
-    case Mnemonic::Xorpd: return "xorpd";
-    case Mnemonic::Xorps: return "xorps";
-    case Mnemonic::Andpd: return "andpd";
-    case Mnemonic::Andps: return "andps";
-    case Mnemonic::Orpd: return "orpd";
-    case Mnemonic::Orps: return "orps";
-    case Mnemonic::Unpcklpd: return "unpcklpd";
-    case Mnemonic::Unpckhpd: return "unpckhpd";
-    case Mnemonic::Shufpd: return "shufpd";
-    case Mnemonic::Unpcklps: return "unpcklps";
-    case Mnemonic::Unpckhps: return "unpckhps";
-    case Mnemonic::Shufps: return "shufps";
-    case Mnemonic::Cvtsi2sd: return "cvtsi2sd";
-    case Mnemonic::Cvttsd2si: return "cvttsd2si";
-    case Mnemonic::Cvtsd2ss: return "cvtsd2ss";
-    case Mnemonic::Cvtss2sd: return "cvtss2sd";
-    case Mnemonic::Cvtsi2ss: return "cvtsi2ss";
-    case Mnemonic::Cvttss2si: return "cvttss2si";
-    case Mnemonic::Count_: break;
-  }
-  return "(invalid)";
-}
-
 const char* condName(Cond c) noexcept {
   switch (c) {
     case Cond::O: return "o";
@@ -172,71 +61,6 @@ uint8_t condFlagsRead(Cond c) noexcept {
   return 0;
 }
 
-uint8_t flagsWritten(const Instruction& instr) noexcept {
-  switch (instr.mnemonic) {
-    case Mnemonic::Add: case Mnemonic::Adc: case Mnemonic::Sub:
-    case Mnemonic::Sbb: case Mnemonic::Cmp: case Mnemonic::Neg:
-      return kArithFlags;
-    case Mnemonic::And: case Mnemonic::Or: case Mnemonic::Xor:
-    case Mnemonic::Test:
-      return kArithFlags;  // AF undefined; modelled as written(-unknown)
-    case Mnemonic::Inc: case Mnemonic::Dec:
-      return kArithFlags & ~kFlagCF;
-    case Mnemonic::Imul: case Mnemonic::ImulWide: case Mnemonic::MulWide:
-      return kArithFlags;  // ZF/SF/PF undefined; conservatively written
-    case Mnemonic::Idiv: case Mnemonic::Div:
-      return kArithFlags;  // all undefined
-    case Mnemonic::Shl: case Mnemonic::Shr: case Mnemonic::Sar:
-    case Mnemonic::Rol: case Mnemonic::Ror:
-      return kArithFlags;  // count==0 preserves; tracer handles specially
-    case Mnemonic::Ucomisd: case Mnemonic::Comisd:
-    case Mnemonic::Ucomiss: case Mnemonic::Comiss:
-      return kArithFlags;  // ZF/PF/CF set, OF/SF/AF cleared
-    default:
-      return 0;
-  }
-}
-
-uint8_t flagsRead(const Instruction& instr) noexcept {
-  switch (instr.mnemonic) {
-    case Mnemonic::Adc: case Mnemonic::Sbb:
-      return kFlagCF;
-    case Mnemonic::Jcc: case Mnemonic::Setcc: case Mnemonic::Cmovcc:
-      return condFlagsRead(instr.cond);
-    default:
-      return 0;
-  }
-}
-
-bool readsDestination(const Instruction& instr) noexcept {
-  switch (instr.mnemonic) {
-    case Mnemonic::Add: case Mnemonic::Adc: case Mnemonic::Sub:
-    case Mnemonic::Sbb: case Mnemonic::And: case Mnemonic::Or:
-    case Mnemonic::Xor: case Mnemonic::Not: case Mnemonic::Neg:
-    case Mnemonic::Inc: case Mnemonic::Dec: case Mnemonic::Imul:
-    case Mnemonic::Shl: case Mnemonic::Shr: case Mnemonic::Sar:
-    case Mnemonic::Rol: case Mnemonic::Ror:
-    case Mnemonic::Addsd: case Mnemonic::Subsd: case Mnemonic::Mulsd:
-    case Mnemonic::Divsd: case Mnemonic::Minsd: case Mnemonic::Maxsd:
-    case Mnemonic::Addss: case Mnemonic::Subss: case Mnemonic::Mulss:
-    case Mnemonic::Divss:
-    case Mnemonic::Addpd: case Mnemonic::Subpd: case Mnemonic::Mulpd:
-    case Mnemonic::Divpd:
-    case Mnemonic::Addps: case Mnemonic::Subps: case Mnemonic::Mulps:
-    case Mnemonic::Divps: case Mnemonic::Paddd:
-    case Mnemonic::Pxor: case Mnemonic::Xorpd: case Mnemonic::Xorps:
-    case Mnemonic::Andpd: case Mnemonic::Andps: case Mnemonic::Orpd:
-    case Mnemonic::Orps:
-    case Mnemonic::Unpcklpd: case Mnemonic::Unpckhpd: case Mnemonic::Shufpd:
-    case Mnemonic::Unpcklps: case Mnemonic::Unpckhps: case Mnemonic::Shufps:
-      return true;
-    // 3-operand imul (dst <- src * imm) does not read dst; the tracer
-    // distinguishes by nops.
-    default:
-      return false;
-  }
-}
-
 namespace {
 
 uint32_t memRegs(const MemOperand& m) noexcept {
@@ -248,112 +72,37 @@ uint32_t memRegs(const MemOperand& m) noexcept {
 
 }  // namespace
 
+bool writesMemory(const Instruction& instr) noexcept {
+  const MnemonicInfo& r = row(instr.mnemonic);
+  return r.has(kPushes) ||
+         (r.writesOp0() && instr.nops > 0 && instr.ops[0].isMem());
+}
+
 uint32_t regsWritten(const Instruction& instr) noexcept {
-  uint32_t mask = 0;
-  switch (instr.mnemonic) {
-    case Mnemonic::Cmp: case Mnemonic::Test: case Mnemonic::Ucomisd:
-    case Mnemonic::Comisd: case Mnemonic::Ucomiss: case Mnemonic::Comiss:
-    case Mnemonic::Nop: case Mnemonic::Endbr64: case Mnemonic::Jmp:
-    case Mnemonic::Jcc: case Mnemonic::JmpInd:
-      return 0;
-    case Mnemonic::Push: case Mnemonic::Pushfq:
-      return regBit(Reg::rsp);
-    case Mnemonic::Pop:
-      mask = regBit(Reg::rsp);
-      break;
-    case Mnemonic::Popfq:
-      return regBit(Reg::rsp);
-    case Mnemonic::Leave:
-      return regBit(Reg::rsp) | regBit(Reg::rbp);
-    case Mnemonic::Ret:
-      return regBit(Reg::rsp);
-    case Mnemonic::Call: case Mnemonic::CallInd: {
-      // ABI: all caller-saved registers are clobbered.
-      uint32_t m = regBit(Reg::rsp);
-      for (unsigned i = 0; i < 16; ++i) {
-        if (abi::isCallerSaved(gprFromNum(i))) m |= 1u << i;
-        m |= 1u << (16 + i);  // all xmm
-      }
-      return m;
-    }
-    case Mnemonic::ImulWide: case Mnemonic::MulWide:
-    case Mnemonic::Idiv: case Mnemonic::Div:
-      return regBit(Reg::rax) | regBit(Reg::rdx);
-    case Mnemonic::Cdqe:
-      return regBit(Reg::rax);
-    case Mnemonic::Cdq:
-      return regBit(Reg::rdx);
-    default:
-      break;
-  }
-  if (instr.nops > 0 && instr.ops[0].isReg()) mask |= regBit(instr.ops[0].reg);
+  const MnemonicInfo& r = row(instr.mnemonic);
+  uint32_t mask = r.implicitWrites;
+  if (r.writesOp0() && instr.nops > 0 && instr.ops[0].isReg())
+    mask |= regBit(instr.ops[0].reg);
   return mask;
 }
 
 uint32_t regsRead(const Instruction& instr) noexcept {
-  uint32_t mask = 0;
-  for (unsigned i = 0; i < instr.nops; ++i)
-    if (instr.ops[i].isMem()) mask |= memRegs(instr.ops[i].mem);
-  switch (instr.mnemonic) {
-    case Mnemonic::Push:
-      if (instr.ops[0].isReg()) mask |= regBit(instr.ops[0].reg);
-      return mask | regBit(Reg::rsp);
-    case Mnemonic::Pop: case Mnemonic::Pushfq: case Mnemonic::Popfq:
-    case Mnemonic::Ret:
-      return mask | regBit(Reg::rsp);
-    case Mnemonic::Leave:
-      return mask | regBit(Reg::rbp);
-    case Mnemonic::Call: case Mnemonic::CallInd: {
-      // ABI: argument registers may be consumed by the callee.
-      uint32_t m = mask | regBit(Reg::rsp) | regBit(Reg::rax);
-      for (Reg r : abi::kIntArgs) m |= regBit(r);
-      for (Reg r : abi::kSseArgs) m |= regBit(r);
-      if (instr.nops > 0 && instr.ops[0].isReg())
-        m |= regBit(instr.ops[0].reg);
-      return m;
-    }
-    case Mnemonic::ImulWide: case Mnemonic::MulWide:
-      mask |= regBit(Reg::rax);
-      break;
-    case Mnemonic::Idiv: case Mnemonic::Div:
-      mask |= regBit(Reg::rax) | regBit(Reg::rdx);
-      break;
-    case Mnemonic::Cdqe: case Mnemonic::Cdq:
-      mask |= regBit(Reg::rax);
-      break;
-    case Mnemonic::Shl: case Mnemonic::Shr: case Mnemonic::Sar:
-    case Mnemonic::Rol: case Mnemonic::Ror:
-      if (instr.nops > 1 && instr.ops[1].isReg()) mask |= regBit(Reg::rcx);
-      break;
-    default:
-      break;
+  const MnemonicInfo& r = row(instr.mnemonic);
+  uint32_t mask = r.implicitReads;
+  if (r.has(kCountInCl) && instr.nops > 1 && instr.ops[1].isReg())
+    mask |= regBit(Reg::rcx);
+  // ops[0] is read when it is a source, is read-modify-write, or is
+  // written only in part (a 1- or 2-byte write keeps the rest).
+  const bool op0Read =
+      !r.writesOp0() || r.has(kReadsDst) || instr.width < 4;
+  for (unsigned i = 0; i < instr.nops; ++i) {
+    const Operand& op = instr.ops[i];
+    if (op.isMem())
+      mask |= memRegs(op.mem);
+    else if (op.isReg() && (i > 0 || op0Read))
+      mask |= regBit(op.reg);
   }
-  // Explicit register operands: sources always, destination when read.
-  if (instr.nops > 0 && instr.ops[0].isReg() &&
-      (readsDestination(instr) || instr.mnemonic == Mnemonic::Cmovcc ||
-       instr.mnemonic == Mnemonic::Cmp || instr.mnemonic == Mnemonic::Test ||
-       instr.mnemonic == Mnemonic::Ucomisd ||
-       instr.mnemonic == Mnemonic::Comisd ||
-       instr.mnemonic == Mnemonic::Ucomiss ||
-       instr.mnemonic == Mnemonic::Comiss ||
-       (instr.width < 4 && instr.mnemonic != Mnemonic::Setcc) ||
-       writesMemory(instr)))
-    mask |= regBit(instr.ops[0].reg);
-  for (unsigned i = 1; i < instr.nops; ++i)
-    if (instr.ops[i].isReg()) mask |= regBit(instr.ops[i].reg);
   return mask;
-}
-
-bool writesMemory(const Instruction& instr) noexcept {
-  switch (instr.mnemonic) {
-    case Mnemonic::Cmp: case Mnemonic::Test: case Mnemonic::Ucomisd:
-    case Mnemonic::Comisd: case Mnemonic::Ucomiss: case Mnemonic::Comiss:
-      return false;  // mem operand would be a read
-    case Mnemonic::Push:
-      return true;
-    default:
-      return instr.nops > 0 && instr.ops[0].isMem();
-  }
 }
 
 }  // namespace brew::isa

@@ -6,6 +6,7 @@
 // optional extra (3-operand imul immediate).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -14,59 +15,9 @@
 namespace brew::isa {
 
 enum class Mnemonic : uint8_t {
-  Invalid = 0,
-  // Moves / address arithmetic
-  Mov,       // r<-r / r<-m / m<-r / r<-imm / m<-imm (64-bit imm = movabs)
-  Movsxd,    // r64 <- sign-extended r/m32
-  Movsx,     // r <- sign-extended smaller r/m (srcWidth gives source size)
-  Movzx,     // r <- zero-extended smaller r/m
-  Lea,
-  Push,
-  Pop,
-  // Integer arithmetic / logic (flag writers)
-  Add, Adc, Sub, Sbb, Cmp, And, Or, Xor, Test,
-  Not, Neg, Inc, Dec,
-  Imul,      // 2-operand r <- r * r/m, or 3-operand r <- r/m * imm
-  ImulWide,  // one-operand: rdx:rax <- rax * r/m (signed)
-  MulWide,   // one-operand: rdx:rax <- rax * r/m (unsigned)
-  Idiv, Div, // one-operand: rax,rdx <- rdx:rax / r/m
-  Shl, Shr, Sar, Rol, Ror,
-  Cdq,       // edx:eax <- sign of eax (width 4) / rdx:rax (Cqo, width 8)
-  Cdqe,      // rax <- sign-extended eax
-  // Conditional data movement
-  Cmovcc, Setcc,
-  // Control flow
-  Jmp,       // direct relative: ops[0] = Imm absolute target
-  JmpInd,    // indirect: ops[0] = r/m
-  Jcc,       // conditional relative, cond field
-  Call,      // direct relative: ops[0] = Imm absolute target
-  CallInd,   // indirect: ops[0] = r/m
-  Ret,
-  Leave,
-  Pushfq, Popfq,  // used by injected instrumentation to preserve RFLAGS
-  Nop,       // all NOP forms including multi-byte 0F 1F
-  Endbr64,
-  Ud2,
-  Int3,
-  // SSE/SSE2 scalar and packed floating point
-  Movsd, Movss,            // scalar loads/stores/moves
-  Movlpd, Movhpd,          // 64-bit lane load/store preserving the other lane
-  Movapd, Movaps, Movupd, Movups, Movdqa, Movdqu,
-  Movq,                    // xmm <-> r/m64
-  Movd,                    // xmm <-> r/m32
-  Addsd, Subsd, Mulsd, Divsd, Minsd, Maxsd, Sqrtsd,
-  Addss, Subss, Mulss, Divss, Sqrtss,
-  Addpd, Subpd, Mulpd, Divpd,
-  Addps, Subps, Mulps, Divps,  // packed single (4 x f32 lanes)
-  Paddd,                       // packed 32-bit integer add
-  Ucomisd, Comisd, Ucomiss, Comiss,
-  Pxor, Xorpd, Xorps, Andpd, Andps, Orpd, Orps,
-  Unpcklpd, Unpckhpd, Shufpd,
-  Unpcklps, Unpckhps, Shufps,
-  Cvtsi2sd,  // xmm <- int r/m (srcWidth 4 or 8)
-  Cvttsd2si, // int r <- xmm (width 4 or 8)
-  Cvtsd2ss, Cvtss2sd,
-  Cvtsi2ss, Cvttss2si,
+#define X(id, ...) id,
+#include "isa/mnemonics.def"
+#undef X
   Count_,
 };
 
@@ -76,7 +27,6 @@ enum class Cond : uint8_t {
   S = 0x8, NS = 0x9, P = 0xA, NP = 0xB, L = 0xC, GE = 0xD, LE = 0xE, G = 0xF,
 };
 
-const char* mnemonicName(Mnemonic m) noexcept;
 const char* condName(Cond c) noexcept;
 constexpr Cond invert(Cond c) noexcept {
   return static_cast<Cond>(static_cast<uint8_t>(c) ^ 1);
@@ -93,6 +43,111 @@ enum : uint8_t {
   kAllFlags = kFlagCF | kFlagPF | kFlagAF | kFlagZF | kFlagSF | kFlagOF,
   kArithFlags = kAllFlags,
 };
+
+constexpr uint32_t regBit(Reg r) noexcept {
+  return isGpr(r) ? (1u << regNum(r)) : (isXmm(r) ? (1u << (16 + regNum(r)))
+                                                  : 0u);
+}
+
+// --- The instruction table ------------------------------------------------
+//
+// Every per-mnemonic fact lives in one row of isa/mnemonics.def. The
+// decoder, encoder, printer, tracer, passes and interpreter read its
+// columns; none keeps its own list of mnemonics.
+
+// Which tracer handler a mnemonic goes to.
+enum class Family : uint8_t {
+  None,  // decoded but never traced (traps, RFLAGS save/restore)
+  Nop, Mov, Lea, Push, Pop, GprArith, WideMulDiv, CmovSetcc, Branch,
+  SseMove, SseScalar, SsePacked, SseLogic, SseShuffle, SseCompare,
+  SseConvert,
+};
+
+// Row attributes.
+enum : uint16_t {
+  kReadsDst = 1 << 0,        // ops[0] is read as well as written (add)
+  kNoDst = 1 << 1,           // ops[0] is a source only (push, div, jmp)
+  kCompare = 1 << 2,         // writes only the flags (cmp, test, ucomisd)
+  kCondFlags = 1 << 3,       // reads the flags its condition code tests
+  kImm32Src = 1 << 4,        // ops[1] may be an imm32 (mov, ALU group, test)
+  kCountInCl = 1 << 5,       // shift: a register count is cl
+  kPushes = 1 << 6,          // stores below rsp (push, pushfq, call)
+  kXmmWhole = 1 << 7,        // replaces every bit of an XMM destination
+  kXmmWholeIfLoad = 1 << 8,  // ... when its source is memory (movsd, movss)
+};
+
+// Implicit register operands, as regBit masks.
+inline constexpr uint32_t kRax = regBit(Reg::rax);
+inline constexpr uint32_t kRdx = regBit(Reg::rdx);
+inline constexpr uint32_t kRsp = regBit(Reg::rsp);
+inline constexpr uint32_t kRbp = regBit(Reg::rbp);
+// SysV ABI: a callee may read rsp, rax (the vararg count) and the argument
+// registers, and clobbers rsp, the caller-saved GPRs and every XMM register.
+inline constexpr uint32_t kCallReads = [] {
+  uint32_t m = kRsp | kRax;
+  for (Reg r : abi::kIntArgs) m |= regBit(r);
+  for (Reg r : abi::kSseArgs) m |= regBit(r);
+  return m;
+}();
+inline constexpr uint32_t kCallClobbers = [] {
+  uint32_t m = kRsp | 0xFFFF0000u;
+  for (unsigned i = 0; i < 16; ++i)
+    if (abi::isCallerSaved(gprFromNum(i))) m |= 1u << i;
+  return m;
+}();
+
+// How the legacy ALU group or an SSE `op xmm, xmm/m` form is encoded.
+struct Encoding {
+  enum class Kind : uint8_t { None, Alu, Sse };
+  Kind kind = Kind::None;
+  uint8_t prefix = 0;  // SSE: mandatory prefix (0 = none)
+  uint8_t opcode = 0;  // ALU: the r/m,r opcode of the wide form; SSE: 0F xx
+  uint8_t arg = 0;     // ALU: the /ext of 80/81/83; SSE: the operand width
+};
+
+struct MnemonicInfo {
+  const char* name;
+  Family family;
+  uint8_t flagsWritten;
+  uint8_t flagsRead;      // kCondFlags adds the condition code's flags
+  uint16_t attrs;
+  uint32_t implicitReads;
+  uint32_t implicitWrites;
+  Encoding enc;
+  Mnemonic laneOp;        // packed ops: the op applied to each lane
+  uint8_t laneWidth;      // packed ops: lane width in bytes
+
+  constexpr bool has(uint16_t a) const { return (attrs & a) != 0; }
+  // Whether a register or memory ops[0] is written.
+  constexpr bool writesOp0() const { return !has(kNoDst | kCompare); }
+};
+
+namespace detail {
+#define NO_ENC Encoding{}
+#define ALU(opcode, ext) Encoding{Encoding::Kind::Alu, 0, opcode, ext}
+#define SSE(prefix, opcode, width) \
+  Encoding{Encoding::Kind::Sse, prefix, opcode, width}
+#define NO_LANES Mnemonic::Invalid, 0
+#define LANES(op, width) Mnemonic::op, width
+#define X(id, name, family, fw, fr, attrs, ird, iwr, enc, lanes) \
+  MnemonicInfo{name, Family::family, fw, fr, attrs, ird, iwr, enc, lanes},
+inline constexpr MnemonicInfo kMnemonicRows[] = {
+#include "isa/mnemonics.def"
+};
+#undef X
+#undef LANES
+#undef NO_LANES
+#undef SSE
+#undef ALU
+#undef NO_ENC
+}  // namespace detail
+static_assert(sizeof(detail::kMnemonicRows) / sizeof(MnemonicInfo) ==
+              static_cast<size_t>(Mnemonic::Count_));
+
+// The table row of m.
+constexpr const MnemonicInfo& row(Mnemonic m) noexcept {
+  return detail::kMnemonicRows[static_cast<size_t>(m)];
+}
 
 // Memory operand: [base + index*scale + disp], or [rip + disp].
 struct MemOperand {
@@ -192,16 +247,6 @@ struct Instruction {
     ops[2] = c;
   }
 
-  bool isBranch() const noexcept {
-    switch (mnemonic) {
-      case Mnemonic::Jmp: case Mnemonic::JmpInd: case Mnemonic::Jcc:
-      case Mnemonic::Call: case Mnemonic::CallInd: case Mnemonic::Ret:
-        return true;
-      default:
-        return false;
-    }
-  }
-
   bool operator==(const Instruction& other) const {
     if (mnemonic != other.mnemonic || cond != other.cond ||
         width != other.width || srcWidth != other.srcWidth ||
@@ -220,18 +265,27 @@ Instruction makeInstr(Mnemonic m, uint8_t width, Operand a, Operand b);
 Instruction makeInstr(Mnemonic m, uint8_t width, Operand a, Operand b,
                       Operand c);
 
-// --- Static instruction properties used by tracer and passes -------------
+// --- Instruction-level views of the row --------------------------------
 
-// RFLAGS bits written / read (reads of Jcc/Setcc/Cmovcc depend on cond).
-uint8_t flagsWritten(const Instruction& instr) noexcept;
-uint8_t flagsRead(const Instruction& instr) noexcept;
 uint8_t condFlagsRead(Cond c) noexcept;
 
-// True if instruction ops[0] is also read (add, sub, ...) as opposed to
-// pure writes (mov, lea, movsd load, setcc...).
-bool readsDestination(const Instruction& instr) noexcept;
+// RFLAGS bits written / read (a jcc/setcc/cmovcc reads its cond's flags).
+inline uint8_t flagsWritten(const Instruction& instr) noexcept {
+  return row(instr.mnemonic).flagsWritten;
+}
+inline uint8_t flagsRead(const Instruction& instr) noexcept {
+  const MnemonicInfo& r = row(instr.mnemonic);
+  return r.flagsRead | (r.has(kCondFlags) ? condFlagsRead(instr.cond) : 0);
+}
 
-// True for instructions that write memory (their ops[0] is a Mem operand).
+// True if ops[0] is also read (add, sub, ...) as opposed to pure writes
+// (mov, lea, movsd load, setcc...).
+inline bool readsDestination(const Instruction& instr) noexcept {
+  return row(instr.mnemonic).has(kReadsDst);
+}
+
+// True for instructions that write memory: a memory ops[0] that is not a
+// source only, or a push below rsp.
 bool writesMemory(const Instruction& instr) noexcept;
 
 // Conservative register def/use sets as bitmasks: bit i = GPR i,
@@ -239,10 +293,5 @@ bool writesMemory(const Instruction& instr) noexcept;
 // rcx of variable shifts, rsp of stack operations).
 uint32_t regsWritten(const Instruction& instr) noexcept;
 uint32_t regsRead(const Instruction& instr) noexcept;
-
-constexpr uint32_t regBit(Reg r) noexcept {
-  return isGpr(r) ? (1u << regNum(r)) : (isXmm(r) ? (1u << (16 + regNum(r)))
-                                                  : 0u);
-}
 
 }  // namespace brew::isa

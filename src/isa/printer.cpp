@@ -2,6 +2,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <cstring>
 
 #include "isa/decoder.hpp"
 
@@ -79,7 +80,8 @@ std::string toString(const Operand& op, unsigned widthBytes,
     case Operand::Kind::Imm: {
       char buf[32];
       // Branch targets print as absolute addresses.
-      if (context != nullptr && context->isBranch()) {
+      if (context != nullptr &&
+          row(context->mnemonic).family == Family::Branch) {
         std::snprintf(buf, sizeof buf, "0x%" PRIx64,
                       static_cast<uint64_t>(op.imm));
       } else if (op.imm < 0) {
@@ -98,7 +100,9 @@ std::string toString(const Operand& op, unsigned widthBytes,
 }
 
 std::string toString(const Instruction& instr) {
-  std::string out = mnemonicName(instr.mnemonic);
+  // A ".form" suffix of the row name is not part of the spelling.
+  const char* name = row(instr.mnemonic).name;
+  std::string out(name, std::strcspn(name, "."));
   switch (instr.mnemonic) {
     case Mnemonic::Jcc:
     case Mnemonic::Setcc:
@@ -106,10 +110,10 @@ std::string toString(const Instruction& instr) {
       out += condName(instr.cond);
       break;
     case Mnemonic::Cdqe:
-      if (instr.width == 4) out = "cwde";
+      if (instr.width != 8) out = instr.width == 4 ? "cwde" : "cbw";
       break;
     case Mnemonic::Cdq:
-      if (instr.width == 8) out = "cqo";
+      if (instr.width != 4) out = instr.width == 8 ? "cqo" : "cwd";
       break;
     default:
       break;

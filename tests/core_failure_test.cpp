@@ -123,6 +123,24 @@ TEST(Failure, ErrorMessagesAreDistinct) {
   }
 }
 
+TEST(Failure, SixteenBitSignExtensionBails) {
+  // cbw (66 98) and cwd (66 99) work on ax/dx. Traced as cwde/cdq with an
+  // unknown rax they would be re-encoded as the 32-bit forms.
+  for (const uint8_t op : {uint8_t{0x98}, uint8_t{0x99}}) {
+    Assembler as;
+    as.movRegReg(Reg::rax, Reg::rdi);
+    as.movRegReg(Reg::rdx, Reg::rdi);
+    as.emitBytes(std::vector<uint8_t>{0x66, op});
+    if (op == 0x99) as.movRegReg(Reg::rax, Reg::rdx);
+    as.ret();
+    ExecMemory fn = buildOrDie(as);
+    EXPECT_EQ(rewriteError(fn.data()), ErrorCode::UnsupportedInstruction);
+    // rax = 0x1234'5680: cbw sets ax to 0xff80; cwd sets dx to 0x0000.
+    const uint64_t expected = op == 0x98 ? 0x1234ff80u : 0x12340000u;
+    EXPECT_EQ(fn.entry<uint64_t (*)(uint64_t)>()(0x12345680u), expected);
+  }
+}
+
 TEST(Failure, OriginalStillWorksAfterFailedRewrite) {
   // The whole §VIII robustness story: failure leaves the world unchanged.
   Assembler as;

@@ -5,11 +5,29 @@
 #include <gtest/gtest.h>
 
 #include "core/brew.h"
+#include "jit/assembler.hpp"
 
 namespace {
 
-__attribute__((noinline)) int addmul(int a, int b) { return a * 7 + b; }
+int addmul(int a, int b) { return a * 7 + b; }
 typedef int (*addmul_t)(int, int);
+
+// addmul as the subject, built with jit::Assembler: a compiled-C subject
+// picks up sanitizer instrumentation the tracer cannot follow.
+brew::ExecMemory buildAddmul() {
+  using brew::isa::Operand;
+  using brew::isa::Reg;
+  brew::jit::Assembler as;
+  as.emit(brew::isa::makeInstr(brew::isa::Mnemonic::Imul, 4,
+                               Operand::makeReg(Reg::rax),
+                               Operand::makeReg(Reg::rdi),
+                               Operand::makeImm(7)));
+  as.aluRegReg(brew::isa::Mnemonic::Add, Reg::rax, Reg::rsi, 4);
+  as.ret();
+  auto mem = as.finalizeExecutable();
+  EXPECT_TRUE(mem.ok());
+  return std::move(*mem);
+}
 
 TEST(CApiOptions, NullAndBogusValuesAreSafe) {
   EXPECT_EQ(brew_configure(nullptr), -1);
@@ -45,11 +63,13 @@ TEST(CApiOptions, ConfigureShapesTheProcessRuntimeThenFreezes) {
   brew_options_free(options);
 
   // First rewrite constructs the runtime from the staged options.
+  brew::ExecMemory subject = buildAddmul();
+  ASSERT_EQ(((addmul_t)subject.data())(3, 4), addmul(3, 4));
   brew_conf* conf = brew_initConf();
   brew_setnpar(conf, 2);
   brew_setpar(conf, 1, BREW_KNOWN);
   brew_setret(conf, BREW_RET_INT);
-  brew_func* h = brew_rewrite2(conf, (void*)addmul, (uint64_t)3, (uint64_t)0);
+  brew_func* h = brew_rewrite2(conf, subject.data(), (uint64_t)3, (uint64_t)0);
   ASSERT_NE(h, nullptr) << brew_lastError(conf);
   EXPECT_EQ(((addmul_t)brew_func_entry(h))(0, 2), 3 * 7 + 2);
   brew_release_h(h);
@@ -64,7 +84,7 @@ TEST(CApiOptions, ConfigureShapesTheProcessRuntimeThenFreezes) {
   brew_conf* dconf = brew_initConf();
   brew_setnpar(dconf, 2);
   brew_setret(dconf, BREW_RET_INT);
-  brew_dispatch* d = brew_dispatch_create(dconf, (void*)addmul, 1,
+  brew_dispatch* d = brew_dispatch_create(dconf, subject.data(), 1,
                                           (uint64_t)0, (uint64_t)0);
   ASSERT_NE(d, nullptr) << brew_lastError(dconf);
   addmul_t entry = (addmul_t)brew_dispatch_entry(d);

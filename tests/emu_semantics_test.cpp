@@ -5,7 +5,11 @@
 // RFLAGS via pushfq).
 #include <gtest/gtest.h>
 
+#include <emmintrin.h>
+
 #include <cstring>
+#include <map>
+#include <vector>
 
 #include "emu/semantics.hpp"
 #include "emu/value.hpp"
@@ -143,10 +147,10 @@ TEST_P(AluDifferential, MatchesHardware) {
       // Native result register has width-merge semantics applied.
       const uint64_t expected = mergeWrite(a, mine.value, w);
       ASSERT_EQ(hw.value, expected)
-          << isa::mnemonicName(mn) << " w=" << w << " a=" << a << " b=" << b;
+          << isa::row(mn).name << " w=" << w << " a=" << a << " b=" << b;
     }
     ASSERT_EQ(hw.flags & mine.flagsKnown, mine.flagsValue & mine.flagsKnown)
-        << isa::mnemonicName(mn) << " w=" << w << " a=" << a << " b=" << b
+        << isa::row(mn).name << " w=" << w << " a=" << a << " b=" << b
         << " cf=" << cf;
   }
 }
@@ -163,9 +167,9 @@ TEST_P(AluDifferential, UnaryMatchesHardware) {
     const OpResult mine = evalUnary(mn, w, a);
     const NativeResult hw = runNativeUnary(mn, w, a);
     ASSERT_EQ(hw.value, mergeWrite(a, mine.value, w))
-        << isa::mnemonicName(mn) << " w=" << w << " a=" << a;
+        << isa::row(mn).name << " w=" << w << " a=" << a;
     ASSERT_EQ(hw.flags & mine.flagsKnown, mine.flagsValue & mine.flagsKnown)
-        << isa::mnemonicName(mn) << " w=" << w << " a=" << a;
+        << isa::row(mn).name << " w=" << w << " a=" << a;
   }
 }
 
@@ -182,12 +186,12 @@ TEST_P(AluDifferential, ShiftsMatchHardware) {
     const NativeResult hw = runNativeShift(mn, w, a, count);
     const unsigned masked = count & (w == 8 ? 63 : 31);
     ASSERT_EQ(hw.value, mergeWrite(a, mine.value, w))
-        << isa::mnemonicName(mn) << " w=" << w << " a=" << a
+        << isa::row(mn).name << " w=" << w << " a=" << a
         << " count=" << static_cast<int>(count);
     if (masked != 0) {
       ASSERT_EQ(hw.flags & mine.flagsKnown,
                 mine.flagsValue & mine.flagsKnown)
-          << isa::mnemonicName(mn) << " w=" << w << " a=" << a
+          << isa::row(mn).name << " w=" << w << " a=" << a
           << " count=" << static_cast<int>(count);
     }
   }
@@ -351,6 +355,163 @@ TEST(Semantics, ValueWidthHelpers) {
             0x112233445566AABBull);
   EXPECT_EQ(mergeWrite(0x1122334455667788ull, 0xDDCCBBAA, 4),
             0x00000000DDCCBBAAull);
+}
+
+// --- SSE ops against the host CPU, bit for bit ---------------------------
+//
+// Each oracle runs the instruction itself ("op %src, %dst" in inline asm),
+// so the operand order is the instruction's: a compiler may swap the
+// operands of a commutative intrinsic, which decides which of two NaNs
+// propagates.
+
+__m128i toReg(Lanes x) {
+  return _mm_set_epi64x(static_cast<int64_t>(x.hi),
+                        static_cast<int64_t>(x.lo));
+}
+Lanes fromReg(__m128i r) {
+  alignas(16) uint64_t v[2];
+  _mm_store_si128(reinterpret_cast<__m128i*>(v), r);
+  return {v[0], v[1]};
+}
+
+using Native = Lanes (*)(Lanes a, Lanes b);
+
+#define NATIVE(insn)                                \
+  {Mnemonic::insn, [](Lanes a, Lanes b) {           \
+     __m128i x = toReg(a);                          \
+     const __m128i y = toReg(b);                    \
+     asm(#insn " %1, %0" : "+x"(x) : "x"(y));       \
+     return fromReg(x);                             \
+   }}
+
+template <uint8_t kImm>
+Lanes nativeShufpd(Lanes a, Lanes b) {
+  __m128i x = toReg(a);
+  asm("shufpd %2, %1, %0" : "+x"(x) : "x"(toReg(b)), "i"(kImm));
+  return fromReg(x);
+}
+template <uint8_t kImm>
+Lanes nativeShufps(Lanes a, Lanes b) {
+  __m128i x = toReg(a);
+  asm("shufps %2, %1, %0" : "+x"(x) : "x"(toReg(b)), "i"(kImm));
+  return fromReg(x);
+}
+
+const std::map<Mnemonic, Native>& nativeOps() {
+  static const std::map<Mnemonic, Native> ops = {
+      NATIVE(Addsd), NATIVE(Subsd), NATIVE(Mulsd), NATIVE(Divsd),
+      NATIVE(Minsd), NATIVE(Maxsd), NATIVE(Sqrtsd), NATIVE(Addss),
+      NATIVE(Subss), NATIVE(Mulss), NATIVE(Divss), NATIVE(Sqrtss),
+      NATIVE(Addpd), NATIVE(Subpd), NATIVE(Mulpd), NATIVE(Divpd),
+      NATIVE(Addps), NATIVE(Subps), NATIVE(Mulps), NATIVE(Divps),
+      NATIVE(Paddd), NATIVE(Pxor), NATIVE(Xorpd), NATIVE(Xorps),
+      NATIVE(Andpd), NATIVE(Andps), NATIVE(Orpd), NATIVE(Orps),
+      NATIVE(Unpcklpd), NATIVE(Unpckhpd), NATIVE(Unpcklps),
+      NATIVE(Unpckhps)};
+  return ops;
+}
+
+// The shuffles, for the selectors checked (asm needs constants).
+struct Shuffle {
+  Mnemonic mn;
+  uint8_t imm;
+  Native native;
+};
+constexpr Shuffle kShuffles[] = {
+    {Mnemonic::Shufpd, 0, nativeShufpd<0>},
+    {Mnemonic::Shufpd, 1, nativeShufpd<1>},
+    {Mnemonic::Shufpd, 2, nativeShufpd<2>},
+    {Mnemonic::Shufpd, 3, nativeShufpd<3>},
+    {Mnemonic::Shufps, 0x00, nativeShufps<0x00>},
+    {Mnemonic::Shufps, 0x1B, nativeShufps<0x1B>},
+    {Mnemonic::Shufps, 0x4E, nativeShufps<0x4E>},
+    {Mnemonic::Shufps, 0xE4, nativeShufps<0xE4>},
+    {Mnemonic::Shufps, 0xB1, nativeShufps<0xB1>},
+};
+
+// +-0, +-inf, qNaN, sNaN, denormals and two normal values, as doubles and
+// as floats. Each register pairs two of them per 64-bit lane so every
+// ordered pair meets in some lane.
+std::vector<Lanes> specialInputs() {
+  const uint64_t d[] = {0x0000000000000000, 0x8000000000000000,
+                        0x7FF0000000000000, 0xFFF0000000000000,
+                        0x7FF8000000000123, 0x7FF0000000000456,
+                        0x0000000000000001, 0x800FFFFFFFFFFFFF,
+                        0x3FF8000000000000, 0xC00A000000000000};
+  const uint32_t f[] = {0x00000000, 0x80000000, 0x7F800000, 0xFF800000,
+                        0x7FC00123, 0x7F800456, 0x00000001, 0x807FFFFF,
+                        0x3FC00000, 0xC0500000};
+  std::vector<Lanes> in;
+  for (const uint64_t x : d)
+    for (const uint64_t y : d) in.push_back({x, y});
+  for (const uint32_t x : f)
+    for (const uint32_t y : f)
+      in.push_back({x | (uint64_t{y} << 32), y | (uint64_t{x} << 32)});
+  return in;
+}
+
+bool isPacked(isa::Family f) {
+  return f == isa::Family::SsePacked || f == isa::Family::SseLogic ||
+         f == isa::Family::SseShuffle;
+}
+
+// Every scalar row: the low lane (the low 4 bytes for ss) matches.
+TEST(Semantics, ScalarMatchesNativeBitForBit) {
+  const std::vector<Lanes> inputs = specialInputs();
+  size_t covered = 0;
+  for (size_t m = 0; m < static_cast<size_t>(Mnemonic::Count_); ++m) {
+    const auto mn = static_cast<Mnemonic>(m);
+    if (isa::row(mn).family != isa::Family::SseScalar) continue;
+    ++covered;
+    const auto it = nativeOps().find(mn);
+    ASSERT_TRUE(it != nativeOps().end()) << isa::row(mn).name;
+    const unsigned w = isa::row(mn).enc.arg;
+    for (const Lanes& a : inputs) {
+      for (const Lanes& b : inputs) {
+        const uint64_t x = zeroExtend(a.lo, w), y = zeroExtend(b.lo, w);
+        const uint64_t want = zeroExtend(it->second({x, 0}, {y, 0}).lo, w);
+        ASSERT_EQ(evalFpScalar(mn, w, x, y), want)
+            << isa::row(mn).name << std::hex << " a=" << x << " b=" << y;
+      }
+    }
+  }
+  EXPECT_EQ(covered, 12u);
+}
+
+// Every packed row, both lanes, for every pair of inputs.
+TEST(Semantics, PackedMatchesNativeBitForBit) {
+  const std::vector<Lanes> inputs = specialInputs();
+  std::vector<Shuffle> cases;
+  for (size_t m = 0; m < static_cast<size_t>(Mnemonic::Count_); ++m) {
+    const auto mn = static_cast<Mnemonic>(m);
+    if (!isPacked(isa::row(mn).family)) continue;
+    const auto it = nativeOps().find(mn);
+    size_t shuffles = 0;
+    for (const Shuffle& s : kShuffles)
+      if (s.mn == mn) {
+        cases.push_back(s);
+        ++shuffles;
+      }
+    if (shuffles == 0) {
+      ASSERT_TRUE(it != nativeOps().end())
+          << "no native oracle for " << isa::row(mn).name;
+      cases.push_back({mn, 0, it->second});
+    }
+  }
+  EXPECT_EQ(cases.size(), 20u + 4u + 5u);  // 22 rows, 2 of them shuffles
+  for (const Shuffle& c : cases) {
+    for (const Lanes& a : inputs) {
+      for (const Lanes& b : inputs) {
+        const Lanes want = c.native(a, b);
+        const Lanes got = evalPacked(c.mn, a, b, c.imm);
+        ASSERT_TRUE(got.lo == want.lo && got.hi == want.hi)
+            << isa::row(c.mn).name << " imm=" << int{c.imm} << std::hex
+            << " a=" << a.hi << ":" << a.lo << " b=" << b.hi << ":" << b.lo
+            << " got " << got.hi << ":" << got.lo << " want " << want.hi
+            << ":" << want.lo;
+      }
+    }
+  }
 }
 
 }  // namespace

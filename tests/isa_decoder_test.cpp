@@ -253,6 +253,21 @@ TEST(Decoder, RejectsTruncated) {
   ASSERT_FALSE(result.ok());
 }
 
+TEST(Decoder, OperandSizeSignExtension) {
+  // 66 98 is cbw and 66 99 is cwd: the 16-bit forms, not cwde/cdq.
+  const Instruction cbw = decodeOk({0x66, 0x98});
+  EXPECT_EQ(cbw.mnemonic, Mnemonic::Cdqe);
+  EXPECT_EQ(cbw.width, 2);
+  EXPECT_EQ(toString(cbw), "cbw");
+  const Instruction cwd = decodeOk({0x66, 0x99});
+  EXPECT_EQ(cwd.mnemonic, Mnemonic::Cdq);
+  EXPECT_EQ(cwd.width, 2);
+  EXPECT_EQ(toString(cwd), "cwd");
+  // REX.W wins over 66: 66 48 98 is cdqe.
+  EXPECT_EQ(decodeOk({0x66, 0x48, 0x98}).width, 8);
+  EXPECT_EQ(decodeOk({0x98}).width, 4);
+}
+
 TEST(Decoder, LegacyHighByteRejected) {
   // 88 e0  mov al, ah (no REX: ah is a legacy high-byte register)
   auto result = decodeOne(std::vector<uint8_t>{0x88, 0xe0}, 0);

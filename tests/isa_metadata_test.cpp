@@ -1,8 +1,16 @@
 // Instruction metadata tests: flag def/use sets and register def/use sets
-// (the passes and the tracer both rely on their conservativeness).
+// (the passes and the tracer both rely on their conservativeness), and the
+// instruction table's own consistency.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
+#include "isa/decoder.hpp"
+#include "isa/encoder.hpp"
 #include "isa/instruction.hpp"
+#include "isa/printer.hpp"
 
 namespace brew::isa {
 namespace {
@@ -149,6 +157,48 @@ TEST(Metadata, AbiClassification) {
   EXPECT_FALSE(isCallerSaved(Reg::rbp));
   EXPECT_EQ(kIntArgs[0], Reg::rdi);
   EXPECT_EQ(kSseArgs[0], Reg::xmm0);
+}
+
+TEST(Table, NamesAreUniqueAndNonEmpty) {
+  std::set<std::string> seen;
+  for (size_t m = 1; m < static_cast<size_t>(Mnemonic::Count_); ++m) {
+    const std::string name = row(static_cast<Mnemonic>(m)).name;
+    EXPECT_FALSE(name.empty()) << m;
+    EXPECT_TRUE(seen.insert(name).second) << "duplicate name " << name;
+  }
+}
+
+// Every row with an ALU or SSE encoding encodes, and decodes back to the
+// same instruction, in register-register and register-memory form.
+TEST(Table, EncodedRowsRoundTrip) {
+  MemOperand m;
+  m.base = Reg::rdi;
+  m.index = Reg::rcx;
+  m.scale = 4;
+  m.disp = 0x40;
+  size_t checked = 0;
+  for (size_t i = 0; i < static_cast<size_t>(Mnemonic::Count_); ++i) {
+    const auto mn = static_cast<Mnemonic>(i);
+    const Encoding& enc = row(mn).enc;
+    if (enc.kind == Encoding::Kind::None) continue;
+    const bool sse = enc.kind == Encoding::Kind::Sse;
+    const uint8_t width = sse ? enc.arg : 8;
+    const Reg dst = sse ? Reg::xmm3 : Reg::rdx;
+    const Reg src = sse ? Reg::xmm12 : Reg::r9;
+    const std::vector<Instruction> forms = {
+        makeInstr(mn, width, Operand::makeReg(dst), Operand::makeReg(src)),
+        makeInstr(mn, width, Operand::makeReg(dst), Operand::makeMem(m))};
+    for (const Instruction& in : forms) {
+      std::vector<uint8_t> bytes;
+      ASSERT_TRUE(encode(in, 0x1000, bytes).ok()) << toString(in);
+      auto back = decodeOne(bytes, 0x1000);
+      ASSERT_TRUE(back.ok()) << toString(in);
+      EXPECT_EQ(*back, in) << toString(in) << " -> " << toString(*back);
+      EXPECT_EQ(back->length, bytes.size()) << toString(in);
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 2u * 46u);  // 8 ALU rows, 38 SSE rows
 }
 
 }  // namespace
