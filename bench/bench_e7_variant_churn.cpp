@@ -52,11 +52,9 @@ std::vector<ArgValue> protoArgs() {
 DispatchOptions churnOptions() {
   DispatchOptions opt;
   opt.maxVariants = 4;
-  opt.inlineWays = 4;
   opt.sampleCalls = 32;
   opt.promoteThreshold = 8;
   opt.decayInterval = 256;
-  opt.demoteMargin = 2;
   return opt;
 }
 

@@ -1,6 +1,8 @@
 #!/bin/sh
 # Polices the C API surface: every brew_* function declared in brew.h is
-# defined in brew_c.cpp and the reverse, and BREW_CACHE_DIR is parsed in
+# defined in brew_c.cpp and the reverse, the environment table in brew.h's
+# brew_options comment names exactly the variables
+# SpecManager::Options::fromEnv parses, and BREW_CACHE_DIR is parsed in
 # exactly one place.
 set -eu
 cd "$(dirname "$0")/.."
@@ -33,6 +35,28 @@ if [ -n "$undeclared" ]; then
 fi
 [ -z "$missing" ] && [ -z "$undeclared" ] || exit 1
 
+# The brew_options comment's table is the documentation of the fallbacks
+# fromEnv parses: a variable dropped from the parser but kept in the table
+# (or the reverse) is a knob that silently does nothing, or one no user
+# hears of.
+documented=$(sed -n '/runtime configuration (brew_options)/,/typedef struct brew_options/p' \
+    src/core/brew.h \
+  | sed -nE 's/^ \*   (BREW_[A-Z_]+) .*/\1/p' | sort -u)
+parsed=$(sed -n '/^SpecManager::Options SpecManager::Options::fromEnv()/,/^}/p' \
+    src/core/spec_manager.cpp \
+  | grep -oE '"BREW_[A-Z_]+"' | tr -d '"' | sort -u)
+if [ -z "$documented" ] || [ -z "$parsed" ]; then
+  echo "no BREW_* table in brew.h's brew_options comment or no" \
+       "variables parsed in SpecManager::Options::fromEnv" >&2
+  exit 1
+fi
+if [ "$documented" != "$parsed" ]; then
+  echo "brew.h's brew_options table and SpecManager::Options::fromEnv differ:" >&2
+  echo "documented only:" $(printf '%s\n' "$documented" | grep -vxF "$parsed") >&2
+  echo "parsed only:" $(printf '%s\n' "$parsed" | grep -vxF "$documented") >&2
+  exit 1
+fi
+
 # BREW_CACHE_DIR is parsed in exactly one place (SpecManager::Options::
 # fromEnv); a second getenv would reintroduce the scattered-env-parsing
 # problem brew_options exists to solve. Scripts and docs may mention the
@@ -50,4 +74,5 @@ fi
 
 count=$(printf '%s\n' "$declared" | wc -l)
 echo "C API surface intact: $count brew_* functions declared and defined"
+echo "brew_options environment table matches fromEnv:" $parsed
 echo "BREW_CACHE_DIR parsed only in SpecManager::Options::fromEnv"

@@ -125,8 +125,7 @@ void brew_set_store_handler(brew_conf* conf, brew_handler handler);
  *   BREW_WORKERS        async rewrite worker threads        (default 2)
  *   BREW_CACHE_BYTES    specialization-cache LRU budget     (default 64 MiB)
  *   BREW_CACHE_SHARDS   cache shard count, pow2, max 64     (default 16)
- *   BREW_MAX_VARIANTS   live dispatch variants per function (default 4)
- *   BREW_DISPATCH_WAYS  inline-cache ways per dispatch stub (default 2)
+ *   BREW_MAX_VARIANTS   live dispatch variants per function (default 16)
  *   BREW_PROFILE_HZ     sampling-profiler frequency, 0 = off (default 0)
  *   BREW_PROFILE_GUIDED =1 feeds CPU samples into dispatch  (default off)
  *   BREW_CACHE_DIR      persistent on-disk specialization-cache directory
@@ -147,10 +146,10 @@ void brew_options_set_cache_bytes(brew_options* options, size_t bytes);
 /* Cache shard count (clamped to [1, 64], rounded up to a power of two;
  * 1 selects the single-lock control mode without the lock-free hit table). */
 void brew_options_set_cache_shards(brew_options* options, size_t shards);
-/* Live specialized variants per dispatched function (N; min 1). */
+/* Live specialized variants per dispatched function (N; min 1; default
+ * 16). Each dispatch stub has four inline-cache ways; variants beyond them
+ * are served by the stub's miss path. */
 void brew_options_set_max_variants(brew_options* options, size_t variants);
-/* Inline-cache ways in each dispatch stub (clamped to [1, 4]). */
-void brew_options_set_dispatch_ways(brew_options* options, size_t ways);
 /* Miss-path observations before a dispatcher starts promoting. */
 void brew_options_set_sample_calls(brew_options* options, size_t calls);
 /* Calls between decay rounds (score halvings), stub hits included

@@ -254,10 +254,6 @@ void brew_options_set_max_variants(brew_options* options, size_t variants) {
     options->impl.dispatch.maxVariants = variants;
 }
 
-void brew_options_set_dispatch_ways(brew_options* options, size_t ways) {
-  if (options != nullptr && ways > 0) options->impl.dispatch.inlineWays = ways;
-}
-
 void brew_options_set_sample_calls(brew_options* options, size_t calls) {
   if (options != nullptr) options->impl.dispatch.sampleCalls = calls;
 }

@@ -139,8 +139,6 @@ VariantDispatcher::VariantDispatcher(SpecManager& manager, const void* fn,
       config_(std::move(config)),
       options_(options) {
   if (options_.maxVariants == 0) options_.maxVariants = 1;
-  options_.inlineWays = std::clamp<size_t>(options_.inlineWays, 1, kMaxWays);
-  if (options_.demoteMargin == 0) options_.demoteMargin = 1;
   if (options_.decayInterval == 0) options_.decayInterval = 1;
   if (options_.profileWeight == 0) options_.profileWeight = 1;
   if (options_.profileGuided) prof::setSampleSink(&dispatchProfileSink);
@@ -178,10 +176,10 @@ VariantDispatcher::~VariantDispatcher() {
 void VariantDispatcher::buildStub() {
   jit::Assembler as;
   const Reg arg = isa::abi::kIntArgs[intIndex_];
-  for (size_t way = 0; way < options_.inlineWays; ++way) {
+  for (const auto& way : ways_) {
     jit::Label next = as.newLabel();
     as.movRegImm(Reg::r11, static_cast<int64_t>(
-                               reinterpret_cast<uintptr_t>(&ways_[way])));
+                               reinterpret_cast<uintptr_t>(&way)));
     as.emit(makeInstr(Mnemonic::Mov, 8, Operand::makeReg(Reg::r11),
                       Operand::makeMem(MemOperand{.base = Reg::r11})));
     as.emit(makeInstr(Mnemonic::Cmp, 8, Operand::makeReg(arg),
@@ -263,8 +261,8 @@ std::vector<VariantInfo> VariantDispatcher::variants() const {
     info.entry = rec->target;
     info.codeBytes = rec->handle.codeSize();
     info.epoch = rec->epoch;
-    for (size_t w = 0; w < options_.inlineWays; ++w)
-      if (ways_[w].load(std::memory_order_relaxed) == rec.get())
+    for (const auto& way : ways_)
+      if (way.load(std::memory_order_relaxed) == rec.get())
         info.inlineCached = true;
     out.push_back(info);
   }
@@ -359,7 +357,7 @@ void VariantDispatcher::maybeSpecializeLocked(uint64_t key, uint64_t score) {
     const uint64_t coldScore = std::max(
         coldest->second->hits.load(std::memory_order_relaxed),
         options_.promoteThreshold);
-    if (score / options_.demoteMargin < coldScore) return;
+    if (score / kDemoteMargin < coldScore) return;
     demoteLocked(coldest);
   }
   if (options_.asyncSpecialize) {
@@ -437,14 +435,13 @@ void VariantDispatcher::installLocked(uint64_t key, CodeHandle handle,
 }
 
 void VariantDispatcher::promoteWayLocked(IcRecord* record) {
-  const size_t ways = options_.inlineWays;
-  size_t victim = ways;
+  size_t victim = kMaxWays;
   uint64_t victimScore = UINT64_MAX;
-  for (size_t w = 0; w < ways; ++w) {
+  for (size_t w = 0; w < kMaxWays; ++w) {
     IcRecord* cur = ways_[w].load(std::memory_order_relaxed);
     if (cur == record) return;  // already inline-cached
     if (cur == &sentinel_) {
-      if (victimScore != 0 || victim == ways) {
+      if (victimScore != 0 || victim == kMaxWays) {
         victim = w;
         victimScore = 0;  // empty way: best possible victim
       }
@@ -456,7 +453,7 @@ void VariantDispatcher::promoteWayLocked(IcRecord* record) {
       victim = w;
     }
   }
-  if (victim == ways) return;
+  if (victim == kMaxWays) return;
   // Replace only when strictly hotter (or the way is empty): an inline way
   // ping-ponging between two warm records would cost more than it saves.
   if (victimScore > 0 &&

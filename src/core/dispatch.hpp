@@ -6,7 +6,7 @@
 // VariantDispatcher keeps up to N live specialized variants of one
 // function, keyed by the runtime value of one integer parameter plus a
 // predicate EPOCH (e.g. the PGAS distribution generation), and dispatches
-// through a patchable inline-cache stub:
+// through a patchable inline-cache stub of kMaxWays (4) ways:
 //
 //   way 0:  movabs r11, &ways_[0]     ; address of the way's record cell
 //           mov    r11, [r11]         ; current IcRecord*
@@ -14,7 +14,7 @@
 //           jne    way 1
 //           inc    qword [r11+16]     ; approximate hit counter
 //           jmp    qword [r11+8]      ; variant entry
-//   way 1:  ... (same shape) ...
+//   way 1-3: ... (same shape) ...
 //   miss:   preserve argument registers, call brewDispatchMiss(key, self),
 //           restore, jmp through the returned target
 //
@@ -32,7 +32,7 @@
 // inline way; unknown keys accumulate a (decayed) miss score and are
 // specialized — synchronously or on the SpecManager worker pool — once hot.
 // When the table is full, a challenger must beat the coldest variant's
-// decayed hit score by `demoteMargin`x before that variant is retired
+// decayed hit score by kDemoteMargin (2)x before that variant is retired
 // (hysteresis, so a shifting key distribution converges instead of
 // thrashing). Retired records pass through a bounded quarantine before
 // being freed — see docs/DISPATCH.md for the full reclamation protocol.
@@ -94,7 +94,8 @@ struct VariantInfo {
 
 class VariantDispatcher {
  public:
-  static constexpr size_t kMaxWays = 4;
+  static constexpr size_t kMaxWays = 4;        // inline-cache ways per stub
+  static constexpr uint64_t kDemoteMargin = 2;  // hysteresis factor
 
   // `paramIndex` is the 0-based parameter (must be integer-class) whose
   // runtime value keys the variants; `prototypeArgs` supplies the other

@@ -284,7 +284,6 @@ SpecManager::Options SpecManager::Options::fromEnv() {
     if (envSize("BREW_CACHE_BYTES", &v)) o.cacheBytes = v;
     if (envSize("BREW_CACHE_SHARDS", &v)) o.cacheShards = v;
     if (envSize("BREW_MAX_VARIANTS", &v)) o.dispatch.maxVariants = v;
-    if (envSize("BREW_DISPATCH_WAYS", &v)) o.dispatch.inlineWays = v;
     if (envSize("BREW_PROFILE_HZ", &v)) o.profileHz = static_cast<int>(v);
     if (const char* d = std::getenv("BREW_CACHE_DIR"))
       if (d[0] != '\0') o.cacheDir = d;

@@ -128,8 +128,11 @@ class RewriteBatch {
 // (core/dispatch.hpp). Lives here so it rides inside SpecManager::Options —
 // the one configuration object behind brew_options and the env fallbacks.
 struct DispatchOptions {
-  size_t maxVariants = 4;     // live specialized variants per function (N)
-  size_t inlineWays = 2;      // inline-cache ways in the dispatch stub [1,4]
+  // Live specialized variants per function (N). A variant costs the
+  // dispatcher one IcRecord; its code stays in the code cache either way,
+  // so a table smaller than the key set only sends earned keys back to the
+  // original.
+  size_t maxVariants = 16;
   size_t sampleCalls = 64;    // resolver observations before promoting
   uint64_t promoteThreshold = 8;  // miss score a key needs to specialize
   // Calls per decay window, stub hits included; every window halves the hit
@@ -137,7 +140,6 @@ struct DispatchOptions {
   // promoteThreshold, and a hot challenger outscores a stale variant within
   // a window or two.
   uint64_t decayInterval = 256;
-  uint64_t demoteMargin = 2;  // challenger must beat the coldest by this x
   bool asyncSpecialize = false;   // compile candidates on the worker pool
   bool profileGuided = false;     // feed SIGPROF samples into hit scores
   uint64_t profileWeight = 16;    // hit-score credit per CPU sample
@@ -159,8 +161,8 @@ class SpecManager {
 
     // The ONE place environment fallbacks are parsed (each read once per
     // process): BREW_WORKERS, BREW_CACHE_BYTES, BREW_CACHE_SHARDS,
-    // BREW_CACHE_DIR, BREW_MAX_VARIANTS, BREW_DISPATCH_WAYS,
-    // BREW_PROFILE_HZ, BREW_PROFILE_GUIDED. Unset/invalid variables keep
+    // BREW_CACHE_DIR, BREW_MAX_VARIANTS, BREW_PROFILE_HZ,
+    // BREW_PROFILE_GUIDED. Unset/invalid variables keep
     // the field defaults above. Prefer brew_options / configureProcess;
     // the env vars are documented compatibility fallbacks.
     static Options fromEnv();

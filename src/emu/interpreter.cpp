@@ -133,7 +133,7 @@ Status Interpreter::step() {
     case isa::Family::SseScalar: {
       uint64_t* d = xmm_[isa::regNum(in.ops[0].reg)];
       const unsigned fw = row.enc.arg;
-      d[0] = mergeWrite(
+      d[0] = mergeXmmLo(
           d[0], evalFpScalar(in.mnemonic, fw, d[0], readXmmLo(in.ops[1], fw)),
           fw);
       return Status::okStatus();
@@ -320,7 +320,7 @@ Status Interpreter::step() {
       if (dst.isReg()) {
         uint64_t* d = xmm_[isa::regNum(dst.reg)];
         if (src.isReg()) {  // reg-reg: merge low lane
-          d[0] = mergeWrite(d[0], xmm_[isa::regNum(src.reg)][0], width);
+          d[0] = mergeXmmLo(d[0], xmm_[isa::regNum(src.reg)][0], width);
         } else {  // load zeroes the rest
           d[0] = loadMem(effAddr(src.mem), width);
           d[1] = 0;
@@ -389,7 +389,7 @@ Status Interpreter::step() {
       const unsigned fpW = (in.mnemonic == Mnemonic::Cvtsi2sd) ? 8 : 4;
       const uint64_t v =
           evalCvtIntToFp(fpW, in.srcWidth, readGprOp(in.ops[1], in.srcWidth));
-      d[0] = mergeWrite(d[0], v, fpW);
+      d[0] = mergeXmmLo(d[0], v, fpW);
       return Status::okStatus();
     }
     case Mnemonic::Cvttsd2si: case Mnemonic::Cvttss2si: {
@@ -400,7 +400,7 @@ Status Interpreter::step() {
     }
     case Mnemonic::Cvtsd2ss: {
       uint64_t* d = xmm_[isa::regNum(in.ops[0].reg)];
-      d[0] = mergeWrite(d[0], evalCvtFpToFp(4, readXmmLo(in.ops[1], 8)), 4);
+      d[0] = mergeXmmLo(d[0], evalCvtFpToFp(4, readXmmLo(in.ops[1], 8)), 4);
       return Status::okStatus();
     }
     case Mnemonic::Cvtss2sd: {

@@ -77,4 +77,14 @@ inline uint64_t mergeWrite(uint64_t oldBits, uint64_t newBits,
   return (oldBits & ~mask) | (newBits & mask);
 }
 
+// Merge a scalar SSE result into the low 64-bit lane of an XMM register:
+// an 8-byte (sd) result replaces the lane, a 4-byte (ss) result keeps bits
+// 32-63, unlike a 32-bit GPR write.
+inline uint64_t mergeXmmLo(uint64_t oldBits, uint64_t newBits,
+                           unsigned widthBytes) noexcept {
+  if (widthBytes >= 8) return newBits;
+  const uint64_t mask = maskForWidth(widthBytes);
+  return (oldBits & ~mask) | (newBits & mask);
+}
+
 }  // namespace brew::emu

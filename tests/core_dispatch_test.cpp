@@ -83,11 +83,9 @@ std::vector<ArgValue> protoArgs() {
 DispatchOptions fastOptions() {
   DispatchOptions opt;
   opt.maxVariants = 2;
-  opt.inlineWays = 2;
   opt.sampleCalls = 8;
   opt.promoteThreshold = 4;
   opt.decayInterval = 32;
-  opt.demoteMargin = 2;
   return opt;
 }
 
@@ -446,7 +444,6 @@ TEST(AutoSpec, ManualFinalize) {
 DispatchOptions fixedSeedOptions(size_t maxVariants) {
   DispatchOptions opt = fastOptions();
   opt.maxVariants = maxVariants;
-  opt.inlineWays = std::min(maxVariants, VariantDispatcher::kMaxWays);
   opt.promoteThreshold = UINT64_MAX;
   return opt;
 }
@@ -489,12 +486,10 @@ TEST(Guard, DispatchesToVariants) {
   SpecManager manager{SpecManager::Options{.workers = 1}};
   ExecMemory kernel = buildCountingKernel();
 
-  // Six seeds behind two inline ways: the rest are resolver table hits.
+  // Six seeds behind four inline ways: the rest are resolver table hits.
   const uint64_t seeds[] = {1, 2, 7, 40, 41, kLargeKey};
-  DispatchOptions opt = fixedSeedOptions(6);
-  opt.inlineWays = 2;
   VariantDispatcher d(manager, kernel.data(), 0, protoArgs(),
-                      countingConfig(), opt);
+                      countingConfig(), fixedSeedOptions(6));
   ASSERT_TRUE(d.valid());
   d.seedHot(seeds, 0);
   ASSERT_EQ(d.stats().promotions, 6u);
@@ -614,38 +609,51 @@ TEST(Dispatch, InvalidKeyParameterFallsBackToOriginal) {
   EXPECT_EQ(d2.entry(), kernel.data());
 }
 
+// Keys 1-4 are call-hot and own the four inline ways; key 8 is promoted to
+// a variant but stays call-cold (one call in nine, half a hot key's rate),
+// so it cannot displace an incumbent by calls.
+constexpr uint64_t kCallHot[] = {1, 2, 3, 4};
+constexpr uint64_t kCallCold = 8;
+
+DispatchOptions callHotAndColdOptions() {
+  DispatchOptions opt = fastOptions();
+  opt.maxVariants = 5;
+  return opt;
+}
+
+void warmCallHotAndCold(kernel_t fn) {
+  for (int i = 0; i < 200; ++i)
+    for (const uint64_t key : kCallHot)
+      ASSERT_EQ(fn(static_cast<int64_t>(key), i), expectKernel(key, i));
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_EQ(fn(kCallCold, i), expectKernel(kCallCold, i));
+    for (int j = 0; j < 2; ++j)
+      for (const uint64_t key : kCallHot)
+        ASSERT_EQ(fn(static_cast<int64_t>(key), j), expectKernel(key, j));
+  }
+}
+
 TEST(Dispatch, ProfileGuidedPromotionBoostsCpuHotVariant) {
   // A variant that is call-cold but CPU-hot (long-running calls) loses the
-  // single inline way on call counts alone. Profiler samples absorbed as a
-  // hotness prior must flip that: the sampled variant takes the way.
+  // inline ways on call counts alone. Profiler samples absorbed as a
+  // hotness prior must flip that: the sampled variant takes a way.
   SpecManager manager{SpecManager::Options{.workers = 1}};
   ExecMemory kernel = buildKernel(1000);
-  DispatchOptions opt = fastOptions();
-  opt.inlineWays = 1;
+  DispatchOptions opt = callHotAndColdOptions();
   opt.profileGuided = true;
   VariantDispatcher d(manager, kernel.data(), 0, protoArgs(), Config{},
                       opt);
   ASSERT_TRUE(d.valid());
-  auto fn = d.as<kernel_t>();
-
-  // Key 3 is call-hot and owns the way; key 8 is promoted to a variant but
-  // stays call-cold (one call in five), so it cannot displace the incumbent
-  // by calls.
-  for (int i = 0; i < 200; ++i) ASSERT_EQ(fn(3, i), 3000 + i);
-  for (int i = 0; i < 40; ++i) {
-    ASSERT_EQ(fn(8, i), 8000 + i);
-    for (int j = 0; j < 4; ++j) ASSERT_EQ(fn(3, j), 3000 + j);
-  }
-  ASSERT_EQ(d.variantCount(), 2u);
+  ASSERT_NO_FATAL_FAILURE(warmCallHotAndCold(d.as<kernel_t>()));
+  ASSERT_EQ(d.variantCount(), 5u);
 
   const void* coldEntry = nullptr;
   for (const VariantInfo& v : d.variants()) {
-    if (v.key == 3u) {
-      EXPECT_TRUE(v.inlineCached);
-    }
-    if (v.key == 8u) {
+    if (v.key == kCallCold) {
       EXPECT_FALSE(v.inlineCached);
       coldEntry = v.entry;
+    } else {
+      EXPECT_TRUE(v.inlineCached) << "key " << v.key;
     }
   }
   ASSERT_NE(coldEntry, nullptr);
@@ -654,20 +662,22 @@ TEST(Dispatch, ProfileGuidedPromotionBoostsCpuHotVariant) {
   // region (here injected directly: same entry point the sink resolves).
   EXPECT_TRUE(d.absorbProfileSamples(coldEntry, 1000));
   EXPECT_EQ(d.stats().profileSamples, 1000u);
+  size_t hotInline = 0;
   for (const VariantInfo& v : d.variants()) {
-    if (v.key == 8u) {
+    if (v.key == kCallCold) {
       EXPECT_TRUE(v.inlineCached) << "samples did not promote";
-    }
-    if (v.key == 3u) {
-      EXPECT_FALSE(v.inlineCached);
+    } else if (v.inlineCached) {
+      ++hotInline;
     }
   }
+  EXPECT_EQ(hotInline, VariantDispatcher::kMaxWays - 1);
 
   // The credit is score, not calls: the next resolver event must not age
   // it as if 16000 calls had passed.
+  auto fn = d.as<kernel_t>();
   ASSERT_EQ(fn(5, 1), 5001);
   for (const VariantInfo& v : d.variants()) {
-    if (v.key == 8u) {
+    if (v.key == kCallCold) {
       EXPECT_GE(v.hits, 1000 * opt.profileWeight / 2);
     }
   }
@@ -679,37 +689,30 @@ TEST(Dispatch, ProfileGuidedPromotionBoostsCpuHotVariant) {
 TEST(Dispatch, ProfileSamplesIgnoredWithoutProfileGuided) {
   SpecManager manager{SpecManager::Options{.workers = 1}};
   ExecMemory kernel = buildKernel(1000);
-  DispatchOptions opt = fastOptions();
-  opt.inlineWays = 1;  // profileGuided stays false
+  // profileGuided stays false.
   VariantDispatcher d(manager, kernel.data(), 0, protoArgs(), Config{},
-                      opt);
+                      callHotAndColdOptions());
   ASSERT_TRUE(d.valid());
-  auto fn = d.as<kernel_t>();
-  for (int i = 0; i < 200; ++i) ASSERT_EQ(fn(3, i), 3000 + i);
-  for (int i = 0; i < 40; ++i) {  // key 8 stays call-cold, as above
-    ASSERT_EQ(fn(8, i), 8000 + i);
-    for (int j = 0; j < 4; ++j) ASSERT_EQ(fn(3, j), 3000 + j);
-  }
-  ASSERT_EQ(d.variantCount(), 2u);
+  ASSERT_NO_FATAL_FAILURE(warmCallHotAndCold(d.as<kernel_t>()));
+  ASSERT_EQ(d.variantCount(), 5u);
 
   const void* coldEntry = nullptr;
   for (const VariantInfo& v : d.variants()) {
-    if (v.key == 8u) coldEntry = v.entry;
+    if (v.key == kCallCold) coldEntry = v.entry;
   }
   ASSERT_NE(coldEntry, nullptr);
 
   EXPECT_FALSE(d.absorbProfileSamples(coldEntry, 1000));
   EXPECT_EQ(d.stats().profileSamples, 0u);
   for (const VariantInfo& v : d.variants()) {
-    if (v.key == 8u) {
+    if (v.key == kCallCold) {
       EXPECT_FALSE(v.inlineCached);
     }
   }
 }
 
 // Decay windows count calls, stub hits included. With the default options
-// the stale variants' scores age within a window of a hot-set shift, so each
-// new hot key out-scores them by demoteMargin inside two windows.
+// each new hot key earns its variant inside two windows of a hot-set shift.
 TEST(Dispatch, HotSetShiftAdaptsWithinTwoWindows) {
   SpecManager manager{SpecManager::Options{.workers = 1}};
   ExecMemory kernel = buildCountingKernel();
@@ -757,6 +760,36 @@ TEST(Dispatch, HotSetShiftAdaptsWithinTwoWindows) {
   EXPECT_EQ(g_originalCalls, 0);
 }
 
+// The default table holds more variants than a 12-key set has keys: a key
+// that has been hot once keeps its variant after the hot set moves on,
+// instead of running the original until it is hot again.
+TEST(Dispatch, EveryOnceHotKeyKeepsItsVariant) {
+  SpecManager manager{SpecManager::Options{.workers = 1}};
+  ExecMemory kernel = buildCountingKernel();
+  const DispatchOptions opt;
+  VariantDispatcher d(manager, kernel.data(), 0, protoArgs(),
+                      countingConfig(), opt);
+  ASSERT_TRUE(d.valid());
+  auto fn = d.as<kernel_t>();
+
+  // Hot sets 0-2, 3-5, 6-8, 9-11, each for eight windows.
+  constexpr uint64_t kKeys = 12;
+  constexpr uint64_t kHot = 3;
+  int64_t x = 0;
+  for (uint64_t hotBase = 0; hotBase < kKeys; hotBase += kHot) {
+    for (uint64_t i = 0; i < 8 * opt.decayInterval; ++i, ++x) {
+      const uint64_t key = hotBase + i % kHot;
+      ASSERT_EQ(fn(static_cast<int64_t>(key), x), expectKernel(key, x));
+    }
+  }
+
+  CountOriginalCalls counting;
+  for (uint64_t key = 0; key < kKeys; ++key, ++x)
+    ASSERT_EQ(fn(static_cast<int64_t>(key), x), expectKernel(key, x));
+  EXPECT_EQ(g_originalCalls, 0);
+  EXPECT_EQ(d.variantCount(), kKeys);
+}
+
 // A run served entirely by the stub passes many windows with no resolver
 // event. The first miss after it must age the incumbents' scores as that
 // many rounds would have, or their stub hits would defend the slots.
@@ -765,7 +798,6 @@ TEST(Dispatch, StubOnlyRunAgesScores) {
   ExecMemory kernel = buildKernel(1000);
   DispatchOptions opt;
   opt.maxVariants = 2;
-  opt.inlineWays = 2;
   VariantDispatcher d(manager, kernel.data(), 0, protoArgs(), Config{}, opt);
   ASSERT_TRUE(d.valid());
   auto fn = d.as<kernel_t>();
@@ -882,7 +914,6 @@ TEST(DispatchHammer, ConcurrentMixedKeysWithEpochBumps) {
   ExecMemory kernel = buildKernel(1000);
   DispatchOptions opt;
   opt.maxVariants = 4;
-  opt.inlineWays = 4;
   opt.sampleCalls = 16;
   opt.promoteThreshold = 4;
   opt.decayInterval = 64;

@@ -37,7 +37,6 @@ TEST(CApiOptions, NullAndBogusValuesAreSafe) {
   brew_options_set_cache_bytes(nullptr, 1);
   brew_options_set_cache_shards(nullptr, 1);
   brew_options_set_max_variants(nullptr, 1);
-  brew_options_set_dispatch_ways(nullptr, 1);
   brew_options_set_sample_calls(nullptr, 1);
   brew_options_set_decay_interval(nullptr, 1);
   brew_options_set_async_specialize(nullptr, 1);
@@ -52,7 +51,6 @@ TEST(CApiOptions, ConfigureShapesTheProcessRuntimeThenFreezes) {
   brew_options_set_cache_bytes(options, 8u << 20);
   brew_options_set_cache_shards(options, 1);  // single-lock control mode
   brew_options_set_max_variants(options, 3);
-  brew_options_set_dispatch_ways(options, 2);
   brew_options_set_sample_calls(options, 4);
   brew_options_set_decay_interval(options, 16);
   brew_options_set_async_specialize(options, 0);

@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "core/rewriter.hpp"
+#include "emu/interpreter.hpp"
 #include "jit/assembler.hpp"
 
 namespace brew {
@@ -226,6 +227,41 @@ TEST(SsePaths, ConversionRoundTrip) {
   auto folded = rewriter2.rewrite(fn.data(), args);
   ASSERT_TRUE(folded.ok());
   EXPECT_DOUBLE_EQ(folded->as<t_t>()(0.0), 123.0);
+}
+
+TEST(SsePaths, ScalarSingleKeepsUpperLowLaneBits) {
+  // An ss result merged into an XMM register replaces bits 0-31 and keeps
+  // bits 32-63: movq xmm0, rdi; pxor xmm1, xmm1; addss xmm0, xmm1;
+  // movq rax, xmm0 returns its argument when bits 0-31 hold 1.0f.
+  Assembler as;
+  as.emit(makeInstr(Mnemonic::Movq, 8, Operand::makeReg(Reg::xmm0),
+                    Operand::makeReg(Reg::rdi)));
+  as.emit(makeInstr(Mnemonic::Pxor, 16, Operand::makeReg(Reg::xmm1),
+                    Operand::makeReg(Reg::xmm1)));
+  as.emit(makeInstr(Mnemonic::Addss, 4, Operand::makeReg(Reg::xmm0),
+                    Operand::makeReg(Reg::xmm1)));
+  as.emit(makeInstr(Mnemonic::Movq, 8, Operand::makeReg(Reg::rax),
+                    Operand::makeReg(Reg::xmm0)));
+  as.ret();
+  ExecMemory fn = buildOrDie(as);
+  using f_t = uint64_t (*)(uint64_t);
+  constexpr uint64_t kInput = 0x123456783f800000ull;
+
+  EXPECT_EQ(fn.entry<f_t>()(kInput), kInput);
+
+  emu::Interpreter interp;
+  const uint64_t args[] = {kInput};
+  auto interpreted = interp.call(reinterpret_cast<uint64_t>(fn.data()), args);
+  ASSERT_TRUE(interpreted.ok()) << interpreted.error().message();
+  EXPECT_EQ(interpreted->intResult, kInput);
+
+  Config known;
+  known.setParamKnown(0);
+  Rewriter rewriter{known};
+  const ArgValue knownArgs[] = {ArgValue::fromInt(kInput)};
+  auto folded = rewriter.rewrite(fn.data(), knownArgs);
+  ASSERT_TRUE(folded.ok()) << folded.error().message();
+  EXPECT_EQ(folded->as<f_t>()(kInput), kInput);
 }
 
 TEST(SsePaths, UcomisdBranchResolvedWhenKnown) {
