@@ -3,7 +3,7 @@
 // variant, then hammers the specialization cache with the same request;
 // after the one trace per variant, every rewrite is a cached hit. The
 // sharded cache serves those hits from a lock-free seqlock table, so
-// throughput should scale with threads; the BREW_CACHE_SHARDS=1 control
+// throughput should scale with threads; the cacheShards = 1 control
 // (one mutex, no hit table) is the pre-sharding behavior and plateaus.
 //
 // Thread counts come from BREW_BENCH_THREADS (comma list, default

@@ -6,8 +6,8 @@
 //
 //   $ ./parallel_stencil [threads]
 //
-// The cache shard count comes from BREW_CACHE_SHARDS (default 16);
-// BREW_CACHE_SHARDS=1 is the single-lock control mode.
+// The cache has 16 shards (SpecManager::Options::cacheShards, a C++
+// field; 1 is the single-lock control mode bench_e6 measures against).
 #include <cstdio>
 #include <cstdlib>
 #include <thread>

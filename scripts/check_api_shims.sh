@@ -1,9 +1,10 @@
 #!/bin/sh
 # Polices the C API surface: every brew_* function declared in brew.h is
 # defined in brew_c.cpp and the reverse, the environment table in brew.h's
-# brew_options comment names exactly the variables
-# SpecManager::Options::fromEnv parses, and BREW_CACHE_DIR is parsed in
-# exactly one place.
+# brew_options comment and README's environment fallbacks name exactly the
+# variables SpecManager::Options::fromEnv parses, every switch in
+# docs/OBSERVABILITY.md's table is read under src/, and BREW_CACHE_DIR is
+# parsed in exactly one place.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -57,6 +58,35 @@ if [ "$documented" != "$parsed" ]; then
   exit 1
 fi
 
+# README's "Environment fallbacks (...)" sentence is the user-facing copy
+# of the same list: a variable it still names after fromEnv dropped it is
+# a switch users set to no effect.
+readme=$(sed -n '/^Environment fallbacks (/,/)/p' README.md | tr '\n' ' ' \
+  | sed 's/).*//' | grep -oE 'BREW_[A-Z_]+' | sort -u || true)
+if [ "$readme" != "$parsed" ]; then
+  echo "README's environment fallbacks and SpecManager::Options::fromEnv differ:" >&2
+  echo "README only:" $(printf '%s\n' "$readme" | grep -vxF "$parsed") >&2
+  echo "parsed only:" $(printf '%s\n' "$parsed" | grep -vxF "$readme") >&2
+  exit 1
+fi
+
+# Every switch in docs/OBSERVABILITY.md's quick-reference table is read
+# somewhere under src/, by getenv or by fromEnv's envSize wrapper over it.
+switches=$(sed -nE 's/^\| `(BREW_[A-Z_]+)[^|]*\|.*/\1/p' docs/OBSERVABILITY.md \
+  | sort -u)
+if [ -z "$switches" ]; then
+  echo "no BREW_* switch table found in docs/OBSERVABILITY.md" >&2
+  exit 1
+fi
+unread=""
+for name in $switches; do
+  grep -rqE "(getenv|envSize)\(\"$name\"" src || unread="$unread $name"
+done
+if [ -n "$unread" ]; then
+  echo "docs/OBSERVABILITY.md lists switches nothing under src/ reads:$unread" >&2
+  exit 1
+fi
+
 # BREW_CACHE_DIR is parsed in exactly one place (SpecManager::Options::
 # fromEnv); a second getenv would reintroduce the scattered-env-parsing
 # problem brew_options exists to solve. Scripts and docs may mention the
@@ -75,4 +105,6 @@ fi
 count=$(printf '%s\n' "$declared" | wc -l)
 echo "C API surface intact: $count brew_* functions declared and defined"
 echo "brew_options environment table matches fromEnv:" $parsed
+echo "README environment fallbacks match fromEnv;" \
+     "every docs/OBSERVABILITY.md switch is read under src/"
 echo "BREW_CACHE_DIR parsed only in SpecManager::Options::fromEnv"

@@ -124,10 +124,8 @@ void brew_set_store_handler(brew_conf* conf, brew_handler handler);
  *
  *   BREW_WORKERS        async rewrite worker threads        (default 2)
  *   BREW_CACHE_BYTES    specialization-cache LRU budget     (default 64 MiB)
- *   BREW_CACHE_SHARDS   cache shard count, pow2, max 64     (default 16)
  *   BREW_MAX_VARIANTS   live dispatch variants per function (default 16)
  *   BREW_PROFILE_HZ     sampling-profiler frequency, 0 = off (default 0)
- *   BREW_PROFILE_GUIDED =1 feeds CPU samples into dispatch  (default off)
  *   BREW_CACHE_DIR      persistent on-disk specialization-cache directory
  *                       (default unset = persistence off; see docs/CACHE.md)
  *
@@ -143,9 +141,6 @@ void brew_options_free(brew_options* options);
 void brew_options_set_workers(brew_options* options, int workers);
 /* Specialization-cache LRU byte budget. */
 void brew_options_set_cache_bytes(brew_options* options, size_t bytes);
-/* Cache shard count (clamped to [1, 64], rounded up to a power of two;
- * 1 selects the single-lock control mode without the lock-free hit table). */
-void brew_options_set_cache_shards(brew_options* options, size_t shards);
 /* Live specialized variants per dispatched function (N; min 1; default
  * 16). Each dispatch stub has four inline-cache ways; variants beyond them
  * are served by the stub's miss path. */
@@ -160,9 +155,6 @@ void brew_options_set_async_specialize(brew_options* options, int enabled);
 /* Sampling-profiler frequency in Hz (clamped to [1, 10000]; 0 disables).
  * The profiler starts with the runtime when > 0. */
 void brew_options_set_profile_hz(brew_options* options, int hz);
-/* Feed profiler CPU samples into dispatcher hit scores, so CPU-hot but
- * call-cold variants still earn inline-cache ways. */
-void brew_options_set_profile_guided(brew_options* options, int enabled);
 /* Persistent on-disk specialization cache directory (copied; NULL or ""
  * disables persistence). Entries are keyed by the executable's build id
  * plus the full specialization identity, written crash-safely, and — when
@@ -302,7 +294,7 @@ typedef struct brew_persist_stats {
 } brew_persist_stats;
 void brew_getpersiststats(brew_persist_stats* out);
 
-/* ---- profile-guided multi-version dispatch --------------------------- */
+/* ---- multi-version dispatch ------------------------------------------ */
 
 /* A dispatcher keeps up to N (brew_options_set_max_variants) specialized
  * variants of one function, keyed by the runtime value of one integer

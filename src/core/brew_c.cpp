@@ -245,10 +245,6 @@ void brew_options_set_cache_bytes(brew_options* options, size_t bytes) {
   if (options != nullptr && bytes > 0) options->impl.cacheBytes = bytes;
 }
 
-void brew_options_set_cache_shards(brew_options* options, size_t shards) {
-  if (options != nullptr && shards > 0) options->impl.cacheShards = shards;
-}
-
 void brew_options_set_max_variants(brew_options* options, size_t variants) {
   if (options != nullptr && variants > 0)
     options->impl.dispatch.maxVariants = variants;
@@ -270,11 +266,6 @@ void brew_options_set_async_specialize(brew_options* options, int enabled) {
 
 void brew_options_set_profile_hz(brew_options* options, int hz) {
   if (options != nullptr && hz >= 0) options->impl.profileHz = hz;
-}
-
-void brew_options_set_profile_guided(brew_options* options, int enabled) {
-  if (options != nullptr)
-    options->impl.dispatch.profileGuided = enabled != 0;
 }
 
 void brew_options_set_cache_dir(brew_options* options, const char* dir) {
@@ -422,7 +413,7 @@ void brew_getpersiststats(brew_persist_stats* out) {
   };
 }
 
-/* ---- profile-guided multi-version dispatch --------------------------- */
+/* ---- multi-version dispatch ------------------------------------------ */
 
 brew_dispatch* brew_dispatch_create(brew_conf* conf, const void* fn,
                                     int param_index, ...) {

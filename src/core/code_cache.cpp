@@ -81,18 +81,9 @@ void destroyCodeBlock(CodeBlock* block) noexcept {
 
 }  // namespace detail
 
-size_t CodeCache::defaultShardCount() {
-  // Fixed default; the BREW_CACHE_SHARDS env fallback is parsed by
-  // SpecManager::Options::fromEnv() — the cache never reads the
-  // environment itself.
-  return 16;
-}
-
 CodeCache::CodeCache(size_t byteBudget, size_t shardCount)
     : budget_(byteBudget) {
-  const size_t n =
-      roundUpPow2(std::min(shardCount != 0 ? shardCount : defaultShardCount(),
-                           kMaxShards));
+  const size_t n = roundUpPow2(std::min(shardCount, kMaxShards));
   shards_.reserve(n);
   for (size_t i = 0; i < n; ++i) shards_.push_back(std::make_unique<Shard>());
   hitMask_ = kHitSlots - 1;

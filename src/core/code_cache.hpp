@@ -274,18 +274,15 @@ class CodeCache {
   static constexpr size_t kDefaultByteBudget = size_t{64} << 20;
   static constexpr size_t kMaxShards = 64;
   static constexpr size_t kHitSlots = 1024;  // direct-mapped seqlock table
+  static constexpr size_t kDefaultShards = 16;
 
-  // Shard count used when the constructor is passed 0 (16). The cache
-  // itself never reads the environment: the BREW_CACHE_SHARDS fallback is
-  // parsed once by SpecManager::Options::fromEnv() and arrives here through
-  // the constructor. A shard count of 1 is the single-lock
-  // compatibility/control mode: one shard and NO lock-free hit table —
-  // every lookup takes the mutex, which reproduces the pre-sharding
-  // behavior for A/B scaling measurements.
-  static size_t defaultShardCount();
-
+  // `shardCount` is rounded up to a power of two, at most kMaxShards. A
+  // shard count of 1 is the single-lock control mode: one shard and NO
+  // lock-free hit table — every lookup takes the mutex, which reproduces
+  // the pre-sharding behavior for A/B scaling measurements and serves
+  // tests as a reference.
   explicit CodeCache(size_t byteBudget = kDefaultByteBudget,
-                     size_t shardCount = 0);
+                     size_t shardCount = kDefaultShards);
   ~CodeCache();
 
   CodeCache(const CodeCache&) = delete;

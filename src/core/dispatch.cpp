@@ -8,7 +8,6 @@
 #include "support/flight_recorder.hpp"
 #include "support/log.hpp"
 #include "support/perf_map.hpp"
-#include "support/profiler.hpp"
 #include "support/telemetry.hpp"
 
 namespace brew {
@@ -104,16 +103,6 @@ DispatcherRegistry& dispatcherRegistry() {
   return *registry;
 }
 
-// Profiler drain-thread sink: walks the registry and offers the region's
-// fresh CPU samples to each dispatcher until one owns it. Lock order
-// (registry.mu -> d.mu_) matches aggregate()/rankHot().
-void dispatchProfileSink(const void* regionBase, uint64_t samples) {
-  DispatcherRegistry& registry = dispatcherRegistry();
-  std::lock_guard<std::mutex> lock(registry.mu);
-  for (VariantDispatcher* d : registry.all)
-    if (d->absorbProfileSamples(regionBase, samples)) return;
-}
-
 }  // namespace
 
 extern "C" const void* brewDispatchMiss(uint64_t key,
@@ -140,8 +129,6 @@ VariantDispatcher::VariantDispatcher(SpecManager& manager, const void* fn,
       options_(options) {
   if (options_.maxVariants == 0) options_.maxVariants = 1;
   if (options_.decayInterval == 0) options_.decayInterval = 1;
-  if (options_.profileWeight == 0) options_.profileWeight = 1;
-  if (options_.profileGuided) prof::setSampleSink(&dispatchProfileSink);
   stats_.epoch = 0;
 
   sentinel_.key = kSentinelKey;
@@ -304,28 +291,6 @@ const void* VariantDispatcher::resolve(uint64_t key) {
   telemetry::histogram(telemetry::HistogramId::DispatchResolveNs)
       .record(telemetry::nowNs() - t0);
   return target;
-}
-
-bool VariantDispatcher::absorbProfileSamples(const void* regionBase,
-                                             uint64_t samples) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!options_.profileGuided || samples == 0) return false;
-  const uint64_t base = reinterpret_cast<uint64_t>(regionBase);
-  for (auto& [key, rec] : variants_) {
-    const auto entry = reinterpret_cast<uint64_t>(rec->target);
-    const uint64_t size = std::max<uint64_t>(rec->handle.codeSize(), 1);
-    if (base < entry || base >= entry + size) continue;
-    // Weighted credit onto the same score the call-count path feeds, so
-    // decay, hysteresis and way promotion all see one combined signal. The
-    // credit is score, not calls: it joins the round's base, off the clock.
-    const uint64_t credit = samples * options_.profileWeight;
-    rec->hits.fetch_add(credit, std::memory_order_relaxed);
-    rec->hitsAtRound += credit;
-    stats_.profileSamples += samples;
-    promoteWayLocked(rec.get());
-    return true;
-  }
-  return false;
 }
 
 std::map<uint64_t, std::unique_ptr<IcRecord>>::iterator
@@ -573,14 +538,6 @@ void VariantDispatcher::bumpEpoch() {
   submitLocked(std::move(hot));
 }
 
-VariantDispatcher* VariantDispatcher::find(const void* fn) {
-  DispatcherRegistry& registry = dispatcherRegistry();
-  std::lock_guard<std::mutex> lock(registry.mu);
-  for (VariantDispatcher* d : registry.all)
-    if (d->subject() == fn) return d;
-  return nullptr;
-}
-
 bool VariantDispatcher::withDispatcher(
     const void* subject, const std::function<void(VariantDispatcher&)>& fn) {
   DispatcherRegistry& registry = dispatcherRegistry();
@@ -609,26 +566,10 @@ DispatchStats VariantDispatcher::aggregate(size_t* functions) {
     total.decayRounds += s.decayRounds;
     total.epochBumps += s.epochBumps;
     total.pendingAsync += s.pendingAsync;
-    total.profileSamples += s.profileSamples;
     total.epoch = std::max(total.epoch, s.epoch);
   }
   if (functions != nullptr) *functions = registry.all.size();
   return total;
-}
-
-std::vector<std::pair<const void*, uint64_t>> VariantDispatcher::rankHot() {
-  DispatcherRegistry& registry = dispatcherRegistry();
-  std::lock_guard<std::mutex> lock(registry.mu);
-  std::vector<std::pair<const void*, uint64_t>> ranked;
-  ranked.reserve(registry.all.size());
-  for (const VariantDispatcher* d : registry.all) {
-    const DispatchStats s = d->stats();
-    ranked.emplace_back(d->subject(),
-                        s.variantHits + s.tableHits + s.misses);
-  }
-  std::sort(ranked.begin(), ranked.end(),
-            [](const auto& a, const auto& b) { return a.second > b.second; });
-  return ranked;
 }
 
 }  // namespace brew

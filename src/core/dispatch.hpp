@@ -1,7 +1,8 @@
-// Profile-guided multi-version dispatch (the paper's §IV–V argument that
-// runtime rewriting can cheaply keep MULTIPLE specialized bodies live as
-// runtime parameters shift; variant selection follows the multi-version
-// binary-rewriting and BAAR online-acceleration designs in PAPERS.md).
+// Multi-version dispatch (the paper's §IV–V argument that runtime
+// rewriting can cheaply keep MULTIPLE specialized bodies live as runtime
+// parameters shift; variant selection follows the multi-version
+// binary-rewriting and BAAR online-acceleration designs in PAPERS.md, with
+// one profile source: the call counts the stub and the resolver keep).
 //
 // VariantDispatcher keeps up to N live specialized variants of one
 // function, keyed by the runtime value of one integer parameter plus a
@@ -79,7 +80,6 @@ struct DispatchStats {
   uint64_t epochBumps = 0;
   uint64_t pendingAsync = 0; // candidate rewrites in flight on the pool
   uint64_t epoch = 0;
-  uint64_t profileSamples = 0;  // CPU samples credited by the profiler sink
 };
 
 // Introspection row for one live variant (brew_func_variants).
@@ -148,28 +148,11 @@ class VariantDispatcher {
   // brewDispatchMiss. Returns the call target for `key`.
   const void* resolve(uint64_t key);
 
-  // Profile-guided hotness prior (options.profileGuided): credits CPU
-  // samples the profiler attributed to `regionBase` to the variant whose
-  // code owns that region, weighting its hit score by profileWeight and
-  // re-running way promotion — so a CPU-hot but call-cold variant earns an
-  // inline way on real CPU time, not just call counts. Called from the
-  // profiler's drain thread under the registry lock. Returns true when a
-  // variant matched.
-  bool absorbProfileSamples(const void* regionBase, uint64_t samples);
+  // --- process-wide dispatcher registry (introspection) ---
 
-  // --- process-wide dispatcher registry (introspection / hot ranking) ---
-
-  // The live dispatcher for `fn`, or null. The pointer is only safe to use
-  // while the dispatcher is known to outlive the caller's use (the C API
-  // snapshots under the registry lock).
-  static VariantDispatcher* find(const void* fn);
   // Sums stats() over every live dispatcher; `functions`, when non-null,
   // receives the dispatcher count.
   static DispatchStats aggregate(size_t* functions);
-  // Subject functions ranked by observed dispatch activity (decayed
-  // variant hits + miss-path events), hottest first — the online
-  // hot-function ranking for respecialization policy.
-  static std::vector<std::pair<const void*, uint64_t>> rankHot();
   // Runs `fn` for the dispatcher of `subject` (if any) under the registry
   // lock, so the dispatcher cannot die mid-call. Returns false when absent.
   static bool withDispatcher(const void* subject,

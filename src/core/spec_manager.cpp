@@ -282,13 +282,10 @@ SpecManager::Options SpecManager::Options::fromEnv() {
     size_t v = 0;
     if (envSize("BREW_WORKERS", &v)) o.workers = static_cast<int>(v);
     if (envSize("BREW_CACHE_BYTES", &v)) o.cacheBytes = v;
-    if (envSize("BREW_CACHE_SHARDS", &v)) o.cacheShards = v;
     if (envSize("BREW_MAX_VARIANTS", &v)) o.dispatch.maxVariants = v;
     if (envSize("BREW_PROFILE_HZ", &v)) o.profileHz = static_cast<int>(v);
     if (const char* d = std::getenv("BREW_CACHE_DIR"))
       if (d[0] != '\0') o.cacheDir = d;
-    if (const char* g = std::getenv("BREW_PROFILE_GUIDED"))
-      o.dispatch.profileGuided = g[0] == '1' && g[1] == '\0';
     return o;
   }();
   return cached;
@@ -296,12 +293,11 @@ SpecManager::Options SpecManager::Options::fromEnv() {
 
 SpecManager::SpecManager(Options options)
     : options_(options),
-      cache_(options.cacheBytes, options.cacheShards != 0
-                                     ? options.cacheShards
-                                     : Options::fromEnv().cacheShards) {
+      cache_(options.cacheBytes, options.cacheShards) {
   if (options_.workers < 1) options_.workers = 1;
-  // Profiler autostart mirrors the cacheShards merge: an explicit option
-  // wins, 0 defers to the env fallback.
+  // profileHz is the only field a private instance takes from the
+  // environment: an explicit rate wins, 0 defers to BREW_PROFILE_HZ, so
+  // the profiler can watch a process that builds its own manager.
   if (options_.profileHz == 0)
     options_.profileHz = Options::fromEnv().profileHz;
   if (options_.profileHz > 0 && !prof::profilerRunning())

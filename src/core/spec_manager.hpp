@@ -124,9 +124,9 @@ class RewriteBatch {
   size_t claimed_ = 0;
 };
 
-// Tuning for the profile-guided multi-version dispatcher
-// (core/dispatch.hpp). Lives here so it rides inside SpecManager::Options —
-// the one configuration object behind brew_options and the env fallbacks.
+// Tuning for the multi-version dispatcher (core/dispatch.hpp). Lives here
+// so it rides inside SpecManager::Options — the one configuration object
+// behind brew_options and the env fallbacks.
 struct DispatchOptions {
   // Live specialized variants per function (N). A variant costs the
   // dispatcher one IcRecord; its code stays in the code cache either way,
@@ -141,8 +141,6 @@ struct DispatchOptions {
   // a window or two.
   uint64_t decayInterval = 256;
   bool asyncSpecialize = false;   // compile candidates on the worker pool
-  bool profileGuided = false;     // feed SIGPROF samples into hit scores
-  uint64_t profileWeight = 16;    // hit-score credit per CPU sample
 };
 
 class SpecManager {
@@ -150,8 +148,8 @@ class SpecManager {
   struct Options {
     int workers = 2;                                  // async pool size
     size_t cacheBytes = CodeCache::kDefaultByteBudget;
-    size_t cacheShards = 0;  // 0 = BREW_CACHE_SHARDS env / default (16)
-    int profileHz = 0;       // 0 = BREW_PROFILE_HZ env / off
+    size_t cacheShards = CodeCache::kDefaultShards;  // 1 = single-lock control
+    int profileHz = 0;  // 0 = BREW_PROFILE_HZ env / off
     // Persistent on-disk specialization cache directory (see
     // support/persist_cache.hpp). Empty = persistence disabled; the
     // BREW_CACHE_DIR env fallback applies only through fromEnv(), so
@@ -160,9 +158,8 @@ class SpecManager {
     DispatchOptions dispatch{};
 
     // The ONE place environment fallbacks are parsed (each read once per
-    // process): BREW_WORKERS, BREW_CACHE_BYTES, BREW_CACHE_SHARDS,
-    // BREW_CACHE_DIR, BREW_MAX_VARIANTS, BREW_PROFILE_HZ,
-    // BREW_PROFILE_GUIDED. Unset/invalid variables keep
+    // process): BREW_WORKERS, BREW_CACHE_BYTES, BREW_CACHE_DIR,
+    // BREW_MAX_VARIANTS, BREW_PROFILE_HZ. Unset/invalid variables keep
     // the field defaults above. Prefer brew_options / configureProcess;
     // the env vars are documented compatibility fallbacks.
     static Options fromEnv();

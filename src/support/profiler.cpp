@@ -149,41 +149,28 @@ std::condition_variable g_drainCv;
 bool g_drainStop = false;  // under g_ctlMu
 bool g_running = false;    // under g_ctlMu
 
-std::atomic<SampleSink> g_sink{nullptr};
-
 void drainPass() {
   std::lock_guard<std::mutex> drainLock(g_drainMu);
   const uint32_t rings =
       std::min(g_ringCount.load(std::memory_order_acquire), kMaxRings);
   SampleRing* const allRings = g_rings.load(std::memory_order_acquire);
   if (rings == 0 || allRings == nullptr) return;
-  // Per-pass, per-region fresh counts feed the hotness sink after the
-  // aggregation locks are released.
-  std::unordered_map<uint64_t, uint64_t> freshByBase;
-  {
-    std::lock_guard<std::mutex> aggLock(g_aggMu);
-    auto& byName = samplesByName();
-    for (uint32_t i = 0; i < rings; ++i) {
-      SampleRing& ring = allRings[i];
-      const uint64_t head = ring.head.load(std::memory_order_acquire);
-      uint64_t tail = ring.tail.load(std::memory_order_relaxed);
-      for (; tail != head; ++tail) {
-        const uint64_t pc = ring.pc[tail & (kRingCapacity - 1)];
-        ++g_totalSamples;
-        CodeRegion region;
-        if (lookupCodeRegion(pc, &region)) {
-          ++g_brewSamples;
-          byName[region.name] += 1;
-          freshByBase[region.base] += 1;
-        }
+  std::lock_guard<std::mutex> aggLock(g_aggMu);
+  auto& byName = samplesByName();
+  for (uint32_t i = 0; i < rings; ++i) {
+    SampleRing& ring = allRings[i];
+    const uint64_t head = ring.head.load(std::memory_order_acquire);
+    uint64_t tail = ring.tail.load(std::memory_order_relaxed);
+    for (; tail != head; ++tail) {
+      const uint64_t pc = ring.pc[tail & (kRingCapacity - 1)];
+      ++g_totalSamples;
+      CodeRegion region;
+      if (lookupCodeRegion(pc, &region)) {
+        ++g_brewSamples;
+        byName[region.name] += 1;
       }
-      ring.tail.store(tail, std::memory_order_release);
     }
-  }
-  if (SampleSink sink = g_sink.load(std::memory_order_acquire);
-      sink != nullptr) {
-    for (const auto& [base, n] : freshByBase)
-      sink(reinterpret_cast<const void*>(base), n);
+    ring.tail.store(tail, std::memory_order_release);
   }
 }
 
@@ -593,10 +580,6 @@ void writeProfileSummary(std::FILE* out) {
   for (const auto& e : snap.entries)
     std::fprintf(out, "  %-48s %12llu\n", e.name.c_str(),
                  static_cast<unsigned long long>(e.samples));
-}
-
-void setSampleSink(SampleSink sink) noexcept {
-  g_sink.store(sink, std::memory_order_release);
 }
 
 // ---------------------------------------------------------------------------

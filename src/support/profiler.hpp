@@ -11,8 +11,8 @@
 //    per-thread lock-free SPSC ring; a background drain thread resolves
 //    PCs against the region index into per-specialization sample counts
 //    (CPU time, not call counts). Snapshots export via profileSnapshot()/
-//    writeProfileJson(), ride in the BREW_STATS report, and can feed the
-//    VariantDispatcher as a hotness prior through a registered sink.
+//    writeProfileJson() and ride in the BREW_STATS report. They are
+//    observability only: dispatch hotness comes from call counts.
 //
 //  - CRASH ATTRIBUTION: a SIGSEGV/SIGBUS/SIGILL handler that, when the
 //    faulting PC lands in a brew-owned region, writes the specialization's
@@ -107,12 +107,6 @@ bool writeProfileJson(const char* path);
 // Human-readable attribution table (rides in BREW_STATS summaries). No-op
 // when the profiler never captured a sample.
 void writeProfileSummary(std::FILE* out);
-
-// Drain-time hotness sink: called once per region with fresh CPU samples
-// per drain pass (core/dispatch.cpp registers one when profile-guided
-// promotion is on). Runs on the drain thread, outside profiler locks.
-using SampleSink = void (*)(const void* regionBase, uint64_t samples);
-void setSampleSink(SampleSink sink) noexcept;
 
 // ---------------------------------------------------------------------------
 // Crash attribution

@@ -60,8 +60,8 @@ TEST(CacheShardTest, FastpathServesRepeatHits) {
 }
 
 TEST(CacheShardTest, SingleShardControlDisablesFastpath) {
-  // BREW_CACHE_SHARDS=1 (here forced via Options) is the A/B control: one
-  // lock, no hit table, pre-sharding behavior.
+  // cacheShards = 1 is the A/B control: one lock, no hit table,
+  // pre-sharding behavior.
   SpecManager manager{SpecManager::Options{.workers = 1, .cacheShards = 1}};
   ExecMemory fn = buildConstFn(77);
   const std::vector<ArgValue> none;

@@ -35,7 +35,6 @@ TEST(CApiOptions, NullAndBogusValuesAreSafe) {
   // Setters on NULL are no-ops, not crashes.
   brew_options_set_workers(nullptr, 4);
   brew_options_set_cache_bytes(nullptr, 1);
-  brew_options_set_cache_shards(nullptr, 1);
   brew_options_set_max_variants(nullptr, 1);
   brew_options_set_sample_calls(nullptr, 1);
   brew_options_set_decay_interval(nullptr, 1);
@@ -49,7 +48,6 @@ TEST(CApiOptions, ConfigureShapesTheProcessRuntimeThenFreezes) {
   ASSERT_NE(options, nullptr);
   brew_options_set_workers(options, 1);
   brew_options_set_cache_bytes(options, 8u << 20);
-  brew_options_set_cache_shards(options, 1);  // single-lock control mode
   brew_options_set_max_variants(options, 3);
   brew_options_set_sample_calls(options, 4);
   brew_options_set_decay_interval(options, 16);
@@ -74,7 +72,7 @@ TEST(CApiOptions, ConfigureShapesTheProcessRuntimeThenFreezes) {
 
   brew_cache_stats cache;
   brew_getcachestats(&cache);
-  EXPECT_EQ(cache.shards, 1u);                  // configured, not env/default
+  EXPECT_EQ(cache.shards, 16u);  // not settable from C
   EXPECT_EQ(cache.capacity_bytes, 8u << 20);
 
   // The dispatcher inherits the configured variant budget (3) even when
