@@ -35,14 +35,15 @@ cmake --build build-tsan -j"$(nproc)" \
 cd build-tsan
 ctest -L concurrency --output-on-failure -j"$(nproc)"
 
-# The cross-iteration pass and the loop register rules must also report
+# The cross-iteration passes and the loop register rules must also report
 # themselves: a BREW_STATS run over the differential suite (whose loop
-# subjects keep their loops) has to show their counters moving, and the
-# latch layout with them (a silent pass is indistinguishable from a
-# disabled one).
+# subjects keep their loops, one of them packed two iterations per trip)
+# has to show their counters moving, and the latch layout with them (a
+# silent pass is indistinguishable from a disabled one).
 stats_out=$(BREW_STATS=1 ./tests/passes_vectorize_test 2>&1)
 for counter in passes.loads_eliminated passes.copies_coalesced \
-    passes.consts_hoisted emit.loop_latches_placed; do
+    passes.consts_hoisted passes.loops_vectorized \
+    emit.loop_latches_placed; do
   if ! printf '%s\n' "$stats_out" | \
       grep -E "$counter[[:space:]]+[1-9][0-9]*" > /dev/null; then
     echo "FAIL: $counter missing or zero in BREW_STATS output" >&2

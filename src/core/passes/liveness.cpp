@@ -43,8 +43,9 @@ RegFacts factsOf(const Instruction& in) {
   f.imp = (read | f.wr) & ~named;
   if (in.mnemonic == Mnemonic::Call || in.mnemonic == Mnemonic::CallInd) {
     // regsWritten already clobbers every XMM register. The callee may read
-    // any of them and the flags, and may leave any register as it was.
-    f.use = read | kXmmRegs | kFlags;
+    // the argument registers (regsRead: xmm0-7 among them) and the flags,
+    // and may leave any register as it was.
+    f.use = read | kFlags;
     return f;
   }
   const isa::MnemonicInfo& row = isa::row(in.mnemonic);

@@ -5,6 +5,7 @@
 // redundant, compares whose branches were resolved, and loads duplicated by
 // unrolling. They run on the block CFG before emission.
 #include <algorithm>
+#include <bit>
 #include <utility>
 #include <vector>
 
@@ -301,14 +302,20 @@ void runPasses(ir::CapturedFunction& fn, const PassOptions& options) {
   // Cross-iteration load elimination runs after load dedup, so it sees the
   // canonical scalar stream, and before the final peephole, which mops up
   // the moves it leaves behind.
-  if (options.crossIterLoads) {
+  // Both cross-iteration passes are timed into one phase.vectorize_ns
+  // sample per rewrite, each with its own trace span.
+  uint64_t vectorizeNs = 0;
+  auto timed = [&](auto&& pass) {
     const uint64_t v0 = telemetry::nowNs();
-    counter(CounterId::PassLoadsEliminated).add(runCrossIterLoads(live));
+    const size_t n = pass();
     const uint64_t v1 = telemetry::nowNs();
-    telemetry::histogram(telemetry::HistogramId::PhaseVectorizeNs)
-        .record(v1 - v0);
+    vectorizeNs += v1 - v0;
     if (telemetry::tracingEnabled()) telemetry::recordSpan("vectorize", v0, v1);
-  }
+    return n;
+  };
+  if (options.crossIterLoads)
+    counter(CounterId::PassLoadsEliminated)
+        .add(timed([&] { return runCrossIterLoads(live); }));
   if (options.peephole) peephole += runPeephole(live);  // cleanups expose more
   counter(CounterId::PassPeepholeRemoved).add(peephole);
   // Copy coalescing rides on the peephole switch, constant hoisting on the
@@ -316,7 +323,16 @@ void runPasses(ir::CapturedFunction& fn, const PassOptions& options) {
   const RegisterRuleStats rules =
       runRegisterRules(live, options.peephole, options.crossIterLoads);
   counter(CounterId::PassCopiesCoalesced).add(rules.copiesCoalesced);
-  counter(CounterId::PassConstsHoisted).add(rules.constsHoisted);
+  counter(CounterId::PassConstsHoisted)
+      .add(static_cast<uint64_t>(std::popcount(rules.hoisted)));
+  // Loop vectorization runs last: it leaves the liveness behind once it
+  // edits the CFG.
+  if (options.crossIterLoads) {
+    counter(CounterId::PassLoopsVectorized)
+        .add(timed([&] { return runLoopVectorize(live, rules.hoisted); }));
+    telemetry::histogram(telemetry::HistogramId::PhaseVectorizeNs)
+        .record(vectorizeNs);
+  }
 }
 
 }  // namespace brew

@@ -27,7 +27,8 @@ inline constexpr RegSet kEverything = kFlags | 0xffffffffu;
 // What one instruction does to the registers and the flags:
 //  - a register is defined only when it is written whole; any other write
 //    also reads the rest of it, so it is a use;
-//  - calls use every XMM register and the flags, and define nothing;
+//  - calls use the SysV argument registers (xmm0-7 among them) and the
+//    flags, write every caller-saved register, and define nothing;
 //  - the flags are defined only by a write of all of them.
 struct RegFacts {
   RegSet use = 0;
@@ -101,7 +102,7 @@ size_t runCrossIterLoads(Liveness& live);
 
 struct RegisterRuleStats {
   size_t copiesCoalesced = 0;  // XMM copies removed
-  size_t constsHoisted = 0;    // registers whose pool load moved to entry
+  RegSet hoisted = 0;  // registers whose pool load moved to entry
 };
 
 // The XMM register rules (register_rules.cpp):
@@ -112,5 +113,13 @@ struct RegisterRuleStats {
 //  - `hoist`: an XMM register written only by loads of one pool slot (two
 //    or more of them) is loaded once, at function entry.
 RegisterRuleStats runRegisterRules(Liveness& live, bool coalesce, bool hoist);
+
+// Two iterations per trip for kept loops (loop_vectorize.cpp): an eligible
+// single-exit loop gets a packed-double body behind a guard, and a copy of
+// the scalar loop runs the remainder and every loop the guard turns away.
+// Runs last, after the entry hoist, whose registers (`hoisted`) are live
+// everywhere although the live sets do not say so; it leaves the tables
+// behind once it edits. Returns the number of loops vectorized.
+size_t runLoopVectorize(Liveness& live, RegSet hoisted);
 
 }  // namespace brew

@@ -76,9 +76,9 @@ class RegisterRules {
     return removed;
   }
 
-  // Hoists every qualifying register; returns how many. A call writes
+  // Hoists every qualifying register; returns their mask. A call writes
   // every XMM register, so a register live across one never qualifies.
-  size_t hoist() {
+  RegSet hoist() {
     struct Candidate {
       const Instruction* load = nullptr;
       size_t count = 0;
@@ -125,7 +125,6 @@ class RegisterRules {
       entry.push_back(*cand[__builtin_ctz(h) - 16].load);
       entryFx.push_back(factsOf(entry.back()));
     }
-    const size_t count = entry.size();
     for (int b = 0; b < fn_.blockCount(); ++b) {
       bool any = false;
       for (RegFacts& f : live_.facts(b)) {
@@ -141,7 +140,7 @@ class RegisterRules {
     const std::span<const RegFacts> oldFx = live_.facts(e);
     entryFx.insert(entryFx.end(), oldFx.begin(), oldFx.end());
     live_.setBlock(e, std::move(entry), entryFx);
-    return count;
+    return hoisted;
   }
 
  private:
@@ -237,7 +236,7 @@ RegisterRuleStats runRegisterRules(Liveness& live, bool coalesce, bool hoist) {
   if (live.fn().blockCount() == 0 || (!coalesce && !hoist)) return stats;
   RegisterRules rules(live, scratch());
   if (coalesce) stats.copiesCoalesced = rules.coalesce();
-  if (hoist) stats.constsHoisted = rules.hoist();
+  if (hoist) stats.hoisted = rules.hoist();
   return stats;
 }
 

@@ -60,6 +60,7 @@ constexpr const char* kCounterNames[] = {
     "passes.loads_eliminated",
     "passes.copies_coalesced",
     "passes.consts_hoisted",
+    "passes.loops_vectorized",
     "emit.instructions",
     "emit.code_bytes",
     "emit.pool_bytes",

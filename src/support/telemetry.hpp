@@ -59,6 +59,7 @@ enum class CounterId : int {
   PassLoadsEliminated,    // cross-iteration re-loads replaced by reg reuse
   PassCopiesCoalesced,    // XMM copies swapped/propagated away
   PassConstsHoisted,      // registers whose pool constant loads at entry
+  PassLoopsVectorized,    // kept loops given a two-lane packed body
   EmitInstructions,
   EmitCodeBytes,
   EmitPoolBytes,
@@ -110,7 +111,7 @@ enum class HistogramId : int {
   PhaseEmulateExecNs,     // emulate sub-span: abstract execution proper
   PhaseEmulateShadowNs,   // emulate sub-span: state snapshots + variant keys
   PhasePassesNs,
-  PhaseVectorizeNs,       // cross-iteration load pass inside runPasses
+  PhaseVectorizeNs,       // both cross-iteration passes inside runPasses
   PhaseEmitNs,
   PhaseChainNs,           // emit sub-span: block layout + jump relocation
   PhaseInstallNs,         // registration + block adoption / publication

@@ -7,6 +7,7 @@
 
 #include "core/brew.h"
 #include "stencil/stencil.hpp"
+#include "support/telemetry.hpp"
 
 namespace {
 
@@ -331,6 +332,9 @@ TEST(CApi, NoUnrollFlag) {
   brew_setret(conf, BREW_RET_INT);
   brew_setfn(conf, (void*)&Helpers::sum, BREW_FN_NOUNROLL);
   using sum_t = int64_t (*)(int64_t);
+  const brew::telemetry::Counter& packed =
+      brew::telemetry::counter(brew::telemetry::CounterId::PassLoopsVectorized);
+  const uint64_t packedBefore = packed.value();
   brew_func* h = brew_rewrite2(conf, (void*)&Helpers::sum, (uint64_t)50);
   ASSERT_NE(h, nullptr) << brew_lastError(conf);
   sum_t fn = (sum_t)brew_func_entry(h);
@@ -338,6 +342,8 @@ TEST(CApi, NoUnrollFlag) {
   brew_stats stats;
   brew_func_getstats(h, &stats);
   EXPECT_LT(stats.code_bytes, 512u);  // loop kept, not 50x unrolled
+  // An integer reduction: the kept loop is not packed.
+  EXPECT_EQ(packed.value(), packedBefore);
   brew_release_h(h);
   brew_freeConf(conf);
 }

@@ -414,22 +414,41 @@ Operand memOp(Reg base, int32_t disp = 0) {
 
 RegSet xmmBit(int n) { return isa::regBit(isa::xmmFromNum(n)); }
 
+// The SysV argument registers xmm0-7.
+constexpr RegSet kXmmArgs = 0x00ff0000u;
+
 TEST(Liveness, CallUsesAndClobbersEveryXmmAndTheFlags) {
+  // A callee reads only the XMM argument registers, but may clobber every
+  // XMM register.
   const RegFacts f =
       factsOf(makeInstr(Mnemonic::CallInd, 8, Operand::makeReg(Reg::r11)));
-  EXPECT_EQ(f.use & kXmmRegs, kXmmRegs);
+  EXPECT_EQ(f.use & kXmmRegs, kXmmArgs);
   EXPECT_EQ(f.wr & kXmmRegs, kXmmRegs);
   EXPECT_EQ(f.imp & kXmmRegs, kXmmRegs);
   EXPECT_NE(f.use & kFlags, 0u);
   EXPECT_EQ(f.def, 0u);  // the callee may leave any register as it was
 
-  // So every XMM register and the flags are live into a block that calls,
-  // even when the function returns nothing.
+  // So xmm0-7 and the flags are live into a block that calls, even when
+  // the function returns nothing.
   ir::CapturedFunction fn = singleBlock(
       {makeInstr(Mnemonic::CallInd, 8, Operand::makeReg(Reg::r11))});
   fn.setLiveAtRet(ir::liveAtRetMask(false, false));
   const Liveness live(fn);
-  EXPECT_EQ(live.liveIn(0) & (kXmmRegs | kFlags), kXmmRegs | kFlags);
+  EXPECT_EQ(live.liveIn(0) & (kXmmRegs | kFlags), kXmmArgs | kFlags);
+}
+
+TEST(Liveness, CallLeavesXmm8To15Dead) {
+  // The block calls, then loads xmm8 and stores it. The callee never
+  // reads xmm8, so the value xmm8 holds before the block is dead there: a
+  // pass may use xmm8 as a scratch register before the call.
+  ir::CapturedFunction fn = singleBlock(
+      {makeInstr(Mnemonic::CallInd, 8, Operand::makeReg(Reg::r11)),
+       makeInstr(Mnemonic::Movsd, 8, xmmOp(8), memOp(Reg::rbx)),
+       makeInstr(Mnemonic::Movsd, 8, memOp(Reg::rbx, 8), xmmOp(8))});
+  fn.setLiveAtRet(ir::liveAtRetMask(false, false));
+  const Liveness live(fn);
+  EXPECT_EQ(live.liveIn(0) & xmmBit(8), 0u);
+  EXPECT_EQ(live.liveIn(0) & (kXmmRegs & ~kXmmArgs), 0u);
 }
 
 TEST(Liveness, PartialWriteIsAUse) {

@@ -18,6 +18,7 @@
 #include "ir/captured.hpp"
 #include "jit/assembler.hpp"
 #include "support/prng.hpp"
+#include "support/telemetry.hpp"
 
 namespace brew {
 namespace {
@@ -682,6 +683,114 @@ TEST(CrossIterScratch, RegisterReadAfterSideExitSurvives) {
   Config config;
   config.limits().maxForkDepth = 0;
   EXPECT_EQ(runScratchSubject(config), 7.5);
+}
+
+// --- two iterations per trip: kept loops in packed lanes --------------------
+//
+// runLoopVectorize packs iterations i and i+1 of an eligible kept loop into
+// the two lanes of SSE2 packed-double instructions. Each lane keeps its own
+// iteration's operation order, so every stored bit must match the scalar
+// loop; loops outside the accepted shape keep their scalar code and leave
+// passes.loops_vectorized where it was. The whole-sweep oracle, which
+// traces compiled C, is in stencil_rewrite_test.cpp.
+
+uint64_t loopsVectorized() {
+  return telemetry::counter(telemetry::CounterId::PassLoopsVectorized).value();
+}
+
+// dst[i] = src[i] * k[0] + src[i+1], a counted loop with a data operand in
+// the arithmetic.
+ExecMemory buildScaleAdd() {
+  jit::Assembler as;
+  jit::Label loop = as.newLabel();
+  as.bind(loop);
+  as.emit(makeInstr(Mnemonic::Movsd, 8, xmm(0),
+                    Operand::makeMem(at(Reg::rdi, 0))));
+  as.emit(makeInstr(Mnemonic::Mulsd, 8, xmm(0),
+                    Operand::makeMem(at(Reg::rcx, 0))));
+  as.emit(makeInstr(Mnemonic::Addsd, 8, xmm(0),
+                    Operand::makeMem(at(Reg::rdi, 8))));
+  as.emit(makeInstr(Mnemonic::Movsd, 8, Operand::makeMem(at(Reg::rsi, 0)),
+                    xmm(0)));
+  emitLoopTail(as, loop);
+  as.ret();
+  return finalize(as);
+}
+
+TEST(LoopVectorize, CountedLoopPacksAndStaysBitExact) {
+  const ExecMemory subject = buildScaleAdd();
+  const uint64_t before = loopsVectorized();
+  const LoopRewrite r = expectLoopBitExact(subject, ReturnKind::Void);
+  ASSERT_TRUE(r.on);
+  EXPECT_EQ(loopsVectorized() - before, 1u) << r.on.dumpCaptured();
+  // Every trip count, against the subject itself, over signed zeros,
+  // infinities, NaNs and denormals.
+  std::vector<double> src(24);
+  for (size_t i = 0; i < src.size(); ++i)
+    src[i] = i % 4 == 0 ? std::bit_cast<double>(uint64_t{0x8000000000000000})
+             : i % 4 == 1
+                 ? std::bit_cast<double>(uint64_t{0x7ff0000000000001} + i)
+             : i % 4 == 2 ? std::bit_cast<double>(uint64_t{i})
+                          : 1.0 / static_cast<double>(i);
+  for (long n = 1; n <= 20; ++n) {
+    std::vector<double> want(24, -1.0), got(24, -1.0);
+    subject.entry<loop_fn>()(src.data(), want.data(), n, kCoeffs, nullptr,
+                             0, 0, 0);
+    r.on.as<loop_fn>()(src.data(), got.data(), n, kCoeffs, nullptr, 0, 0, 0);
+    EXPECT_EQ(std::memcmp(want.data(), got.data(), 24 * sizeof(double)), 0)
+        << n;
+  }
+}
+
+TEST(LoopVectorize, LoopCarriedValueStaysScalar) {
+  // The running sum hands acc from one iteration to the next.
+  const ExecMemory subject = buildRunningSum();
+  const uint64_t before = loopsVectorized();
+  expectLoopBitExact(subject, ReturnKind::Void);
+  expectLoopBitExact(subject, ReturnKind::Float);
+  EXPECT_EQ(loopsVectorized(), before);
+}
+
+TEST(LoopVectorize, KeptCallStaysScalar) {
+  jit::Assembler as;
+  jit::Label loop = as.newLabel();
+  as.emit(makeInstr(Mnemonic::Push, 8, Operand::makeReg(Reg::rbx)));
+  as.bind(loop);
+  as.emit(makeInstr(Mnemonic::Movsd, 8, xmm(0),
+                    Operand::makeMem(at(Reg::rdi, 0))));
+  as.emit(makeInstr(Mnemonic::Mulsd, 8, xmm(0), xmm(0)));
+  as.emit(makeInstr(Mnemonic::Movsd, 8, Operand::makeMem(at(Reg::rsi, 0)),
+                    xmm(0)));
+  as.emit(makeInstr(Mnemonic::CallInd, 8, Operand::makeReg(Reg::r8)));
+  emitLoopTail(as, loop);
+  as.emit(makeInstr(Mnemonic::Pop, 8, Operand::makeReg(Reg::rbx)));
+  as.ret();
+  const ExecMemory subject = finalize(as);
+  const uint64_t before = loopsVectorized();
+  expectLoopBitExact(subject, ReturnKind::Void);
+  EXPECT_EQ(loopsVectorized(), before);
+}
+
+TEST(LoopVectorize, FourByteStrideStaysScalar) {
+  // Neighbouring iterations' doubles overlap: lane 1 is not iteration i+1.
+  jit::Assembler as;
+  jit::Label loop = as.newLabel();
+  as.bind(loop);
+  as.emit(makeInstr(Mnemonic::Movsd, 8, xmm(0),
+                    Operand::makeMem(at(Reg::rdi, 0))));
+  as.emit(makeInstr(Mnemonic::Mulsd, 8, xmm(0),
+                    Operand::makeMem(at(Reg::rcx, 0))));
+  as.emit(makeInstr(Mnemonic::Movsd, 8, Operand::makeMem(at(Reg::rsi, 0)),
+                    xmm(0)));
+  as.aluRegImm(Mnemonic::Add, Reg::rdi, 4);
+  as.aluRegImm(Mnemonic::Add, Reg::rsi, 8);
+  as.aluRegImm(Mnemonic::Sub, Reg::rdx, 1);
+  as.jcc(isa::Cond::NE, loop);
+  as.ret();
+  const ExecMemory subject = finalize(as);
+  const uint64_t before = loopsVectorized();
+  expectLoopBitExact(subject, ReturnKind::Void);
+  EXPECT_EQ(loopsVectorized(), before);
 }
 
 }  // namespace
