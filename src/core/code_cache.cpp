@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <iterator>
 
 #include "support/epoch.hpp"
 #include "support/flight_recorder.hpp"
@@ -164,6 +165,10 @@ CodeHandle CodeCache::fastLookup(const CacheKeyView& key, size_t hash) {
       !std::ranges::equal(block->keyBytes, key.bytes))
     return CodeHandle{};  // `handle` drops the reference
 
+  // The recency mark for the eviction scan: a store next to the
+  // refcount at most once per scan, not one per hit.
+  if (!block->referenced.load(std::memory_order_relaxed))
+    block->referenced.store(true, std::memory_order_relaxed);
   fastpathHits_.fetch_add(1, std::memory_order_relaxed);
   mirror(telemetry::CounterId::CacheHits).add();
   mirror(telemetry::CounterId::CacheFastpathHits).add();
@@ -221,6 +226,30 @@ void CodeCache::unpublishLocked(size_t hash, const CodeBlock* block) {
 void CodeCache::touchLocked(Shard& shard, Entry& entry) {
   shard.lru.splice(shard.lru.begin(), shard.lru, entry.lruPos);
   entry.stamp = lruClock_.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+CodeCache::EntryMap::iterator CodeCache::oldestLocked(
+    Shard& shard, const CacheKeyView* protect) {
+  auto keyIt = shard.lru.end();
+  while (keyIt != shard.lru.begin()) {
+    const auto cur = std::prev(keyIt);
+    if (protect != nullptr && *cur == *protect) {
+      keyIt = cur;
+      continue;
+    }
+    auto it = shard.entries.find(*cur);
+    if (it == shard.entries.end()) break;
+    const CodeHandle& handle = it->second.handle;
+    if (handle &&
+        handle->referenced.exchange(false, std::memory_order_relaxed)) {
+      // The splice moves only *cur to the front; keyIt stays valid, and
+      // each entry's flag clears once, so the walk ends.
+      touchLocked(shard, it->second);
+      continue;
+    }
+    return it;
+  }
+  return shard.entries.end();
 }
 
 void CodeCache::insertLocked(Shard& shard, size_t hash,
@@ -283,17 +312,11 @@ void CodeCache::enforceBudget(const CacheKeyView* protect,
     for (size_t i = 0; i < shards_.size(); ++i) {
       Shard& shard = *shards_[i];
       std::lock_guard<std::mutex> lock(shard.mu);
-      // Oldest non-protected entry in this shard = LRU tail (or the one
-      // before it when the tail is protected).
-      for (auto keyIt = shard.lru.rbegin(); keyIt != shard.lru.rend();
-           ++keyIt) {
-        if (protect != nullptr && *keyIt == *protect) continue;
-        auto it = shard.entries.find(*keyIt);
-        if (it != shard.entries.end() && it->second.stamp < victimStamp) {
-          victimStamp = it->second.stamp;
-          victimShard = i;
-        }
-        break;  // only the oldest candidate per shard matters
+      // Only the oldest candidate per shard matters.
+      auto it = oldestLocked(shard, protect);
+      if (it != shard.entries.end() && it->second.stamp < victimStamp) {
+        victimStamp = it->second.stamp;
+        victimShard = i;
       }
     }
     if (victimShard == SIZE_MAX) return;  // nothing evictable
@@ -301,21 +324,13 @@ void CodeCache::enforceBudget(const CacheKeyView* protect,
     {
       std::lock_guard<std::mutex> lock(shard.mu);
       // Re-find under the lock: the shard may have changed since the scan.
-      bool evicted = false;
-      for (auto keyIt = shard.lru.rbegin(); keyIt != shard.lru.rend();
-           ++keyIt) {
-        if (protect != nullptr && *keyIt == *protect) continue;
-        auto it = shard.entries.find(*keyIt);
-        if (it == shard.entries.end()) break;
-        const size_t victimHash = CacheKeyHash{}(*keyIt);
-        eraseLocked(shard, victimHash, it, dropped);
-        ++shard.evictions;
-        mirror(telemetry::CounterId::CacheEvictions).add();
-        flight::record(flight::Event::CacheEvict, victimHash);
-        evicted = true;
-        break;
-      }
-      if (!evicted) return;  // raced away; avoid spinning
+      auto it = oldestLocked(shard, protect);
+      if (it == shard.entries.end()) return;  // raced away; avoid spinning
+      const size_t victimHash = CacheKeyHash{}(it->first);
+      eraseLocked(shard, victimHash, it, dropped);
+      ++shard.evictions;
+      mirror(telemetry::CounterId::CacheEvictions).add();
+      flight::record(flight::Event::CacheEvict, victimHash);
     }
   }
 }

@@ -64,6 +64,13 @@ struct CodeBlock {
   TraceStats traceStats;
   ir::EmitStats emitStats;
   mutable std::atomic<uint64_t> refs{1};
+  // Set by a lock-free hit, which cannot move the entry in its shard's LRU
+  // list. The eviction scan gives an entry with the flag set a second
+  // chance: it clears the flag and touches the entry as a locked hit would
+  // have. Otherwise entries hit lock-free would age by insertion alone
+  // while keys served by their shard stay young, and eviction would drop
+  // keys in active use.
+  mutable std::atomic<bool> referenced{false};
   // Sticky: set once the block enters a lock-free hit table. Published
   // blocks are reclaimed through an epoch grace period (a lock-free reader
   // may still be inspecting the refcount when the last handle dies).
@@ -388,6 +395,10 @@ class CodeCache {
   void unpublishLocked(size_t hash, const CodeBlock* block);
 
   void touchLocked(Shard& shard, Entry& entry);
+  // The shard's least recently used entry other than `protect`, or end().
+  // Entries a lock-free hit used since the last scan are touched on the
+  // way (their second chance).
+  EntryMap::iterator oldestLocked(Shard& shard, const CacheKeyView* protect);
   void insertLocked(Shard& shard, size_t hash, const CacheKeyView& key,
                     const CodeHandle& handle, std::vector<CodeHandle>& dropped);
   // Removes `it` from `shard`, unpublishing and debiting the global byte

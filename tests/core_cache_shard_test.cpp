@@ -59,6 +59,38 @@ TEST(CacheShardTest, FastpathServesRepeatHits) {
   EXPECT_EQ(stats.fastpathHits, 1u);
 }
 
+TEST(CacheShardTest, FastpathHitKeepsEntryFromEviction) {
+  // A lock-free hit cannot move its entry in the shard's LRU list; the
+  // eviction scan must still count it as a use. A and B fill a two-entry
+  // budget, A is hit again, and C's insertion must evict B, not A.
+  SpecManager manager{SpecManager::Options{.workers = 1, .cacheShards = 16}};
+  ExecMemory a = buildConstFn(11);
+  ExecMemory b = buildConstFn(22);
+  ExecMemory c = buildConstFn(33);
+  const std::vector<ArgValue> none;
+  auto rewrite = [&](const ExecMemory& fn) {
+    auto result = manager.rewrite(intConfig(), PassOptions{}, fn.data(), none);
+    EXPECT_TRUE(result.ok()) << result.error().message();
+  };
+
+  rewrite(a);
+  // Every entry of these subjects maps the same number of bytes.
+  manager.cache().setByteBudget(2 * manager.cache().stats().codeBytes);
+  rewrite(b);
+  rewrite(a);
+  // Had A and B collided in the hit table, A's hit went through its shard,
+  // which touches it as well; the outcome below is the same.
+  rewrite(c);
+  CacheStats stats = manager.cache().stats();
+  EXPECT_EQ(stats.misses, 3u);
+  EXPECT_EQ(stats.evictions, 1u);
+
+  rewrite(a);
+  EXPECT_EQ(manager.cache().stats().misses, 3u) << "A was evicted";
+  rewrite(b);
+  EXPECT_EQ(manager.cache().stats().misses, 4u) << "B was kept";
+}
+
 TEST(CacheShardTest, SingleShardControlDisablesFastpath) {
   // cacheShards = 1 is the A/B control: one lock, no hit table,
   // pre-sharding behavior.
