@@ -36,8 +36,6 @@ inline RewrittenFunction rewriteApply(const brew_stencil& s,
   Rewriter rewriter{stencilConfig(sizeof s)};
   if (!withPasses) {
     rewriter.passes().peephole = false;
-    rewriter.passes().deadFlagWriters = false;
-    rewriter.passes().redundantLoads = false;
     rewriter.passes().crossIterLoads = false;
   }
   auto rewritten = rewriter.rewrite(

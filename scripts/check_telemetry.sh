@@ -53,19 +53,18 @@ for counter in passes.loads_eliminated passes.copies_coalesced \
 done
 echo "passes.* and emit.loop_latches_placed present in BREW_STATS"
 
-# The dead-flag and load-forwarding passes must report themselves too: the
-# hand-built functions of the pass unit tests remove a compare nobody reads
-# and forward repeated loads.
-stats_out=$(BREW_STATS=1 ./tests/passes_test 2>&1)
-for counter in passes.dead_flags_removed passes.loads_forwarded; do
-  if ! printf '%s\n' "$stats_out" | \
-      grep -E "$counter[[:space:]]+[1-9][0-9]*" > /dev/null; then
-    echo "FAIL: $counter missing or zero in BREW_STATS output" >&2
-    printf '%s\n' "$stats_out" | grep -E "passes\." >&2 || true
-    exit 1
-  fi
-done
-echo "passes.dead_flags_removed and passes.loads_forwarded present in BREW_STATS"
+# Lane reuse must report itself on hand-built blocks too: the pass unit
+# tests' repeated loads move passes.loads_eliminated with no pool constant
+# or unrolled stencil behind them.
+stats_out=$(BREW_STATS=1 ./tests/passes_test \
+    --gtest_filter='RedundantLoads.*' 2>&1)
+if ! printf '%s\n' "$stats_out" | \
+    grep -E "passes.loads_eliminated[[:space:]]+[1-9][0-9]*" > /dev/null; then
+  echo "FAIL: passes.loads_eliminated missing or zero in BREW_STATS output" >&2
+  printf '%s\n' "$stats_out" | grep -E "passes\." >&2 || true
+  exit 1
+fi
+echo "passes.loads_eliminated present in BREW_STATS of RedundantLoads.*"
 
 # Same for the block-chained tier: its differential suite traces branchy
 # functions, so a BREW_STATS run must show the blocks.* counters moving —

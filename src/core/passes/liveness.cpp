@@ -139,11 +139,6 @@ void Liveness::solve() {
   }
 }
 
-void Liveness::replace(int b, size_t k, const Instruction& in) {
-  fn_.block(b).instrs[k] = in;
-  facts(b)[k] = factsOf(in);
-}
-
 size_t Liveness::compact(int b) {
   ir::InstrVec& v = fn_.block(b).instrs;
   const std::span<RegFacts> fx = facts(b);

@@ -65,12 +65,11 @@ class Liveness {
 
   // The block fixpoint over the current facts. Every edit before the
   // entry hoist, which runs last, removes instructions, adds uses inside
-  // a block of registers defined earlier in it, or keeps each block's
-  // sets, so the sets stay a sound over-approximation without a re-solve.
+  // a block of registers defined earlier in it (lane reuse's copies), or
+  // keeps each block's sets, so the sets stay a sound over-approximation
+  // without a re-solve.
   void solve();
 
-  // Replaces instruction k of block b and its facts.
-  void replace(int b, size_t k, const isa::Instruction& in);
   // Drops the instructions of block b whose facts are dead; returns how
   // many.
   size_t compact(int b);

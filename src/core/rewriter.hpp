@@ -31,8 +31,6 @@ class SpecManager;
 // (§IV: the prototype keeps them simple and case-specific).
 struct PassOptions {
   bool peephole = true;        // drop no-op moves / identity arithmetic
-  bool deadFlagWriters = true; // remove compares whose flags are never read
-  bool redundantLoads = true;  // forward identical loads within a block
   // Merge a block into its unique Jmp predecessor (removes the stub blocks
   // that migration compensation and resolved control flow leave behind).
   bool mergeBlocks = true;

@@ -37,10 +37,8 @@ uint64_t loadWord(const uint8_t* p) {
 // The PassOptions switches, for the flags word of Config::writeKeySection.
 uint64_t passBits(const PassOptions& passes) {
   return static_cast<uint64_t>(passes.peephole) |
-         static_cast<uint64_t>(passes.deadFlagWriters) << 1 |
-         static_cast<uint64_t>(passes.redundantLoads) << 2 |
-         static_cast<uint64_t>(passes.mergeBlocks) << 3 |
-         static_cast<uint64_t>(passes.crossIterLoads) << 4;
+         static_cast<uint64_t>(passes.mergeBlocks) << 1 |
+         static_cast<uint64_t>(passes.crossIterLoads) << 2;
 }
 
 const ParamSpec& paramSpec(const Config& config, size_t index) {

@@ -55,8 +55,6 @@ constexpr const char* kCounterNames[] = {
     "blocks.side_exits",
     "passes.blocks_merged",
     "passes.peephole_removed",
-    "passes.dead_flags_removed",
-    "passes.loads_forwarded",
     "passes.loads_eliminated",
     "passes.copies_coalesced",
     "passes.consts_hoisted",

@@ -54,8 +54,6 @@ enum class CounterId : int {
   BlocksSideExits,        // fork-depth cap hit: side-exit stub emitted
   PassBlocksMerged,
   PassPeepholeRemoved,
-  PassDeadFlagsRemoved,
-  PassLoadsForwarded,
   PassLoadsEliminated,    // cross-iteration re-loads replaced by reg reuse
   PassCopiesCoalesced,    // XMM copies swapped/propagated away
   PassConstsHoisted,      // registers whose pool constant loads at entry

@@ -133,10 +133,6 @@ TEST(ConfigFingerprint, DeterministicAndShapeSensitive) {
       {"onStore",
        [](Config& c, PassOptions&) { c.injection().onStore = &noteGuest; }},
       {"peephole off", [](Config&, PassOptions& p) { p.peephole = false; }},
-      {"deadFlagWriters off",
-       [](Config&, PassOptions& p) { p.deadFlagWriters = false; }},
-      {"redundantLoads off",
-       [](Config&, PassOptions& p) { p.redundantLoads = false; }},
       {"mergeBlocks off",
        [](Config&, PassOptions& p) { p.mergeBlocks = false; }},
       {"crossIterLoads off",

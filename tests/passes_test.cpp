@@ -30,13 +30,11 @@ ir::CapturedFunction singleBlock(std::vector<isa::Instruction> instrs) {
   return fn;
 }
 
-PassOptions only(bool peephole, bool deadFlags, bool loads) {
+PassOptions only(bool peephole, bool crossIterLoads) {
   PassOptions options;
   options.peephole = peephole;
-  options.deadFlagWriters = deadFlags;
-  options.redundantLoads = loads;
   options.mergeBlocks = false;  // structure-sensitive tests pick passes
-  options.crossIterLoads = false;
+  options.crossIterLoads = crossIterLoads;
   return options;
 }
 
@@ -49,7 +47,7 @@ TEST(Peephole, RemovesSameRegisterMoves) {
       makeInstr(Mnemonic::Add, 8, Operand::makeReg(Reg::rax),
                 Operand::makeReg(Reg::rbx)),
   });
-  runPasses(fn, only(true, false, false));
+  runPasses(fn, only(true, false));
   EXPECT_EQ(fn.block(0).instrs.size(), 1u);
   EXPECT_EQ(fn.block(0).instrs[0].mnemonic, Mnemonic::Add);
 }
@@ -60,9 +58,12 @@ TEST(Peephole, Keeps32BitSameRegisterMov) {
       makeInstr(Mnemonic::Mov, 4, Operand::makeReg(Reg::rax),
                 Operand::makeReg(Reg::rax)),
   });
-  runPasses(fn, only(true, false, false));
+  runPasses(fn, only(true, false));
   EXPECT_EQ(fn.block(0).instrs.size(), 1u);
 }
+
+// No pass removes a compare: with every block-local pass on, each compare
+// below stays, whether or not its flags are read.
 
 TEST(DeadFlags, RemovesUnconsumedCompare) {
   ir::CapturedFunction fn = singleBlock({
@@ -71,9 +72,9 @@ TEST(DeadFlags, RemovesUnconsumedCompare) {
       makeInstr(Mnemonic::Mov, 8, Operand::makeReg(Reg::rcx),
                 Operand::makeImm(1)),
   });
-  runPasses(fn, only(false, true, false));
-  ASSERT_EQ(fn.block(0).instrs.size(), 1u);
-  EXPECT_EQ(fn.block(0).instrs[0].mnemonic, Mnemonic::Mov);
+  runPasses(fn, only(true, true));
+  ASSERT_EQ(fn.block(0).instrs.size(), 2u);
+  EXPECT_EQ(fn.block(0).instrs[0].mnemonic, Mnemonic::Cmp);
 }
 
 TEST(DeadFlags, KeepsCompareFeedingTerminator) {
@@ -87,8 +88,9 @@ TEST(DeadFlags, KeepsCompareFeedingTerminator) {
   fn.block(head).term = {ir::Terminator::Kind::CondJmp, Cond::E, a, b};
   fn.block(a).term.kind = ir::Terminator::Kind::Ret;
   fn.block(b).term.kind = ir::Terminator::Kind::Ret;
-  runPasses(fn, only(false, true, false));
-  EXPECT_EQ(fn.block(head).instrs.size(), 1u);
+  runPasses(fn, only(true, true));
+  ASSERT_EQ(fn.block(head).instrs.size(), 1u);
+  EXPECT_EQ(fn.block(head).instrs[0].mnemonic, Mnemonic::Cmp);
 }
 
 TEST(DeadFlags, KeepsCompareConsumedAcrossJump) {
@@ -105,10 +107,15 @@ TEST(DeadFlags, KeepsCompareConsumedAcrossJump) {
   setcc.cond = Cond::E;
   fn.block(next).instrs = {setcc};
   fn.block(next).term.kind = ir::Terminator::Kind::Ret;
-  runPasses(fn, only(false, true, false));
-  EXPECT_EQ(fn.block(head).instrs.size(), 1u)
+  runPasses(fn, only(true, true));
+  ASSERT_EQ(fn.block(head).instrs.size(), 1u)
       << "cross-block consumer must keep the compare alive";
+  EXPECT_EQ(fn.block(head).instrs[0].mnemonic, Mnemonic::Cmp);
 }
+
+// Lane reuse (runCrossIterLoads): a scalar re-load of a lane a register
+// still holds becomes a register copy, until a store or a write to the
+// lane's base register kills the fact.
 
 TEST(RedundantLoads, ForwardsSecondIdenticalLoad) {
   const MemOperand m{.base = Reg::rdi, .disp = 16};
@@ -120,7 +127,7 @@ TEST(RedundantLoads, ForwardsSecondIdenticalLoad) {
       makeInstr(Mnemonic::Movsd, 8, Operand::makeReg(Reg::xmm2),
                 Operand::makeMem(m)),
   });
-  runPasses(fn, only(false, false, true));
+  runPasses(fn, only(false, true));
   ASSERT_EQ(fn.block(0).instrs.size(), 3u);
   // The second load became a register copy.
   EXPECT_EQ(fn.block(0).instrs[2].mnemonic, Mnemonic::Movapd);
@@ -129,31 +136,34 @@ TEST(RedundantLoads, ForwardsSecondIdenticalLoad) {
 
 TEST(RedundantLoads, InvalidatedByStore) {
   const MemOperand m{.base = Reg::rdi, .disp = 16};
+  const MemOperand other{.base = Reg::rsi};
   ir::CapturedFunction fn = singleBlock({
-      makeInstr(Mnemonic::Mov, 8, Operand::makeReg(Reg::rax),
+      makeInstr(Mnemonic::Movsd, 8, Operand::makeReg(Reg::xmm0),
                 Operand::makeMem(m)),
-      makeInstr(Mnemonic::Mov, 8, Operand::makeMem(m),
-                Operand::makeReg(Reg::rcx)),
-      makeInstr(Mnemonic::Mov, 8, Operand::makeReg(Reg::rbx),
+      makeInstr(Mnemonic::Movsd, 8, Operand::makeMem(other),
+                Operand::makeReg(Reg::xmm1)),
+      makeInstr(Mnemonic::Movsd, 8, Operand::makeReg(Reg::xmm2),
                 Operand::makeMem(m)),
   });
-  runPasses(fn, only(false, false, true));
-  // The second load must stay a real load.
-  EXPECT_EQ(fn.block(0).instrs[2].mnemonic, Mnemonic::Mov);
+  runPasses(fn, only(false, true));
+  // [rsi] may alias [rdi+16]: the second load must stay a real load.
+  ASSERT_EQ(fn.block(0).instrs.size(), 3u);
+  EXPECT_EQ(fn.block(0).instrs[2].mnemonic, Mnemonic::Movsd);
   EXPECT_TRUE(fn.block(0).instrs[2].ops[1].isMem());
 }
 
 TEST(RedundantLoads, InvalidatedByAddressRegisterWrite) {
   const MemOperand m{.base = Reg::rdi, .disp = 16};
   ir::CapturedFunction fn = singleBlock({
-      makeInstr(Mnemonic::Mov, 8, Operand::makeReg(Reg::rax),
+      makeInstr(Mnemonic::Movsd, 8, Operand::makeReg(Reg::xmm0),
                 Operand::makeMem(m)),
       makeInstr(Mnemonic::Add, 8, Operand::makeReg(Reg::rdi),
                 Operand::makeImm(8)),
-      makeInstr(Mnemonic::Mov, 8, Operand::makeReg(Reg::rbx),
+      makeInstr(Mnemonic::Movsd, 8, Operand::makeReg(Reg::xmm2),
                 Operand::makeMem(m)),
   });
-  runPasses(fn, only(false, false, true));
+  runPasses(fn, only(false, true));
+  ASSERT_EQ(fn.block(0).instrs.size(), 3u);
   EXPECT_TRUE(fn.block(0).instrs[2].ops[1].isMem());
 }
 
@@ -171,7 +181,7 @@ TEST(RedundantLoads, PoolConstantsSurviveStores) {
                 Operand::makeMem(pool)),
   });
   fn.addPoolConstant(0x3FF0000000000000ull);  // 1.0
-  runPasses(fn, only(false, false, true));
+  runPasses(fn, only(false, true));
   // Pool slots are immutable: the reload is forwarded despite the store.
   EXPECT_EQ(fn.block(0).instrs[2].mnemonic, Mnemonic::Movapd);
 }
@@ -338,8 +348,6 @@ TEST(ZeroAdd, NonZeroPoolConstantNotTouched) {
 TEST(MergeBlocks, CollapsesJmpChains) {
   PassOptions options;
   options.peephole = false;
-  options.deadFlagWriters = false;
-  options.redundantLoads = false;
   options.mergeBlocks = true;
 
   ir::CapturedFunction fn;
@@ -372,8 +380,6 @@ TEST(MergeBlocks, CollapsesJmpChains) {
 TEST(MergeBlocks, SharedSuccessorNotMerged) {
   PassOptions options;
   options.peephole = false;
-  options.deadFlagWriters = false;
-  options.redundantLoads = false;
   options.mergeBlocks = true;
 
   // Two predecessors jump to the same block: no merge allowed.

@@ -58,8 +58,6 @@ Operand memAt(int32_t disp) {
 PassOptions allOff() {
   PassOptions options;
   options.peephole = false;
-  options.deadFlagWriters = false;
-  options.redundantLoads = false;
   options.mergeBlocks = false;
   options.crossIterLoads = false;
   return options;
