@@ -17,56 +17,6 @@ namespace brew {
 
 namespace {
 
-using isa::Instruction;
-using isa::Mnemonic;
-
-// --- peephole: remove no-op moves ----------------------------------------
-
-bool isNoopMove(const Instruction& in) {
-  if (in.nops != 2 || !in.ops[0].isReg() || !in.ops[1].isReg() ||
-      in.ops[0].reg != in.ops[1].reg)
-    return false;
-  switch (in.mnemonic) {
-    case Mnemonic::Mov:
-      return in.width == 8;  // 32-bit same-reg mov still zero-extends
-    case Mnemonic::Movsd:    // same-register low-lane merge
-    case Mnemonic::Movapd:
-    case Mnemonic::Movaps:
-    case Mnemonic::Movupd:
-    case Mnemonic::Movups:
-    case Mnemonic::Movdqa:
-    case Mnemonic::Movdqu:
-      return true;
-    default:
-      return false;
-  }
-}
-
-// lea r, [r+0] is a no-op.
-bool isNoopLea(const Instruction& in) {
-  return in.mnemonic == Mnemonic::Lea && in.ops[0].isReg() &&
-         in.ops[1].mem.base == in.ops[0].reg &&
-         in.ops[1].mem.index == isa::Reg::none && in.ops[1].mem.disp == 0 &&
-         !in.ops[1].mem.ripRelative && in.width == 8;
-}
-
-size_t runPeephole(Liveness& live) {
-  ir::CapturedFunction& fn = live.fn();
-  size_t removed = 0;
-  for (int b = 0; b < fn.blockCount(); ++b) {
-    // The common block has nothing to remove and is left untouched.
-    const ir::InstrVec& v = fn.block(b).instrs;
-    bool any = false;
-    for (size_t k = 0; k < v.size(); ++k) {
-      if (!isNoopMove(v[k]) && !isNoopLea(v[k])) continue;
-      live.facts(b)[k] = RegFacts{.dead = true};
-      any = true;
-    }
-    if (any) removed += live.compact(b);
-  }
-  return removed;
-}
-
 // --- block merging ----------------------------------------------------------
 //
 // A block reached only by a single unconditional-jump predecessor is
@@ -120,10 +70,6 @@ void runPasses(ir::CapturedFunction& fn, const PassOptions& options) {
     counter(CounterId::PassBlocksMerged).add(runMergeBlocks(fn));
   if (!options.peephole && !options.crossIterLoads) return;
   Liveness live(fn);
-  size_t peephole = 0;
-  if (options.peephole) peephole += runPeephole(live);
-  // Cross-iteration load elimination runs before the final peephole, which
-  // mops up the moves it leaves behind.
   // Both cross-iteration passes are timed into one phase.vectorize_ns
   // sample per rewrite, each with its own trace span.
   uint64_t vectorizeNs = 0;
@@ -138,8 +84,6 @@ void runPasses(ir::CapturedFunction& fn, const PassOptions& options) {
   if (options.crossIterLoads)
     counter(CounterId::PassLoadsEliminated)
         .add(timed([&] { return runCrossIterLoads(live); }));
-  if (options.peephole) peephole += runPeephole(live);  // cleanups expose more
-  counter(CounterId::PassPeepholeRemoved).add(peephole);
   // Copy coalescing rides on the peephole switch, constant hoisting on the
   // cross-iteration one.
   const RegisterRuleStats rules =

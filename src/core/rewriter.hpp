@@ -30,7 +30,7 @@ class SpecManager;
 // Optimization passes over the captured code, run between trace and emit
 // (§IV: the prototype keeps them simple and case-specific).
 struct PassOptions {
-  bool peephole = true;        // drop no-op moves / identity arithmetic
+  bool peephole = true;  // XMM copy coalescing (passes/register_rules.cpp)
   // Merge a block into its unique Jmp predecessor (removes the stub blocks
   // that migration compensation and resolved control flow leave behind).
   bool mergeBlocks = true;

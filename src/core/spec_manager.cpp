@@ -252,11 +252,6 @@ Error RewriteBatch::error(size_t index) const {
   return index < items_.size() ? items_[index].error : Error{};
 }
 
-const void* RewriteBatch::fn(size_t index) const {
-  // items_[i].request is set before the fan-out and never mutated.
-  return index < items_.size() ? items_[index].request.fn : nullptr;
-}
-
 void RewriteBatch::complete(size_t index, Result<CodeHandle> result) {
   {
     std::lock_guard<std::mutex> lock(mu_);

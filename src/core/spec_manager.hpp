@@ -97,7 +97,6 @@ class RewriteBatch {
   bool ok(size_t index) const;
   CodeHandle handle(size_t index) const;
   Error error(size_t index) const;
-  const void* fn(size_t index) const;
 
  private:
   friend class SpecManager;

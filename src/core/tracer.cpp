@@ -1381,8 +1381,10 @@ Status Tracer::traceGprArith(const Instruction& in, uint64_t next) {
     } else if (isShift) {
       r = emu::evalShift(in.mnemonic, w, a->bits, b->bits);
       if (r.flagsKnown == 0 && (b->bits & (w == 8 ? 63 : 31)) == 0) {
-        // count 0: value and flags unchanged
-        return Status::okStatus();
+        // count 0: flags unchanged, and so is the value, except that a
+        // 32-bit destination still has its upper half cleared.
+        if (w != 4) return Status::okStatus();
+        return writeRegResult(in.ops[0].reg, w, Value::known(r.value, false));
       }
     } else if (in.mnemonic == Mnemonic::Imul) {
       const uint64_t lhs = (in.nops == 3) ? b->bits : a->bits;

@@ -175,33 +175,6 @@ Value StackShadow::read(int64_t offset, unsigned width) const {
   return Value::known(bits, materialized);
 }
 
-bool StackShadow::isMaterialized(int64_t offset, unsigned width) const {
-  if (width == 8) {
-    // StackRel slots are never materialized implicitly.
-    auto it = std::lower_bound(
-        slots_.begin(), slots_.end(), offset,
-        [](const auto& s, int64_t off) { return s.first < off; });
-    if (it != slots_.end() && it->first == offset && !it->second.materialized)
-      return false;
-  }
-  unsigned i = 0;
-  while (i < width) {
-    const int64_t at = offset + static_cast<int64_t>(i);
-    const unsigned inPage = static_cast<unsigned>(at & (kPageBytes - 1));
-    const unsigned run =
-        std::min(width - i, static_cast<unsigned>(kPageBytes) - inPage);
-    const Page* p = pageAt(at >> kPageShift);
-    if (p != nullptr) {
-      for (unsigned j = 0; j < run; ++j) {
-        const uint8_t f = p->flags[inPage + j];
-        if ((f & kKnownBit) && !(f & kMaterializedBit)) return false;
-      }
-    }
-    i += run;
-  }
-  return true;
-}
-
 void StackShadow::invalidateSlotsOverlapping(int64_t offset, unsigned width) {
   // StackRel slots are 8 bytes wide starting at their key.
   auto first = std::lower_bound(
@@ -300,42 +273,6 @@ void StackShadow::write(int64_t offset, unsigned width, const Value& value) {
   }
 }
 
-void StackShadow::markMaterialized(int64_t offset, unsigned width) {
-  unsigned i = 0;
-  while (i < width) {
-    const int64_t at = offset + static_cast<int64_t>(i);
-    const unsigned inPage = static_cast<unsigned>(at & (kPageBytes - 1));
-    const unsigned run =
-        std::min(width - i, static_cast<unsigned>(kPageBytes) - inPage);
-    const int64_t pageIdx = at >> kPageShift;
-    Page* p = pageAt(pageIdx);
-    if (p != nullptr) {
-      bool change = false;
-      for (unsigned j = 0; j < run && !change; ++j) {
-        const uint8_t f = p->flags[inPage + j];
-        change = (f & kKnownBit) && !(f & kMaterializedBit);
-      }
-      if (change) {
-        Page** slot = slotFor(pageIdx);
-        if ((*slot)->refs > 1) *slot = unshare(*slot);
-        p = *slot;
-        for (unsigned j = 0; j < run; ++j) {
-          if (p->flags[inPage + j] & kKnownBit)
-            p->flags[inPage + j] |= kMaterializedBit;
-        }
-      }
-    }
-    i += run;
-  }
-  if (width == 8) {
-    auto it = std::lower_bound(
-        slots_.begin(), slots_.end(), offset,
-        [](const auto& s, int64_t off) { return s.first < off; });
-    if (it != slots_.end() && it->first == offset)
-      it->second.materialized = true;
-  }
-}
-
 void StackShadow::clobber() {
   releaseAll();
   firstPage_ = 0;
@@ -426,17 +363,6 @@ void hashValue(uint64_t& hash, const Value& value) {
 }
 }  // namespace
 
-void StackShadow::addToDigest(uint64_t& hash) const {
-  forEachKnownByte([&hash](int64_t off, uint8_t value, bool) {
-    hashMix(hash, static_cast<uint64_t>(off));
-    hashMix(hash, value | 0x100u);
-  });
-  for (const auto& [off, value] : slots_) {
-    hashMix(hash, static_cast<uint64_t>(off) * 31);
-    hashValue(hash, value);
-  }
-}
-
 // --- KnownWorldState -------------------------------------------------------
 
 KnownWorldState::KnownWorldState() {
@@ -488,20 +414,6 @@ bool KnownWorldState::sameContent(const KnownWorldState& other) const {
       return false;
   }
   return stack_.sameContent(other.stack_);
-}
-
-uint64_t KnownWorldState::digest() const {
-  uint64_t hash = 0xcbf29ce484222325ULL;
-  for (unsigned i = 0; i < 16; ++i) {
-    hashValue(hash, gpr_[i]);
-    hashValue(hash, xmm_[i].lo);
-    hashValue(hash, xmm_[i].hi);
-  }
-  hashMix(hash, flags_.known);
-  hashMix(hash, flags_.values & flags_.known);
-  for (const CallFrame& frame : callStack_) hashMix(hash, frame.returnAddress);
-  stack_.addToDigest(hash);
-  return hash;
 }
 
 uint64_t KnownWorldState::quickDigest() const {

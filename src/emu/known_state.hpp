@@ -5,7 +5,8 @@
 //
 // The state is a value type: it is saved when a trace forks at an unknown
 // conditional branch and restored when the corresponding pending block is
-// traced. Block variants are keyed by a content digest of this state.
+// traced. Block variants are keyed by the content of this state
+// (sameContent, prefiltered by quickDigest).
 #pragma once
 
 #include <cstdint>
@@ -76,12 +77,7 @@ class StackShadow {
   // that exactly matches a spilled StackRel slot returns that value.
   Value read(int64_t offset, unsigned width) const;
 
-  // True when every byte of the range is either unknown (runtime holds it)
-  // or known-and-materialized — i.e. a captured load from it is valid.
-  bool isMaterialized(int64_t offset, unsigned width) const;
-
   void write(int64_t offset, unsigned width, const Value& value);
-  void markMaterialized(int64_t offset, unsigned width);
   // Everything becomes unknown (e.g. opaque call could have written).
   void clobber();
   // Bytes strictly below `offset` become unknown (a kept call pushes its
@@ -89,7 +85,6 @@ class StackShadow {
   void clobberBelow(int64_t offset);
 
   bool sameContent(const StackShadow& other) const;
-  void addToDigest(uint64_t& hash) const;
 
   // Enumeration for state migration and tests: invokes
   // f(offset, value, materialized) for every known byte, ascending offset.
@@ -195,10 +190,9 @@ class KnownWorldState {
   // Content identity (ignores materialization), used for block-variant
   // keying and migration.
   bool sameContent(const KnownWorldState& other) const;
-  uint64_t digest() const;
   // Register-only digest (GPRs, XMM lanes, flags, call stack): a cheap
   // prefilter for variant lookup that skips the per-byte stack walk.
-  // Weaker than digest() — equal quickDigests still need sameContent.
+  // Equal quickDigests still need sameContent.
   uint64_t quickDigest() const;
 
   // Weakens *this to the meet with `incoming`: facts the two states agree

@@ -1,9 +1,9 @@
-// Concrete x86-64 operation semantics (value + RFLAGS), shared by the
-// tracing rewriter (constant folding of known values) and the interpreter.
+// Concrete x86-64 operation semantics (value + RFLAGS), used by the
+// tracing rewriter for constant folding of known values.
 //
 // Flags that the hardware leaves undefined for an operation are excluded
 // from `flagsKnown`, so the tracer never folds a branch on an undefined
-// flag; the interpreter gives them a fixed value (0), which is as legal as
+// flag; `flagsValue` gives them a fixed value (0), which is as legal as
 // any other choice.
 #pragma once
 

@@ -129,7 +129,7 @@ ThreadCache& threadCache() noexcept {
 }
 
 // Catches the thread cache up with the global mutation epoch; called once
-// per session construction (and thus once per decodeCachedAt).
+// per session construction.
 void reconcileEpoch(ThreadCache& c) {
   const uint64_t epoch = brew::codeMutationEpoch();
   if (epoch == c.epoch) return;
@@ -197,18 +197,8 @@ Result<const Instruction*> DecodeSession::miss(uint64_t address) {
 static_assert(DecodeSession::kWays == kWays,
               "session probe must mirror the thread cache geometry");
 
-Result<const Instruction*> decodeCachedAt(uint64_t address) {
-  // One-shot convenience path; batch decoding goes through DecodeSession.
-  DecodeSession session;
-  return session.at(address);
-}
-
 const DecodeCacheStats& decodeCacheThreadStats() noexcept {
   return threadCache().stats;
-}
-
-void flushDecodeCache() noexcept {
-  threadCache().flushAll();
 }
 
 }  // namespace brew::isa

@@ -50,13 +50,6 @@ struct DecodeCacheStats {
                         // removed, EWMA-smoothed, scaled back ×64
 };
 
-// Decodes the instruction at a live address in this process, serving
-// repeats from the cache. Decode failures are not cached (the trace aborts
-// on them anyway). The returned pointer aims into the calling thread's
-// cache and stays valid only until that thread's next decodeCachedAt or
-// flushDecodeCache call — consume it before decoding again.
-Result<const Instruction*> decodeCachedAt(uint64_t address);
-
 // One trace's view of the calling thread's decode cache. The TLS lookup
 // and the mutation-epoch reconciliation are paid once at construction and
 // the direct-mapped hit probe inlines into the trace loop, instead of a
@@ -93,8 +86,5 @@ class DecodeSession {
 
 // The calling thread's cumulative stats.
 const DecodeCacheStats& decodeCacheThreadStats() noexcept;
-
-// Drops every cached decode on the calling thread (tests).
-void flushDecodeCache() noexcept;
 
 }  // namespace brew::isa

@@ -725,11 +725,4 @@ Status encode(const Instruction& instr, uint64_t instrAddress,
   return Status::okStatus();
 }
 
-Result<uint32_t> encodedLength(const Instruction& instr) {
-  std::vector<uint8_t> tmp;
-  EncodeInfo info;
-  if (Status s = encode(instr, 0, tmp, &info); !s) return s.error();
-  return info.length;
-}
-
 }  // namespace brew::isa

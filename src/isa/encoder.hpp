@@ -36,7 +36,4 @@ struct EncodeInfo {
 Status encode(const Instruction& instr, uint64_t instrAddress,
               std::vector<uint8_t>& out, EncodeInfo* info = nullptr);
 
-// Encoded length without appending (convenience for layout passes).
-Result<uint32_t> encodedLength(const Instruction& instr);
-
 }  // namespace brew::isa

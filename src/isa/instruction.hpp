@@ -1,5 +1,5 @@
 // Decoded-instruction representation shared by the decoder, encoder,
-// printer, tracer and interpreter.
+// printer, tracer and passes.
 //
 // Operand convention follows Intel order: ops[0] is the destination (or the
 // first source for compare-like instructions), ops[1] the source, ops[2] an
@@ -52,7 +52,7 @@ constexpr uint32_t regBit(Reg r) noexcept {
 // --- The instruction table ------------------------------------------------
 //
 // Every per-mnemonic fact lives in one row of isa/mnemonics.def. The
-// decoder, encoder, printer, tracer, passes and interpreter read its
+// decoder, encoder, printer, tracer and passes read its
 // columns; none keeps its own list of mnemonics.
 
 // Which tracer handler a mnemonic goes to.

@@ -84,16 +84,11 @@ void Assembler::call(Label target) {
                      target.id_});
 }
 
-// Absolute control transfers use `movabs r11, target; jmp/call r11`, so
-// the bytes stay position independent wherever the buffer is mapped. r11
-// is a caller-saved scratch register that carries no value across call or
-// function boundaries per the System V ABI, so clobbering it at these
-// points is always safe.
-void Assembler::jmpAbs(uint64_t target) {
-  movRegImm(Reg::r11, static_cast<int64_t>(target), 8);
-  emit(makeInstr(Mnemonic::JmpInd, 8, Operand::makeReg(Reg::r11)));
-}
-
+// An absolute call uses `movabs r11, target; call r11`, so the bytes stay
+// position independent wherever the buffer is mapped. r11 is a
+// caller-saved scratch register that carries no value across call or
+// function boundaries per the System V ABI, so clobbering it at a call is
+// always safe.
 void Assembler::callAbs(uint64_t target) {
   movRegImm(Reg::r11, static_cast<int64_t>(target), 8);
   emit(makeInstr(Mnemonic::CallInd, 8, Operand::makeReg(Reg::r11)));

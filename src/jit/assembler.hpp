@@ -48,9 +48,8 @@ class Assembler {
   void jcc(isa::Cond cond, Label target);
   void call(Label target);
 
-  // Branch/call to an absolute address outside this buffer, through
+  // Call to an absolute address outside this buffer, through
   // `movabs r11, target` (position independent; clobbers r11).
-  void jmpAbs(uint64_t target);
   void callAbs(uint64_t target);
 
   // --- convenience wrappers used heavily in tests ---

@@ -17,12 +17,6 @@ DomainMap::DomainMap(Runtime& runtime)
   cache_.resize(static_cast<size_t>(runtime.ranks()));
 }
 
-int DomainMap::ownerOf(long index) const {
-  for (int r = 0; r < runtime_.ranks(); ++r)
-    if (index < starts_[static_cast<size_t>(r) + 1]) return r;
-  return runtime_.ranks() - 1;
-}
-
 void DomainMap::redistribute(const std::vector<long>& newStarts) {
   if (newStarts.size() != starts_.size() || newStarts.front() != 0 ||
       newStarts.back() != length_ ||

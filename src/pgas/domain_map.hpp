@@ -22,7 +22,6 @@ class DomainMap {
   explicit DomainMap(Runtime& runtime);
 
   long length() const { return length_; }
-  int ownerOf(long index) const;
   // Owned half-open range of `rank`.
   long blockStart(int rank) const {
     return starts_[static_cast<size_t>(rank)];

@@ -16,7 +16,7 @@ namespace brew::stencil {
 brew_stencil fivePoint();
 brew_gstencil fivePointGrouped();
 
-// 9-point box stencil (used by tests/benches for a second shape).
+// 9-point box stencil (the tests' second shape).
 brew_stencil ninePoint();
 
 // Random stencil with `points` points within [-range, range]^2 offsets

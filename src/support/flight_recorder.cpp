@@ -135,9 +135,4 @@ uint64_t totalRecorded() noexcept {
   return g_next.load(std::memory_order_relaxed);
 }
 
-void clearForTest() noexcept {
-  g_next.store(0, std::memory_order_relaxed);
-  for (auto& s : g_ring) s.seq.store(0, std::memory_order_relaxed);
-}
-
 }  // namespace brew::flight

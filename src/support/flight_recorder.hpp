@@ -57,7 +57,4 @@ void dumpTo(int fd) noexcept;
 // Total events ever recorded (monotonic, relaxed).
 uint64_t totalRecorded() noexcept;
 
-// Tests only: forgets all records.
-void clearForTest() noexcept;
-
 }  // namespace brew::flight

@@ -50,9 +50,6 @@ const Sink& sink() {
 }
 }  // namespace
 
-void setLogLevel(LogLevel level) noexcept {
-  g_level.store(level, std::memory_order_relaxed);
-}
 LogLevel logLevel() noexcept {
   return g_level.load(std::memory_order_relaxed);
 }

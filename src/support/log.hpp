@@ -1,6 +1,6 @@
 // Tiny leveled logger. Rewriting is performance-sensitive library code, so
-// logging is off by default and controlled by BREW_LOG (0..3) or
-// setLogLevel. Output goes to stderr, or to BREW_LOG_FILE=<path>
+// logging is off by default; BREW_LOG (0..3), read once at startup, sets
+// the level. Output goes to stderr, or to BREW_LOG_FILE=<path>
 // (timestamped, append) when set. The level is atomic and each message is
 // formatted into one buffer and emitted with a single stdio call, so
 // concurrent rewriter threads never interleave partial lines.
@@ -12,7 +12,6 @@ namespace brew {
 
 enum class LogLevel : int { None = 0, Error = 1, Info = 2, Trace = 3 };
 
-void setLogLevel(LogLevel level) noexcept;
 LogLevel logLevel() noexcept;
 
 // printf-style; cheap no-op when the level is disabled.

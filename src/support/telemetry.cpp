@@ -54,7 +54,6 @@ constexpr const char* kCounterNames[] = {
     "blocks.merged",
     "blocks.side_exits",
     "passes.blocks_merged",
-    "passes.peephole_removed",
     "passes.loads_eliminated",
     "passes.copies_coalesced",
     "passes.consts_hoisted",
@@ -276,9 +275,6 @@ Histogram& histogram(HistogramId id) noexcept {
 const char* counterName(CounterId id) noexcept {
   return kCounterNames[static_cast<int>(id)];
 }
-const char* gaugeName(GaugeId id) noexcept {
-  return kGaugeNames[static_cast<int>(id)];
-}
 const char* histogramName(HistogramId id) noexcept {
   return kHistogramNames[static_cast<int>(id)];
 }
@@ -377,43 +373,6 @@ void recordSpan(const char* name, uint64_t startNs, uint64_t endNs,
   } else {
     record.args[0] = '\0';
   }
-}
-
-SpanScope::SpanScope(const char* name) noexcept {
-  if (!tracingEnabled()) return;
-  active_ = true;
-  name_ = name;
-  args_[0] = '\0';
-  start_ = nowNs();
-}
-
-void SpanScope::arg(const char* key, const char* fmt, ...) {
-  if (!active_) return;
-  const int room = static_cast<int>(sizeof args_) - argsLen_;
-  if (room <= 8) return;
-  int n = std::snprintf(args_ + argsLen_, static_cast<size_t>(room),
-                        "%s\"%s\":\"", argsLen_ > 0 ? "," : "", key);
-  if (n < 0 || n >= room) return;
-  argsLen_ += n;
-  va_list ap;
-  va_start(ap, fmt);
-  n = std::vsnprintf(args_ + argsLen_,
-                     static_cast<size_t>(sizeof args_) - argsLen_ - 1, fmt,
-                     ap);
-  va_end(ap);
-  if (n < 0) {
-    args_[argsLen_] = '\0';
-    return;
-  }
-  argsLen_ = std::min(argsLen_ + n,
-                      static_cast<int>(sizeof args_) - 2);
-  args_[argsLen_++] = '"';
-  args_[argsLen_] = '\0';
-}
-
-SpanScope::~SpanScope() {
-  if (!active_) return;
-  recordSpan(name_, start_, nowNs(), argsLen_ > 0 ? args_ : nullptr);
 }
 
 bool writeTrace(const char* path) {

@@ -12,11 +12,12 @@
 //    atomic add, never a lock. Instruments are enumerated at compile time
 //    so lookup is an array index.
 //
-//  - A phase timeline TRACER: scoped spans recorded into per-thread ring
-//    buffers and exported as Chrome trace-event JSON ("Perfetto" /
-//    chrome://tracing loadable). Off by default; enabled by
-//    BREW_TRACE_FILE=<path> (written at exit) or setTracing(true) +
-//    writeTrace(). When disabled a SpanScope costs one relaxed load.
+//  - A phase timeline TRACER: spans with explicit timestamps (recordSpan)
+//    recorded into per-thread ring buffers and exported as Chrome
+//    trace-event JSON ("Perfetto" / chrome://tracing loadable). Off by
+//    default; enabled by BREW_TRACE_FILE=<path> (written at exit) or
+//    setTracing(true) + writeTrace(). When disabled a span costs one
+//    relaxed load.
 //
 //  - EXPORTERS: snapshot() for programmatic access (the brew_telemetry_*
 //    C API wraps it), writeJson() for machine-readable metrics,
@@ -24,7 +25,6 @@
 #pragma once
 
 #include <atomic>
-#include <cstdarg>
 #include <cstdint>
 #include <cstdio>
 #include <vector>
@@ -53,7 +53,6 @@ enum class CounterId : int {
   BlocksMerged,           // reconvergence meets into a pending variant
   BlocksSideExits,        // fork-depth cap hit: side-exit stub emitted
   PassBlocksMerged,
-  PassPeepholeRemoved,
   PassLoadsEliminated,    // cross-iteration re-loads replaced by reg reuse
   PassCopiesCoalesced,    // XMM copies swapped/propagated away
   PassConstsHoisted,      // registers whose pool constant loads at entry
@@ -242,7 +241,6 @@ Gauge& gauge(GaugeId id) noexcept;
 Histogram& histogram(HistogramId id) noexcept;
 
 const char* counterName(CounterId id) noexcept;
-const char* gaugeName(GaugeId id) noexcept;
 const char* histogramName(HistogramId id) noexcept;
 
 // Point-in-time copy of every instrument.
@@ -301,28 +299,6 @@ uint64_t ticksToNs(uint64_t ticks) noexcept;
 // args. No-op while tracing is disabled.
 void recordSpan(const char* name, uint64_t startNs, uint64_t endNs,
                 const char* argsJson = nullptr);
-
-// RAII span: captures start at construction, records at destruction.
-// `name` must outlive the trace (string literals).
-class SpanScope {
- public:
-  explicit SpanScope(const char* name) noexcept;
-  ~SpanScope();
-  SpanScope(const SpanScope&) = delete;
-  SpanScope& operator=(const SpanScope&) = delete;
-
-  bool active() const noexcept { return active_; }
-  // Appends one "key":"<formatted>" pair to the span's args.
-  void arg(const char* key, const char* fmt, ...)
-      __attribute__((format(printf, 3, 4)));
-
- private:
-  const char* name_ = nullptr;
-  uint64_t start_ = 0;
-  bool active_ = false;
-  int argsLen_ = 0;
-  char args_[160];
-};
 
 // Writes every recorded span as Chrome trace-event JSON ({"traceEvents":
 // [...]}). Returns false if the file cannot be written. Spans survive

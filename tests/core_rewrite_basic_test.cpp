@@ -105,6 +105,33 @@ TEST(Rewrite, ShiftAndAdd) {
   EXPECT_EQ(specialized->as<int64_t (*)(int64_t)>()(123), 43);
 }
 
+TEST(Rewrite, ShiftByZeroStillClearsUpperHalf) {
+  // shl eax, 0 leaves the flags alone but, as every 32-bit write, clears
+  // bits 32-63. Both the immediate and the known CL count fold it.
+  Assembler a;
+  a.movRegReg(Reg::rax, Reg::rdi);
+  a.emit(makeInstr(Mnemonic::Shl, 4, Operand::makeReg(Reg::rax),
+                   Operand::makeImm(0)));
+  a.movRegReg(Reg::rdx, Reg::rdi);
+  a.movRegReg(Reg::rcx, Reg::rsi);
+  a.emit(makeInstr(Mnemonic::Shl, 4, Operand::makeReg(Reg::rdx),
+                   Operand::makeReg(Reg::rcx)));
+  a.aluRegReg(Mnemonic::Add, Reg::rax, Reg::rdx);
+  a.ret();
+  ExecMemory fn = buildOrDie(a);
+  using fn_t = uint64_t (*)(uint64_t, uint64_t);
+  constexpr uint64_t kInput = 0x54f02b4e315b5382ull;
+  ASSERT_EQ(fn.entry<fn_t>()(kInput, 0), 2 * 0x315b5382ull);
+
+  Config config;
+  config.setParamKnown(0);
+  config.setParamKnown(1);
+  Rewriter spec{config};
+  auto specialized = spec.rewrite(fn.data(), kInput, uint64_t{0});
+  ASSERT_TRUE(specialized.ok()) << specialized.error().message();
+  EXPECT_EQ(specialized->as<fn_t>()(kInput, 0), 2 * 0x315b5382ull);
+}
+
 // Conditional: rax = (rdi < rsi) ? 1 : 2.
 ExecMemory buildCompare() {
   Assembler a;

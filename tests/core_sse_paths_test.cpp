@@ -6,7 +6,6 @@
 #include <cstring>
 
 #include "core/rewriter.hpp"
-#include "emu/interpreter.hpp"
 #include "jit/assembler.hpp"
 
 namespace brew {
@@ -248,12 +247,6 @@ TEST(SsePaths, ScalarSingleKeepsUpperLowLaneBits) {
   constexpr uint64_t kInput = 0x123456783f800000ull;
 
   EXPECT_EQ(fn.entry<f_t>()(kInput), kInput);
-
-  emu::Interpreter interp;
-  const uint64_t args[] = {kInput};
-  auto interpreted = interp.call(reinterpret_cast<uint64_t>(fn.data()), args);
-  ASSERT_TRUE(interpreted.ok()) << interpreted.error().message();
-  EXPECT_EQ(interpreted->intResult, kInput);
 
   Config known;
   known.setParamKnown(0);

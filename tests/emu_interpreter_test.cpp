@@ -1,13 +1,18 @@
-// Interpreter tests: the concrete interpreter must agree with native
-// execution on the same machine code — checked on hand-built functions and
-// on randomly generated straight-line programs (property style).
+// Concrete execution through the rewriter: native execution is the oracle
+// for the same machine code rewritten twice — once with every input known,
+// so the tracer runs the whole function through its folds (a concrete run),
+// and once with every input unknown, so the code is captured. Checked on
+// hand-built functions and on randomly generated straight-line programs
+// (property style).
 #include <gtest/gtest.h>
 
-#include "emu/interpreter.hpp"
+#include <type_traits>
+
+#include "core/rewriter.hpp"
 #include "jit/assembler.hpp"
 #include "support/prng.hpp"
 
-namespace brew::emu {
+namespace brew {
 namespace {
 
 using isa::Cond;
@@ -17,19 +22,55 @@ using isa::Mnemonic;
 using isa::Operand;
 using isa::Reg;
 
+enum class Inputs { Known, Unknown };
+constexpr Inputs kBothInputs[] = {Inputs::Known, Inputs::Unknown};
+
+const char* describe(Inputs inputs) {
+  return inputs == Inputs::Known ? "every input known" : "every input unknown";
+}
+
+// Rewrites `code` with `args` as the traced values, every parameter known
+// or every parameter unknown; `config` supplies everything else.
+template <typename... A>
+Result<RewrittenFunction> rewriteWith(Inputs inputs, Config config,
+                                      const void* code, A... args) {
+  size_t index = 0;
+  ((inputs == Inputs::Known
+        ? config.setParamKnown(index++, std::is_floating_point_v<A>)
+        : config.setParamUnknown(index++, std::is_floating_point_v<A>)),
+   ...);
+  Rewriter rewriter{config};
+  return rewriter.rewrite(code, args...);
+}
+
+// Both rewrites of `code` must return what the native call returns.
+template <typename R, typename... A>
+void expectRewritesMatchNative(const ExecMemory& code, A... args) {
+  using Fn = R (*)(A...);
+  const R native = code.entry<Fn>()(args...);
+  for (Inputs inputs : kBothInputs) {
+    auto rewritten = rewriteWith(inputs, Config{}, code.data(), args...);
+    ASSERT_TRUE(rewritten.ok())
+        << describe(inputs) << ": " << rewritten.error().message();
+    EXPECT_EQ(rewritten->template as<Fn>()(args...), native)
+        << describe(inputs);
+  }
+}
+
+ExecMemory finalizeOrDie(jit::Assembler& as) {
+  auto mem = as.finalizeExecutable();
+  EXPECT_TRUE(mem.ok()) << mem.error().message();
+  return std::move(*mem);
+}
+
 TEST(Interpreter, RunsSimpleFunction) {
   jit::Assembler as;
   as.movRegReg(Reg::rax, Reg::rdi);
   as.aluRegReg(Mnemonic::Add, Reg::rax, Reg::rsi);
   as.ret();
-  auto mem = as.finalizeExecutable();
-  ASSERT_TRUE(mem.ok());
-
-  Interpreter interp;
-  const uint64_t args[] = {30, 12};
-  auto result = interp.call(reinterpret_cast<uint64_t>(mem->data()), args);
-  ASSERT_TRUE(result.ok()) << result.error().message();
-  EXPECT_EQ(result->intResult, 42u);
+  const ExecMemory mem = finalizeOrDie(as);
+  EXPECT_EQ(mem.entry<uint64_t (*)(uint64_t, uint64_t)>()(30, 12), 42u);
+  expectRewritesMatchNative<uint64_t>(mem, uint64_t{30}, uint64_t{12});
 }
 
 TEST(Interpreter, LoopAndBranches) {
@@ -47,15 +88,11 @@ TEST(Interpreter, LoopAndBranches) {
   as.jmp(loop);
   as.bind(done);
   as.ret();
-  auto mem = as.finalizeExecutable();
-  ASSERT_TRUE(mem.ok());
+  const ExecMemory mem = finalizeOrDie(as);
 
-  Interpreter interp;
   for (uint64_t n : {0ull, 1ull, 10ull, 100ull}) {
-    const uint64_t args[] = {n};
-    auto result = interp.call(reinterpret_cast<uint64_t>(mem->data()), args);
-    ASSERT_TRUE(result.ok());
-    EXPECT_EQ(result->intResult, n * (n + 1) / 2);
+    EXPECT_EQ(mem.entry<uint64_t (*)(uint64_t)>()(n), n * (n + 1) / 2);
+    expectRewritesMatchNative<uint64_t>(mem, n);
   }
 }
 
@@ -78,18 +115,11 @@ TEST(Interpreter, CallsAndStack) {
   as.aluRegReg(Mnemonic::Add, Reg::rax, Reg::rbx);
   as.emit(makeInstr(Mnemonic::Pop, 8, Operand::makeReg(Reg::rbx)));
   as.ret();
-  auto mem = as.finalizeExecutable();
-  ASSERT_TRUE(mem.ok());
+  const ExecMemory mem = finalizeOrDie(as);
 
-  Interpreter interp;
-  const uint64_t args[] = {5, 7};
-  auto result = interp.call(reinterpret_cast<uint64_t>(mem->data()), args);
-  ASSERT_TRUE(result.ok()) << result.error().message();
-  EXPECT_EQ(result->intResult, 36u);  // 15 + 21
-
-  // Native agreement.
-  auto fn = mem->entry<uint64_t (*)(uint64_t, uint64_t)>();
-  EXPECT_EQ(fn(5, 7), 36u);
+  EXPECT_EQ(mem.entry<uint64_t (*)(uint64_t, uint64_t)>()(5, 7),
+            36u);  // 15 + 21
+  expectRewritesMatchNative<uint64_t>(mem, uint64_t{5}, uint64_t{7});
 }
 
 TEST(Interpreter, SseArithmetic) {
@@ -101,14 +131,12 @@ TEST(Interpreter, SseArithmetic) {
   as.emit(makeInstr(Mnemonic::Sqrtsd, 8, Operand::makeReg(Reg::xmm0),
                     Operand::makeReg(Reg::xmm0)));
   as.ret();
-  auto mem = as.finalizeExecutable();
-  ASSERT_TRUE(mem.ok());
+  const ExecMemory mem = finalizeOrDie(as);
 
-  Interpreter interp;
-  const double fp[] = {3.0, 5.0, 1.0};  // sqrt(3*5+1) = 4
-  auto result = interp.call(reinterpret_cast<uint64_t>(mem->data()), {}, fp);
-  ASSERT_TRUE(result.ok());
-  EXPECT_DOUBLE_EQ(result->fpResult(), 4.0);
+  // sqrt(3*5+1) = 4
+  EXPECT_DOUBLE_EQ(
+      (mem.entry<double (*)(double, double, double)>()(3.0, 5.0, 1.0)), 4.0);
+  expectRewritesMatchNative<double>(mem, 3.0, 5.0, 1.0);
 }
 
 TEST(Interpreter, MemoryAccess) {
@@ -122,49 +150,69 @@ TEST(Interpreter, MemoryAccess) {
   as.aluRegImm(Mnemonic::Add, Reg::rax, 1);
   as.movMemReg(m, Reg::rax, 8);
   as.ret();
-  auto mem = as.finalizeExecutable();
-  ASSERT_TRUE(mem.ok());
+  const ExecMemory mem = finalizeOrDie(as);
+  using fn_t = uint64_t (*)(int64_t*, uint64_t);
 
-  Interpreter interp;
-  const uint64_t args[] = {reinterpret_cast<uint64_t>(data), 2};
-  auto result = interp.call(reinterpret_cast<uint64_t>(mem->data()), args);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->intResult, 31u);
+  EXPECT_EQ(mem.entry<fn_t>()(data, 2), 31u);
   EXPECT_EQ(data[2], 31);
+  // The data is not declared constant, so both rewrites keep the load and
+  // the store.
+  for (Inputs inputs : kBothInputs) {
+    data[2] = 30;
+    auto rewritten =
+        rewriteWith(inputs, Config{}, mem.data(), data, uint64_t{2});
+    ASSERT_TRUE(rewritten.ok())
+        << describe(inputs) << ": " << rewritten.error().message();
+    EXPECT_EQ(rewritten->as<fn_t>()(data, 2), 31u) << describe(inputs);
+    EXPECT_EQ(data[2], 31) << describe(inputs);
+  }
 }
 
 TEST(Interpreter, StepLimitStopsRunaway) {
+  // for (rax = rdi; rax != 0; --rax) {}  A known trip count of a million
+  // unrolls past the step limit (no variant-threshold migration escape);
+  // an unknown one keeps the loop.
   jit::Assembler as;
+  as.movRegReg(Reg::rax, Reg::rdi);
   jit::Label loop = as.newLabel();
   as.bind(loop);
-  as.jmp(loop);  // endless
-  auto mem = as.finalizeExecutable();
-  ASSERT_TRUE(mem.ok());
-  Interpreter::Options options;
-  options.maxSteps = 1000;
-  Interpreter interp(options);
-  auto result = interp.call(reinterpret_cast<uint64_t>(mem->data()), {});
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.error().code, ErrorCode::TraceStepLimit);
+  as.aluRegImm(Mnemonic::Sub, Reg::rax, 1);
+  as.jcc(Cond::NE, loop);
+  as.ret();
+  const ExecMemory mem = finalizeOrDie(as);
+  constexpr uint64_t kTrips = 1'000'000;
+  EXPECT_EQ(mem.entry<uint64_t (*)(uint64_t)>()(kTrips), 0u);
+
+  Config limited;
+  limited.limits().maxTraceSteps = 1000;
+  limited.limits().maxVariantsPerAddress = 1 << 28;
+  auto runaway = rewriteWith(Inputs::Known, limited, mem.data(), kTrips);
+  ASSERT_FALSE(runaway.ok());
+  EXPECT_EQ(runaway.error().code, ErrorCode::TraceStepLimit);
+
+  auto kept = rewriteWith(Inputs::Unknown, limited, mem.data(), kTrips);
+  ASSERT_TRUE(kept.ok()) << kept.error().message();
+  EXPECT_EQ(kept->as<uint64_t (*)(uint64_t)>()(kTrips), 0u);
 }
 
 TEST(Interpreter, UndecodableReported) {
   jit::Assembler as;
   as.emitBytes(std::vector<uint8_t>{0x0f, 0xa2});  // cpuid
-  auto mem = as.finalizeExecutable();
-  ASSERT_TRUE(mem.ok());
-  Interpreter interp;
-  auto result = interp.call(reinterpret_cast<uint64_t>(mem->data()), {});
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.error().code, ErrorCode::UndecodableInstruction);
+  const ExecMemory mem = finalizeOrDie(as);
+  for (Inputs inputs : kBothInputs) {
+    auto result = rewriteWith(inputs, Config{}, mem.data());
+    ASSERT_FALSE(result.ok()) << describe(inputs);
+    EXPECT_EQ(result.error().code, ErrorCode::UndecodableInstruction)
+        << describe(inputs);
+  }
 }
 
 // ---- randomized straight-line differential testing -----------------------
 //
 // Generates random flag-safe straight-line programs over a few registers,
-// executes them natively and through the interpreter, and compares the
-// result. This cross-validates decoder, encoder, assembler, interpreter
-// and the semantics helpers in one sweep.
+// executes them natively and through both rewrites, and compares the
+// result. This cross-validates decoder, encoder, assembler, the tracer's
+// folds and captures, and the semantics helpers in one sweep.
 
 class RandomProgram : public ::testing::TestWithParam<uint64_t> {};
 
@@ -219,19 +267,11 @@ TEST_P(RandomProgram, InterpreterAgreesWithNative) {
       as.aluRegReg(Mnemonic::Add, Reg::rax, r);
     as.ret();
 
-    auto mem = as.finalizeExecutable();
-    ASSERT_TRUE(mem.ok()) << mem.error().message();
-    auto fn = mem->entry<uint64_t (*)(uint64_t, uint64_t)>();
-
-    Interpreter interp;
+    const ExecMemory mem = finalizeOrDie(as);
     const uint64_t a = rng.next(), b = rng.next();
-    const uint64_t native = fn(a, b);
-    const uint64_t args[] = {a, b};
-    auto interpreted =
-        interp.call(reinterpret_cast<uint64_t>(mem->data()), args);
-    ASSERT_TRUE(interpreted.ok()) << interpreted.error().message();
-    ASSERT_EQ(interpreted->intResult, native)
-        << "seed " << GetParam() << " program " << program;
+    SCOPED_TRACE(testing::Message()
+                 << "seed " << GetParam() << " program " << program);
+    expectRewritesMatchNative<uint64_t>(mem, a, b);
   }
 }
 
@@ -239,4 +279,4 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomProgram,
                          ::testing::Values(11, 22, 33, 44, 55, 66, 77, 88));
 
 }  // namespace
-}  // namespace brew::emu
+}  // namespace brew

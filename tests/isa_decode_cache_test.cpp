@@ -31,7 +31,8 @@ ExecMemory makeConstFn(int32_t imm) {
 }
 
 int64_t decodedImmAt(uint64_t address) {
-  auto decoded = isa::decodeCachedAt(address);
+  isa::DecodeSession session;
+  auto decoded = session.at(address);
   if (!decoded.ok() || !(*decoded)->op(1).isImm()) return INT64_MIN;
   return (*decoded)->op(1).imm;
 }

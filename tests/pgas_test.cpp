@@ -105,10 +105,10 @@ TEST(PgasRewrite, SpecializedAccessorIgnoresViewArgument) {
 TEST(DomainMapTest, OwnershipAndViews) {
   Runtime rt(smallOptions());
   DomainMap map(rt);
-  EXPECT_EQ(map.ownerOf(0), 0);
-  EXPECT_EQ(map.ownerOf(255), 0);
-  EXPECT_EQ(map.ownerOf(256), 1);
-  EXPECT_EQ(map.ownerOf(1023), 3);
+  EXPECT_EQ(map.blockStart(0), 0);
+  EXPECT_EQ(map.blockEnd(0), 256);
+  EXPECT_EQ(map.blockStart(1), 256);
+  EXPECT_EQ(map.blockEnd(3), 1024);
   EXPECT_EQ(map.view(2).local_start, 512);
   EXPECT_EQ(map.view(2).local_end, 768);
 }
@@ -119,7 +119,8 @@ TEST(DomainMapTest, RedistributeMigratesData) {
   fillGlobal(rt);
   map.redistribute({0, 100, 512, 768, 1024});
   // Global value at index 200 now lives on rank 1.
-  EXPECT_EQ(map.ownerOf(200), 1);
+  EXPECT_EQ(map.blockStart(1), 100);
+  EXPECT_EQ(map.blockEnd(1), 512);
   brew_pgas_view v = map.view(1);
   EXPECT_DOUBLE_EQ(v.local_base[200 - v.local_start], 100.0);
 }

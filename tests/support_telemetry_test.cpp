@@ -249,7 +249,6 @@ TEST(TelemetryTrace, DisabledRecordsNothing) {
   clearTrace();
   setTracing(false);
   recordSpan("tt_invisible", 100, 200);
-  { SpanScope scope("tt_scoped_invisible"); }
 
   char path[] = "/tmp/brew_trace_test_XXXXXX";
   const int fd = mkstemp(path);
@@ -262,14 +261,12 @@ TEST(TelemetryTrace, DisabledRecordsNothing) {
 }
 
 TEST(TelemetryTrace, SpanScopeRecordsWithArgs) {
+  // A span carries its args as a pre-rendered JSON fragment, as the
+  // rewriter's "rewrite" span does.
   clearTrace();
   setTracing(true);
-  {
-    SpanScope scope("tt_scope");
-    EXPECT_TRUE(scope.active());
-    scope.arg("fn", "0x%x", 0xabcd);
-    scope.arg("key", "%s", "k1");
-  }
+  const uint64_t start = nowNs();
+  recordSpan("tt_scope", start, nowNs(), "\"fn\":\"0xabcd\",\"key\":\"k1\"");
   setTracing(false);
 
   char path[] = "/tmp/brew_trace_test_XXXXXX";
